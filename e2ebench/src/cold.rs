@@ -6,7 +6,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use linx_engine::{ServeConfig, Server};
 use serde_json::Value;
@@ -31,40 +31,41 @@ pub struct Record {
     pub body: Result<String, String>,
 }
 
-/// A started server and what starting it cost.
-pub struct Started {
-    pub server: Server,
-    pub cache_dir: Option<PathBuf>,
-    pub setup_s: Vec<f64>,
+/// One from-scratch set-up: freshly generated datasets, on the disk workload an
+/// empty cache directory, and `Server::start`. Returns the server, its cache
+/// directory and the seconds it took.
+pub fn set_up(
+    workload: Workload,
+    sizes: &Sizes,
+) -> std::io::Result<(Server, Option<PathBuf>, f64)> {
+    let t0 = Instant::now();
+    let cache_dir = (workload == Workload::Cold2kDisk).then(|| work_dir("cold"));
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        router: router_config(sizes, cache_dir.clone()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, datasets(sizes.rows))?;
+    Ok((server, cache_dir, secs(t0)))
 }
 
-/// Start the server `sizes.setup_reps` times, each time from freshly generated
-/// datasets and (on the disk workload) an empty cache directory; keep the last.
-pub fn start(workload: Workload, sizes: &Sizes) -> std::io::Result<Started> {
+/// Set up and tear down again for `window`, at least once; the time of each set-up.
+pub fn setups_for(
+    workload: Workload,
+    sizes: &Sizes,
+    window: Duration,
+) -> std::io::Result<Vec<f64>> {
+    let start = Instant::now();
     let mut setup_s = Vec::new();
-    for rep in 0..sizes.setup_reps {
-        let t0 = Instant::now();
-        let cache_dir = (workload == Workload::Cold2kDisk).then(|| work_dir("cold"));
-        let config = ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            router: router_config(sizes, cache_dir.clone()),
-            ..ServeConfig::default()
-        };
-        let server = Server::start(config, datasets(sizes.rows))?;
-        setup_s.push(secs(t0));
-        if rep + 1 == sizes.setup_reps {
-            return Ok(Started {
-                server,
-                cache_dir,
-                setup_s,
-            });
-        }
+    while setup_s.is_empty() || start.elapsed() < window {
+        let (server, cache_dir, s) = set_up(workload, sizes)?;
+        setup_s.push(s);
         server.join();
         if let Some(dir) = &cache_dir {
             remove_dir(dir);
         }
     }
-    unreachable!("setup_reps is at least 1")
+    Ok(setup_s)
 }
 
 fn field<'a>(v: &'a Value, path: &[&str]) -> Option<&'a Value> {
@@ -236,7 +237,13 @@ pub fn run(workload: Workload, seed: u64, seconds: u64, smoke: bool) -> Outcome 
         slice.composition(n),
         slice.digest(n)
     ));
-    let started = match start(workload, &sizes) {
+    let half = sizes.setup_window / 2;
+    let started = setups_for(workload, &sizes, half).and_then(|mut setup_s| {
+        let (server, cache_dir, s) = set_up(workload, &sizes)?;
+        setup_s.push(s);
+        Ok((server, cache_dir, setup_s))
+    });
+    let (server, cache_dir, mut setup_s) = match started {
         Ok(s) => s,
         Err(e) => {
             out.attempted = 1;
@@ -244,14 +251,22 @@ pub fn run(workload: Workload, seed: u64, seconds: u64, smoke: bool) -> Outcome 
             return out;
         }
     };
-    let lr = closed_loop(started.server.addr(), goals);
+    let lr = closed_loop(server.addr(), goals);
     let peak_rss = sys::peak_rss_mb();
-    started.server.join();
-    if let Some(dir) = &started.cache_dir {
+    server.join();
+    if let Some(dir) = &cache_dir {
         remove_dir(dir);
     }
     let quality = check(&mut out, goals, &lr.records);
-    report_e2e(&mut out, started.setup_s, &lr, quality, peak_rss);
+    match setups_for(workload, &sizes, half) {
+        Ok(after) => setup_s.extend(after),
+        Err(e) => {
+            out.attempted += 1;
+            out.fail(format!("server did not start after the timed phase: {e}"));
+        }
+    }
+    out.notes.push(setup_note(&setup_s));
+    report_e2e(&mut out, setup_s, &lr, quality, peak_rss);
     out
 }
 
@@ -294,7 +309,7 @@ fn report_e2e(
     out.metric(
         "success_rate",
         "ratio",
-        (out.attempted - out.failed) as f64 / out.attempted.max(1) as f64,
+        out.attempted.saturating_sub(out.failed) as f64 / out.attempted.max(1) as f64,
         out.attempted,
     );
     let q = quality.n as u64;

@@ -2,7 +2,7 @@
 //! digests, output checks, and the result a run reports.
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use linx_cdrl::CdrlConfig;
 use linx_data::{generate, DatasetKind, ScaleConfig};
@@ -18,8 +18,6 @@ use crate::slice::{dataset_id, Goal};
 pub const DATA_SEED: u64 = 0x11ac;
 /// Analysts (closed-loop clients) and engine workers.
 pub const CLIENTS: usize = 2;
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 5;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
@@ -59,8 +57,13 @@ pub struct Sizes {
     pub goals_per_second: f64,
     /// Warm workload: goals the preparation warms the cache directory with.
     pub warm_goals: usize,
-    pub setup_reps: usize,
-    /// Goals the traced run replays (each is trained three times there).
+    /// How long a run keeps setting up from scratch, half before the timed phase
+    /// and half after it; `setup_s` is the median of those set-ups. The machine
+    /// this was built on alternates between phases of a second or so that differ in
+    /// speed by up to half, and drifts over minutes; a 2k-row set-up takes 10–80 ms,
+    /// so a handful made back to back all land in one phase.
+    pub setup_window: Duration,
+    /// Goals the traced run replays (each is trained four times there).
     pub trace_goals: usize,
 }
 
@@ -76,7 +79,7 @@ impl Sizes {
                 episodes: 6,
                 goals_per_second: 2.0,
                 warm_goals: 6,
-                setup_reps: 2,
+                setup_window: Duration::ZERO,
                 trace_goals: 4,
             };
         }
@@ -85,7 +88,7 @@ impl Sizes {
             episodes: 80,
             goals_per_second,
             warm_goals: 48,
-            setup_reps: SETUP_REPS,
+            setup_window: Duration::from_secs(6),
             trace_goals: if rows > 10_000 { 8 } else { 24 },
         }
     }
@@ -237,6 +240,19 @@ pub fn check_answer(
 /// Seconds since `start`, as f64.
 pub fn secs(start: Instant) -> f64 {
     start.elapsed().as_secs_f64()
+}
+
+/// A note on the set-ups of a run, for the printed report.
+pub fn setup_note(setup_s: &[f64]) -> String {
+    let mut v = setup_s.to_vec();
+    let mid = median(&mut v);
+    format!(
+        "set-up: {} from-scratch set-ups, about half before and half after the timed phase; min {:.1} ms, median {:.1} ms, max {:.1} ms",
+        v.len(),
+        v.first().copied().unwrap_or(0.0) * 1e3,
+        mid * 1e3,
+        v.last().copied().unwrap_or(0.0) * 1e3
+    )
 }
 
 pub fn median(values: &mut [f64]) -> f64 {

@@ -87,20 +87,12 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// `{"name": {"value": v, "unit": u}, ...}` for the named metrics.
-fn metrics_json(out: &Outcome, names: &[&str], prefix: &str) -> Vec<String> {
-    names
-        .iter()
-        .filter_map(|name| out.metrics.iter().find(|m| m.name == *name))
-        .map(|m| {
-            format!(
-                "\"{prefix}{}\": {{\"value\": {}, \"unit\": \"{}\"}}",
-                m.name,
-                json_number(m.value),
-                m.unit
-            )
-        })
-        .collect()
+/// One metric of the JSON line: `"name": {"value": v, "unit": u}`.
+fn metric_json(name: &str, value: f64, unit: &str) -> String {
+    format!(
+        "\"{name}\": {{\"value\": {}, \"unit\": \"{unit}\"}}",
+        json_number(value)
+    )
 }
 
 fn json_number(v: f64) -> String {
@@ -163,41 +155,95 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut outcomes = Vec::new();
-    for &w in &args.workloads {
-        let out = match (w, args.trace) {
-            (Workload::WarmRestart, false) => warm::run(args.seed, args.seconds, args.smoke),
-            (_, false) => cold::run(w, args.seed, args.seconds, args.smoke),
-            (_, true) => traced::run(w, args.seed, args.seconds, args.smoke),
-        };
-        print_outcome(&out, args.trace);
-        outcomes.push(out);
-    }
-    let names: Vec<&str> = if args.trace {
-        traced::PER_LAYER.to_vec()
+    let names: &[&str] = if args.trace {
+        &traced::PER_LAYER
     } else {
-        END_TO_END.to_vec()
+        &END_TO_END
     };
-    let single = outcomes.len() == 1;
-    let metrics: Vec<String> = outcomes
-        .iter()
-        .flat_map(|o| {
-            let prefix = if single {
-                String::new()
-            } else {
-                format!("{}.", o.workload.name())
-            };
-            metrics_json(o, &names, &prefix)
-        })
-        .collect();
-    let correct = outcomes.iter().all(Outcome::correct);
+    let (correct, attempted, failed, metrics) = if args.workloads.len() == 1 {
+        run_here(&args, names)
+    } else {
+        run_each_in_child(&args, names)
+    };
     println!(
-        "{{\"correct\": {correct}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
-        outcomes.iter().map(|o| o.attempted).sum::<u64>(),
-        outcomes.iter().map(|o| o.failed).sum::<u64>(),
+        "{{\"correct\": {correct}, \"attempted\": {attempted}, \"failed\": {failed}, \"metrics\": {{{}}}}}",
         metrics.join(", ")
     );
     if !correct {
         std::process::exit(1);
     }
+}
+
+/// The JSON line's parts: correct, attempted, failed and the named metrics.
+type Summary = (bool, u64, u64, Vec<String>);
+
+/// Run the one workload of `args` in this process.
+fn run_here(args: &Args, names: &[&str]) -> Summary {
+    let w = args.workloads[0];
+    let out = match (w, args.trace) {
+        (Workload::WarmRestart, false) => warm::run(args.seed, args.seconds, args.smoke),
+        (_, false) => cold::run(w, args.seed, args.seconds, args.smoke),
+        (_, true) => traced::run(w, args.seed, args.seconds, args.smoke),
+    };
+    print_outcome(&out, args.trace);
+    let metrics = names
+        .iter()
+        .filter_map(|name| out.metrics.iter().find(|m| m.name == *name))
+        .map(|m| metric_json(m.name, m.value, m.unit))
+        .collect();
+    (out.correct(), out.attempted, out.failed, metrics)
+}
+
+/// Run each workload of `args` in a child process of its own, so each reports its
+/// own peak RSS (`VmHWM` only ever rises within a process), and prefix each metric
+/// of the JSON line with its workload.
+fn run_each_in_child(args: &Args, names: &[&str]) -> Summary {
+    let (mut correct, mut attempted, mut failed) = (true, 0, 0);
+    let mut metrics = Vec::new();
+    for w in &args.workloads {
+        let output = std::env::current_exe().and_then(|exe| {
+            let mut cmd = std::process::Command::new(exe);
+            cmd.args(["--workload", w.name(), "--seed", &args.seed.to_string()])
+                .args(["--seconds", &args.seconds.to_string()])
+                .args(["--trace", if args.trace { "1" } else { "0" }])
+                .stderr(std::process::Stdio::inherit());
+            if args.smoke {
+                cmd.arg("--smoke");
+            }
+            cmd.output()
+        });
+        let stdout = output
+            .as_ref()
+            .map(|o| String::from_utf8_lossy(&o.stdout).into_owned())
+            .unwrap_or_default();
+        let mut lines: Vec<&str> = stdout.lines().collect();
+        let result = lines.pop().and_then(|l| serde_json::from_str(l).ok());
+        for line in lines {
+            println!("{line}");
+        }
+        let exited_ok = output.as_ref().is_ok_and(|o| o.status.success());
+        let Some(v) = result else {
+            let why = match &output {
+                Ok(o) => o.status.to_string(),
+                Err(e) => e.to_string(),
+            };
+            println!("== {} ==\n  FAILED: no result ({why})", w.name());
+            (correct, attempted, failed) = (false, attempted + 1, failed + 1);
+            continue;
+        };
+        correct &= exited_ok && v.get("correct").and_then(|c| c.as_bool()) == Some(true);
+        let count = |key: &str| v.get(key).and_then(|c| c.as_u64()).unwrap_or(0);
+        attempted += count("attempted");
+        failed += count("failed");
+        let reported = v.get("metrics").and_then(|m| m.as_object());
+        for name in names {
+            let Some(m) = reported.and_then(|r| r.get(*name)) else {
+                continue;
+            };
+            let value = m.get("value").and_then(|x| x.as_f64()).unwrap_or(f64::NAN);
+            let unit = m.get("unit").and_then(|u| u.as_str()).unwrap_or("");
+            metrics.push(metric_json(&format!("{}.{name}", w.name()), value, unit));
+        }
+    }
+    (correct, attempted, failed, metrics)
 }

@@ -35,6 +35,8 @@ pub struct Tracer {
     pub spans: Vec<Span>,
     stack: Vec<usize>,
     request: u64,
+    /// A tracer that is off records nothing, so the same code runs untraced.
+    on: bool,
 }
 
 impl Tracer {
@@ -44,6 +46,14 @@ impl Tracer {
             spans: Vec::new(),
             stack: Vec::new(),
             request: 0,
+            on: true,
+        }
+    }
+
+    pub fn off(epoch: Instant) -> Tracer {
+        Tracer {
+            on: false,
+            ..Tracer::new(epoch)
         }
     }
 
@@ -56,6 +66,9 @@ impl Tracer {
     }
 
     pub fn enter(&mut self, name: &'static str) {
+        if !self.on {
+            return;
+        }
         let start_ns = self.now_ns();
         self.spans.push(Span {
             name,
@@ -68,8 +81,11 @@ impl Tracer {
         self.stack.push(self.spans.len() - 1);
     }
 
-    /// Close the innermost open span; returns its duration.
+    /// Close the innermost open span; returns its duration (0 when off).
     pub fn exit(&mut self) -> u64 {
+        if !self.on {
+            return 0;
+        }
         let idx = self.stack.pop().expect("exit without enter");
         let end = self.now_ns();
         self.spans[idx].end_ns = end;
@@ -81,6 +97,9 @@ impl Tracer {
     }
 
     pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        if !self.on {
+            return f();
+        }
         self.enter(name);
         let out = f();
         self.exit();
@@ -90,6 +109,9 @@ impl Tracer {
     /// A child span of the innermost open span, known only by its duration (the
     /// engine's own stage timings); laid out back to back from the parent's start.
     pub fn child(&mut self, name: &'static str, duration_ns: u64) {
+        if !self.on {
+            return;
+        }
         let parent = *self.stack.last().expect("child needs an open span");
         let start_ns = self.spans[parent].start_ns + self.spans[parent].child_ns;
         self.spans.push(Span {
@@ -178,5 +200,14 @@ mod tests {
         assert_eq!(tot["b"].self_ns, 2_000);
         let merged = merge(vec![t.spans.clone(), t.spans.clone()]);
         assert_eq!(merged[5].parent, Some(3));
+    }
+
+    #[test]
+    fn a_tracer_that_is_off_records_nothing() {
+        let mut t = Tracer::off(Instant::now());
+        t.enter("request");
+        assert_eq!(t.time("a", || 7), 7);
+        assert_eq!(t.exit(), 0);
+        assert!(t.spans.is_empty());
     }
 }

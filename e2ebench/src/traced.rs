@@ -3,7 +3,8 @@
 //! already keeps (`/metrics`, `Router::stats()`, `StatsCache::stats()`,
 //! `OpMemo::stats()`). End-to-end metrics never come from here.
 //!
-//! Cold workloads run three phases over the first goals of the slice:
+//! Cold workloads run three phases over the first goals of the slice, the third
+//! twice:
 //! 1. **served**: the untraced closed loop over HTTP, as in the end-to-end run,
 //!    then one `GET /metrics` (HTTP, engine stage and tier counters);
 //! 2. **request**: each goal replayed in-process through the calls
@@ -13,15 +14,18 @@
 //! 3. **phases**: the trainer's episode loop driven through `LinxEnv`, `LinxAgent`,
 //!    `PolicyGradientTrainer` and `refine_session` on another fresh router, so
 //!    training splits into observe, select, step, update, score and refine. The
-//!    replay takes the trainer's actions, guided warm-up episodes included, so it
-//!    reaches the trained best score; the report counts the goals where it does.
-//!    `cdrl.replay_coverage` (phase spans ÷ the opaque train span of the same
-//!    goal) shows how closely its time tracks.
+//!    policy picks every action with `select_action`; the trainer forces the
+//!    operation types of some early episodes from a plan it keeps private, so the
+//!    replay's sessions differ from the trained ones. `cdrl.replay_coverage`
+//!    (phase spans ÷ the opaque train span of the same goal) shows how closely its
+//!    time tracks. Each goal's replay runs with tracing off on a third fresh router
+//!    at the same time; traced ÷ untraced replay time is the tracing overhead.
 //!
 //! `warm_restart` traces the restart itself (`DiskTier::open`, one
 //! `DiskTier::load_result` per warm key, router start, contexts), then submits
 //! untraced and then with a `TraceHandle` attached so the engine's stages become
-//! child spans, and finally replays its preparation's goals through phases 2 and 3.
+//! child spans (traced ÷ untraced submit latency is its tracing overhead), and
+//! finally replays its preparation's goals through phases 2 and 3 in the same way.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,7 +38,7 @@ use linx_engine::{DiskTier, PersistConfig, RoutedContext, Router, ServeConfig, S
 use linx_explore::{
     narrate_with, ExplorationReward, ExplorationTree, Notebook, RewardWeights, SessionExecutor,
 };
-use linx_ldx::{Ldx, TokenPattern};
+use linx_ldx::Ldx;
 use linx_nl2ldx::SpecDeriver;
 use linx_rl::{EpisodeStep, PolicyGradientTrainer, TrainerConfig};
 use rand::rngs::StdRng;
@@ -124,12 +128,20 @@ struct Replay {
     request_ns: Vec<(usize, u64)>,
     steps: u64,
     applied: u64,
-    /// Goals whose phase replay reached the trained best score exactly.
-    reproduced: u64,
+    /// Σ phase-replay time over the goals, with tracing on and with it off.
+    replay_traced_ns: u64,
+    replay_untraced_ns: u64,
     stats: linx_dataframe::StatsCacheStats,
     memo: (u64, u64, u64),
     tier: linx_engine::TierStats,
     disk_write: (u64, u64),
+}
+
+impl Replay {
+    /// Traced ÷ untraced phase-replay time over the same goals.
+    fn replay_overhead(&self) -> f64 {
+        self.replay_traced_ns as f64 / self.replay_untraced_ns.max(1) as f64
+    }
 }
 
 fn contexts_traced(
@@ -158,14 +170,13 @@ fn generate_traced(t: &mut Tracer, rows: usize) -> Vec<(String, DataFrame)> {
 }
 
 /// Phase 2 for one goal: the calls `run_exploration` makes, each in a span.
-/// Returns the derived specification, the opaque train time, the request time
-/// and the trained best score.
+/// Returns the derived specification, the opaque train time and the request time.
 fn request_phase(
     t: &mut Tracer,
     ctx: &RoutedContext,
     goal: &Goal,
     cdrl: &CdrlConfig,
-) -> (Ldx, u64, u64, f64) {
+) -> (Ldx, u64, u64) {
     let ctx = &ctx.ctx;
     t.enter("request");
     let derivation = t.time("nl2ldx.derive", || {
@@ -189,7 +200,7 @@ fn request_phase(
     });
     let request_ns = t.exit();
     std::hint::black_box((notebook, narrative));
-    (derivation.ldx, train_ns, request_ns, outcome.best_score)
+    (derivation.ldx, train_ns, request_ns)
 }
 
 fn consider_best(
@@ -208,79 +219,20 @@ fn consider_best(
     }
 }
 
-/// Operation-type indices of the agent's `op_type` head.
-const OP_BACK: usize = 0;
-const OP_FILTER: usize = 1;
-const OP_GROUPBY: usize = 2;
-
-/// The operation-type sequence the trainer's guided warm-up episodes force: the
-/// structural specification's tree in pre-order, one filter or group-by per
-/// declared node and `back` steps to return to a parent with children left. The
-/// trainer keeps this plan private; this copy lets the replay take the same
-/// actions. If the two part, the replay stops reproducing the trained answer,
-/// which the report shows.
-fn structure_plan(ldx: &Ldx) -> Vec<usize> {
-    let structural = ldx.structural();
-    let kind_of = |name: &str| -> usize {
-        match structural
-            .spec(name)
-            .and_then(|s| s.like.as_ref())
-            .map(|p| p.kind_pattern())
-        {
-            Some(TokenPattern::Literal(k)) if k.eq_ignore_ascii_case("F") => OP_FILTER,
-            _ => OP_GROUPBY,
-        }
-    };
-    let children = |name: &str| -> Vec<String> {
-        structural
-            .operation_node_names()
-            .iter()
-            .filter(|n| {
-                structural
-                    .declared_parent(n)
-                    .or_else(|| structural.declared_ancestor(n))
-                    .unwrap_or("ROOT")
-                    == name
-            })
-            .map(|n| n.to_string())
-            .collect()
-    };
-    // Steps from the deepest rightmost position under `node` back to its parent.
-    fn rightmost_depth(node: &str, children: &dyn Fn(&str) -> Vec<String>) -> usize {
-        match children(node).last() {
-            None => 1,
-            Some(last) => 1 + rightmost_depth(last, children),
-        }
-    }
-    fn visit(
-        node: &str,
-        children: &dyn Fn(&str) -> Vec<String>,
-        kind_of: &dyn Fn(&str) -> usize,
-        plan: &mut Vec<usize>,
-    ) {
-        let kids = children(node);
-        for (i, kid) in kids.iter().enumerate() {
-            plan.push(kind_of(kid));
-            visit(kid, children, kind_of, plan);
-            if i + 1 < kids.len() {
-                plan.extend(std::iter::repeat_n(OP_BACK, rightmost_depth(kid, children)));
-            }
-        }
-    }
-    let mut plan = Vec::new();
-    visit("ROOT", &children, &kind_of, &mut plan);
-    plan
+/// What one phase replay did.
+struct PhaseRun {
+    /// Σ phase spans (0 when the tracer is off).
+    phase_ns: u64,
+    /// The whole replay, timed by the caller's clock.
+    total_ns: u64,
+    steps: u64,
+    applied: u64,
 }
 
 /// Phase 3 for one goal: the trainer's loop through public calls, one span per
-/// phase call, taking the trainer's actions. Returns (Σ phase ns, steps, applied
-/// steps, best score found).
-fn phase_replay(
-    t: &mut Tracer,
-    ctx: &RoutedContext,
-    ldx: &Ldx,
-    cdrl: &CdrlConfig,
-) -> (u64, u64, u64, f64) {
+/// phase call.
+fn phase_replay(t: &mut Tracer, ctx: &RoutedContext, ldx: &Ldx, cdrl: &CdrlConfig) -> PhaseRun {
+    let start = Instant::now();
     let ctx = &ctx.ctx;
     let executor = SessionExecutor::with_memo(ctx.dataset.clone(), Arc::clone(&ctx.memo))
         .with_stats(Arc::clone(&ctx.shared.stats));
@@ -298,16 +250,6 @@ fn phase_replay(
         ..TrainerConfig::default()
     });
     let mut rng = StdRng::seed_from_u64(cdrl.seed ^ 0xc0ffee);
-    let plan = if cdrl.variant.spec_aware_network() {
-        structure_plan(ldx)
-    } else {
-        Vec::new()
-    };
-    let warmup = if plan.is_empty() {
-        0
-    } else {
-        cdrl.episodes * 2 / 5
-    };
     let mut best = None;
     let (mut steps_taken, mut applied) = (0u64, 0u64);
     let replay = t.spans.len();
@@ -317,15 +259,11 @@ fn phase_replay(
         let progress = episode as f64 / cdrl.episodes.max(1) as f64;
         pg.set_entropy_coef(cdrl.entropy_coef * (1.0 - 0.9 * progress));
         pg.set_learning_rate(cdrl.learning_rate * (1.0 - 0.5 * progress));
-        let guided = episode < warmup && episode % 2 == 0;
         let mut steps: Vec<EpisodeStep> = Vec::new();
         while !env.is_done() {
             let obs = t.time("cdrl.observe", || env.observe());
-            let forced = plan.get(steps.len()).filter(|_| guided).copied();
-            let (action, taken) = t.time("cdrl.select", || match forced {
-                Some(op) => agent.select_action_guided(&env, &obs, &mut rng, op),
-                None => agent.select_action(&env, &obs, &mut rng),
-            });
+            let (action, taken) =
+                t.time("cdrl.select", || agent.select_action(&env, &obs, &mut rng));
             let outcome = t.time("cdrl.step", || env.step(action));
             steps_taken += 1;
             applied += outcome.applied as u64;
@@ -360,7 +298,6 @@ fn phase_replay(
     let score = env.session_score();
     consider_best(&mut best, (compliant, structural, score), env.tree());
     t.exit();
-    let mut best_score = best.as_ref().map_or(0.0, |b| b.2);
     if let Some((true, _, _, tree)) = &best {
         if cdrl.refine {
             t.time("cdrl.refine", || {
@@ -375,17 +312,25 @@ fn phase_replay(
                     env.terms(),
                     &reward,
                 );
-                best_score = best_score.max(reward.session_score(&executor, &refined));
+                std::hint::black_box(reward.session_score(&executor, &refined));
             });
         }
     }
     t.exit();
-    (t.spans[replay].child_ns, steps_taken, applied, best_score)
+    PhaseRun {
+        phase_ns: t.spans.get(replay).map_or(0, |s| s.child_ns),
+        total_ns: start.elapsed().as_nanos() as u64,
+        steps: steps_taken,
+        applied,
+    }
 }
 
-/// Phases 2 and 3 over `goals` on two fresh routers (with fresh disk tiers when
-/// `disk`), two threads taking goals in slice order like the analysts do. The
-/// contexts are built under the `context_span` name.
+/// Phases 2 and 3 over `goals` on fresh routers (with fresh disk tiers when
+/// `disk`). Phase 2 runs on one router, two threads taking goals in slice order
+/// like the analysts do. Phase 3 replays each goal twice at the same time, traced
+/// on a second router and untraced on a third, so the pair shares whatever else
+/// the machine is doing and differs only by the spans. The contexts are built
+/// under the `context_span` name.
 fn replay(
     main: &mut Tracer,
     epoch: Instant,
@@ -395,44 +340,40 @@ fn replay(
     disk: bool,
     context_span: &'static str,
 ) -> Replay {
-    let dir_b = disk.then(|| work_dir("trace-request"));
-    let dir_c = disk.then(|| work_dir("trace-phases"));
-    let router_b = Router::new(router_config(sizes, dir_b.clone()));
-    let router_c = Router::new(router_config(sizes, dir_c.clone()));
-    let ctx_b = contexts_traced(main, context_span, &router_b, frames);
-    let ctx_c = contexts_traced(main, context_span, &router_c, frames);
+    let dirs: Vec<Option<std::path::PathBuf>> = ["trace-request", "trace-phases", "trace-untraced"]
+        .into_iter()
+        .map(|label| disk.then(|| work_dir(label)))
+        .collect();
+    let routers: Vec<Router> = dirs
+        .iter()
+        .map(|dir| Router::new(router_config(sizes, dir.clone())))
+        .collect();
+    let ctxs: Vec<HashMap<String, RoutedContext>> = routers
+        .iter()
+        .map(|router| contexts_traced(main, context_span, router, frames))
+        .collect();
+    let (ctx_b, ctx_c, ctx_d) = (&ctxs[0], &ctxs[1], &ctxs[2]);
     let cdrl = router_config(sizes, None).engine.cdrl;
+
+    // Phase 2: per goal (slice index, specification, opaque train ns, request ns).
     let next = AtomicUsize::new(0);
-    type ThreadOut = (
-        Vec<Span>,
-        Vec<(usize, u64, u64)>,
-        Vec<(usize, u64)>,
-        [u64; 3],
-    );
-    let outs: Vec<ThreadOut> = std::thread::scope(|s| {
+    type Requested = (usize, Ldx, u64, u64);
+    let outs: Vec<(Vec<Span>, Vec<Requested>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 s.spawn(|| {
                     let mut t = Tracer::new(epoch);
-                    let (mut cov, mut reqs) = (Vec::new(), Vec::new());
-                    // Steps, applied steps, reproduced goals.
-                    let mut counts = [0u64; 3];
+                    let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::SeqCst);
                         let Some(goal) = goals.get(i) else { break };
                         t.set_request(i as u64);
                         let id = dataset_id(goal.dataset);
-                        let (ldx, train_ns, request_ns, trained) =
+                        let (ldx, train_ns, request_ns) =
                             request_phase(&mut t, &ctx_b[id], goal, &cdrl);
-                        let (phase_ns, steps, applied, replayed) =
-                            phase_replay(&mut t, &ctx_c[id], &ldx, &cdrl);
-                        cov.push((i, train_ns, phase_ns));
-                        reqs.push((i, request_ns));
-                        counts[0] += steps;
-                        counts[1] += applied;
-                        counts[2] += (replayed == trained) as u64;
+                        done.push((i, ldx, train_ns, request_ns));
                     }
-                    (t.spans, cov, reqs, counts)
+                    (t.spans, done)
                 })
             })
             .collect();
@@ -441,13 +382,24 @@ fn replay(
             .map(|h| h.join().expect("replay thread panicked"))
             .collect()
     });
+    let mut thread_spans = Vec::new();
+    let mut requested = Vec::new();
+    for (sp, done) in outs {
+        thread_spans.push(sp);
+        requested.extend(done);
+    }
+    requested.sort_by_key(|r| r.0);
+
+    // Phase 3, traced and untraced side by side.
+    let router_b = &routers[0];
     let mut r = Replay {
         spans: Vec::new(),
         coverage: Vec::new(),
         request_ns: Vec::new(),
         steps: 0,
         applied: 0,
-        reproduced: 0,
+        replay_traced_ns: 0,
+        replay_untraced_ns: 0,
         stats: ctx_b
             .values()
             .next()
@@ -463,21 +415,30 @@ fn replay(
             (w.sum, w.count)
         },
     };
-    let mut thread_spans = Vec::new();
-    for (sp, cov, reqs, [steps, applied, reproduced]) in outs {
-        thread_spans.push(sp);
-        r.coverage.extend(cov);
-        r.request_ns.extend(reqs);
-        r.steps += steps;
-        r.applied += applied;
-        r.reproduced += reproduced;
+    let mut t = Tracer::new(epoch);
+    let mut off = Tracer::off(epoch);
+    for (i, ldx, train_ns, request_ns) in &requested {
+        let id = dataset_id(goals[*i].dataset);
+        t.set_request(*i as u64);
+        let (traced, untraced) = std::thread::scope(|s| {
+            let untraced = s.spawn(|| phase_replay(&mut off, &ctx_d[id], ldx, &cdrl));
+            let traced = phase_replay(&mut t, &ctx_c[id], ldx, &cdrl);
+            (traced, untraced.join().expect("untraced replay panicked"))
+        });
+        r.coverage.push((*i, *train_ns, traced.phase_ns));
+        r.request_ns.push((*i, *request_ns));
+        r.steps += traced.steps;
+        r.applied += traced.applied;
+        r.replay_traced_ns += traced.total_ns;
+        r.replay_untraced_ns += untraced.total_ns;
     }
+    thread_spans.push(t.spans);
     r.spans = spans::merge(thread_spans);
-    r.coverage.sort();
-    r.request_ns.sort();
-    router_b.shutdown();
-    router_c.shutdown();
-    for dir in dir_b.iter().chain(dir_c.iter()) {
+    drop(ctxs);
+    for router in routers {
+        router.shutdown();
+    }
+    for dir in dirs.iter().flatten() {
         remove_dir(dir);
     }
     r
@@ -544,9 +505,8 @@ fn report_replay(out: &mut Outcome, all: &[Span], r: &Replay, goals: &[Goal]) {
         coverage.join(", ")
     ));
     out.notes.push(format!(
-        "the phase replay reached the trained best score on {} of {} goals",
-        r.reproduced,
-        r.coverage.len()
+        "phase replay with tracing on ÷ off, same goals: {:.3}",
+        r.replay_overhead()
     ));
 
     let per_req = |name: &str| ms(get(name).total_ns) / n;
@@ -748,12 +708,10 @@ fn run_cold(workload: Workload, seed: u64, seconds: u64, smoke: bool) -> Outcome
         workload == Workload::Cold2kDisk,
         "engine.context",
     );
-    let served_ns: u64 = lr.records.iter().map(|r| r.server_micros * 1000).sum();
-    let traced_ns: u64 = r.request_ns.iter().map(|(_, ns)| ns).sum();
     out.metric(
         "trace.overhead_ratio",
         "ratio",
-        traced_ns as f64 / served_ns.max(1) as f64,
+        r.replay_overhead(),
         r.request_ns.len() as u64,
     );
     let mut all = main.spans;

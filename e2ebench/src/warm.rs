@@ -114,35 +114,34 @@ fn run_preparation(dir: &Path, seed: u64, smoke: bool) -> Result<HashMap<u64, u6
     Ok(digests)
 }
 
-/// A router restarted over the warm directory, with what starting it cost.
-pub struct Restarted {
-    pub router: Router,
-    pub ctxs: HashMap<String, RoutedContext>,
-    pub setup_s: Vec<f64>,
-}
-
-/// Restart the router over `dir` `sizes.setup_reps` times (scrub + contexts that
-/// load persisted statistics); keep the last.
+/// One restart over the warm directory: `Router::new` (its scrub) and contexts
+/// that load persisted statistics. Returns them and the seconds it took.
 pub fn restart(
     dir: &Path,
     sizes: &Sizes,
     frames: &[(String, linx_dataframe::DataFrame)],
-) -> Restarted {
+) -> (Router, HashMap<String, RoutedContext>, f64) {
+    let t0 = Instant::now();
+    let router = Router::new(router_config(sizes, Some(dir.to_path_buf())));
+    let ctxs = contexts(&router, frames);
+    (router, ctxs, secs(t0))
+}
+
+/// Restart and shut down again for `window`, at least once; the time of each restart.
+pub fn restarts_for(
+    dir: &Path,
+    sizes: &Sizes,
+    frames: &[(String, linx_dataframe::DataFrame)],
+    window: Duration,
+) -> Vec<f64> {
+    let start = Instant::now();
     let mut setup_s = Vec::new();
-    loop {
-        let t0 = Instant::now();
-        let router = Router::new(router_config(sizes, Some(dir.to_path_buf())));
-        let ctxs = contexts(&router, frames);
-        setup_s.push(secs(t0));
-        if setup_s.len() == sizes.setup_reps {
-            return Restarted {
-                router,
-                ctxs,
-                setup_s,
-            };
-        }
+    while setup_s.is_empty() || start.elapsed() < window {
+        let (router, _, s) = restart(dir, sizes, frames);
+        setup_s.push(s);
         router.shutdown();
     }
+    setup_s
 }
 
 /// Everything a prepared warm run needs.
@@ -362,24 +361,22 @@ pub fn run(seed: u64, seconds: u64, smoke: bool) -> Outcome {
     let Some(p) = prepared(&mut out, seed, smoke) else {
         return out;
     };
-    let r = restart(&p.dir, &p.sizes, &p.frames);
-    let stats = submit_loop(
-        &r.router,
-        &r.ctxs,
-        &p.goals,
-        Duration::from_secs(seconds),
-        None,
-    );
+    let half = p.sizes.setup_window / 2;
+    let mut setup_s = restarts_for(&p.dir, &p.sizes, &p.frames, half);
+    let (router, ctxs, s) = restart(&p.dir, &p.sizes, &p.frames);
+    setup_s.push(s);
+    let stats = submit_loop(&router, &ctxs, &p.goals, Duration::from_secs(seconds), None);
     let peak_rss = sys::peak_rss_mb();
     let hist = &stats.hist;
     out.attempted = hist.count();
     out.failed = stats.wrong;
     out.failures.extend(stats.first_error.clone());
-    let quality = verify(&mut out, &p, &r.router, &r.ctxs);
-    r.router.shutdown();
+    let quality = verify(&mut out, &p, &router, &ctxs);
+    router.shutdown();
+    setup_s.extend(restarts_for(&p.dir, &p.sizes, &p.frames, half));
     remove_dir(&p.dir);
 
-    let mut setup_s = r.setup_s;
+    out.notes.push(setup_note(&setup_s));
     let reps = setup_s.len() as u64;
     out.metric("setup_s", "s", median(&mut setup_s), reps);
     out.metric("throughput_rps", "req/s", stats.throughput(), hist.count());

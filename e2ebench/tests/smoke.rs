@@ -115,6 +115,63 @@ fn every_workload_prints_every_per_layer_metric() {
 }
 
 #[test]
+fn all_runs_every_workload_and_prefixes_its_metrics() {
+    let (code, stdout) = run(&[
+        "--workload",
+        "all",
+        "--seed",
+        "3",
+        "--seconds",
+        "1",
+        "--trace",
+        "0",
+        "--smoke",
+    ]);
+    assert_eq!(code, 0, "all failed:\n{stdout}");
+    let v = last_json(&stdout);
+    assert_eq!(
+        v.get("correct").and_then(|c| c.as_bool()),
+        Some(true),
+        "{stdout}"
+    );
+    let metrics = v
+        .get("metrics")
+        .and_then(|m| m.as_object())
+        .expect("metrics");
+    let workloads = ["cold_20k", "cold_2k_disk", "warm_restart"];
+    let mut keys: Vec<&str> = metrics.keys().map(String::as_str).collect();
+    keys.sort_unstable();
+    let mut want: Vec<String> = workloads
+        .iter()
+        .flat_map(|w| END_TO_END.iter().map(move |m| format!("{w}.{m}")))
+        .collect();
+    want.sort_unstable();
+    assert_eq!(keys, want);
+    // Each workload ran in a process of its own and printed its own report.
+    for w in workloads {
+        assert!(
+            stdout.contains(&format!("== {w} (untraced) ==")),
+            "{stdout}"
+        );
+    }
+    // Peak RSS only ever rises within a process: warm_restart, which runs last and
+    // holds no HTTP server, reports less than a cold workload only because it ran
+    // in a process of its own.
+    let rss = |w: &str| {
+        metrics[&format!("{w}.peak_rss_mb")]
+            .get("value")
+            .and_then(|x| x.as_f64())
+            .expect("peak_rss_mb")
+    };
+    assert!(
+        rss("warm_restart") < rss("cold_20k"),
+        "warm_restart {} MiB, cold_20k {} MiB",
+        rss("warm_restart"),
+        rss("cold_20k")
+    );
+}
+
+#[test]
 fn bad_arguments_exit_2_without_a_result() {
     let (code, stdout) = run(&["--workload", "nope", "--seed", "1", "--seconds", "1"]);
     assert_eq!(code, 2);
