@@ -245,7 +245,7 @@ pub fn secs(start: Instant) -> f64 {
 /// A note on the set-ups of a run, for the printed report.
 pub fn setup_note(setup_s: &[f64]) -> String {
     let mut v = setup_s.to_vec();
-    let mid = median(&mut v);
+    let mid = median(&mut v); // sorts `v`
     format!(
         "set-up: {} from-scratch set-ups, about half before and half after the timed phase; min {:.1} ms, median {:.1} ms, max {:.1} ms",
         v.len(),

@@ -97,9 +97,6 @@ impl Tracer {
     }
 
     pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        if !self.on {
-            return f();
-        }
         self.enter(name);
         let out = f();
         self.exit();
@@ -109,9 +106,6 @@ impl Tracer {
     /// A child span of the innermost open span, known only by its duration (the
     /// engine's own stage timings); laid out back to back from the parent's start.
     pub fn child(&mut self, name: &'static str, duration_ns: u64) {
-        if !self.on {
-            return;
-        }
         let parent = *self.stack.last().expect("child needs an open span");
         let start_ns = self.spans[parent].start_ns + self.spans[parent].child_ns;
         self.spans.push(Span {
