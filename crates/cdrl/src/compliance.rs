@@ -1,25 +1,29 @@
 //! The LDX-compliance reward scheme (paper §5.2, Algorithm 2 and Appendix A.3).
 
 use linx_explore::{ExplorationTree, NodeId};
-use linx_ldx::{partial, Ldx, VerifyEngine};
+use linx_ldx::partial::{ShapeKey, StructuralOracle};
+use linx_ldx::{Ldx, VerifyEngine};
 
 use crate::config::{CdrlConfig, CdrlVariant};
 
 /// Computes the End-of-Session and immediate compliance rewards for a fixed LDX query.
+///
+/// Owns one [`StructuralOracle`] for the run: every structural question (feasibility
+/// of a prefix, structural compliance, structural assignments) goes through its one
+/// engine, and feasibility answers are memoized by session shape.
 #[derive(Debug, Clone)]
 pub struct ComplianceReward {
     engine: VerifyEngine,
-    structural: Ldx,
+    oracle: StructuralOracle,
     config: CdrlConfig,
 }
 
 impl ComplianceReward {
     /// Create the reward calculator.
     pub fn new(ldx: Ldx, config: CdrlConfig) -> Self {
-        let structural = ldx.structural();
         ComplianceReward {
+            oracle: StructuralOracle::new(&ldx),
             engine: VerifyEngine::new(ldx),
-            structural,
             config,
         }
     }
@@ -36,7 +40,7 @@ impl ComplianceReward {
 
     /// Whether the session complies with the structural specifications only.
     pub fn is_structurally_compliant(&self, tree: &ExplorationTree) -> bool {
-        self.engine.verify_structural(tree)
+        self.oracle.engine().verify(tree)
     }
 
     /// The End-of-Session conditional reward (Algorithm 2).
@@ -59,7 +63,7 @@ impl ComplianceReward {
         if !self.config.variant.graded_eos() {
             return self.config.neg_reward;
         }
-        let assignments = self.engine.structural_assignments(tree);
+        let assignments = self.oracle.engine().all_assignments(tree);
         if assignments.is_empty() {
             // Structurally non-compliant. The paper applies a fixed penalty; because
             // this reproduction trains with orders of magnitude fewer environment steps
@@ -86,7 +90,7 @@ impl ComplianceReward {
     /// the right kind) and coverage of the required parent→child kind edges.
     pub fn structural_partial_credit(&self, tree: &ExplorationTree) -> f64 {
         use linx_explore::OpKind;
-        let structural = &self.structural;
+        let structural = self.oracle.engine().ldx();
         // Required kind multiset and required (parent kind, child kind) edges.
         let kind_of = |name: &str| -> Option<OpKind> {
             structural
@@ -166,20 +170,20 @@ impl ComplianceReward {
         if !self.config.variant.immediate_reward() || step < self.config.imm_min_step {
             return 0.0;
         }
-        if partial::can_complete_structurally(&self.structural, tree, current, remaining_ops) {
+        if self.can_complete(ShapeKey::new(tree, current, remaining_ops)) {
             0.0
         } else {
             self.config.imm_penalty
         }
     }
 
-    /// Whether some completion of `tree` with at most `remaining` additional operations
-    /// (attached under `current` or its ancestors) can satisfy the structural
-    /// specifications. Unlike [`ComplianceReward::immediate`] this is not gated by the
-    /// variant or the step index — it is the raw feasibility test, used by the
+    /// Whether some completion of the session `key` describes can satisfy the
+    /// structural specifications (see [`ShapeKey`]). Unlike
+    /// [`ComplianceReward::immediate`] this is not gated by the variant or the step
+    /// index — it is the raw feasibility test, used by the observation and by the
     /// specification-aware action masking (§5.3).
-    pub fn can_complete(&self, tree: &ExplorationTree, current: NodeId, remaining: usize) -> bool {
-        partial::can_complete_structurally(&self.structural, tree, current, remaining)
+    pub fn can_complete(&self, key: ShapeKey) -> bool {
+        self.oracle.can_complete(key)
     }
 
     /// The variant in effect.

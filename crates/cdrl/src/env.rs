@@ -7,6 +7,10 @@
 //! `α·R_gen + β·R_comp` combination; the End-of-Session component of `R_comp` is
 //! computed by [`LinxEnv::end_of_session_bonus`] once the episode terminates and is
 //! distributed equally across the episode's steps by the trainer (Algorithm 2).
+//!
+//! The environment scores its own session: each applied step adds its interestingness
+//! to a running sum next to the [`SessionDiversity`] tracker, so
+//! [`LinxEnv::session_score`] never re-executes the tree.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,6 +20,7 @@ use linx_explore::{
     ExplorationReward, ExplorationTree, NodeId, QueryOp, RewardWeights, SessionDiversity,
     SessionExecutor,
 };
+use linx_ldx::partial::ShapeKey;
 use linx_ldx::Ldx;
 
 use crate::compliance::ComplianceReward;
@@ -66,6 +71,8 @@ pub struct LinxEnv {
     /// and a step updates only the new node's minimum distance (O(n) per step, never
     /// an all-pairs rescan).
     diversity: SessionDiversity,
+    /// Σ interestingness of the applied operations, in application (= pre-order) order.
+    interest_sum: f64,
     steps_taken: usize,
 }
 
@@ -121,6 +128,7 @@ impl LinxEnv {
             views,
             paths,
             diversity: SessionDiversity::new(),
+            interest_sum: 0.0,
             steps_taken: 0,
         }
     }
@@ -176,6 +184,7 @@ impl LinxEnv {
         self.paths.clear();
         self.paths.insert(NodeId::ROOT, String::new());
         self.diversity.clear();
+        self.interest_sum = 0.0;
         self.steps_taken = 0;
     }
 
@@ -185,22 +194,19 @@ impl LinxEnv {
     }
 
     /// The current observation vector.
+    ///
+    /// Its "completable" flag is clear only when the immediate reward is active, its
+    /// penalty is negative, and no completion within the remaining budget is
+    /// structurally compliant.
     pub fn observe(&self) -> Vec<f64> {
         let remaining = self.max_ops.saturating_sub(self.tree.num_ops());
-        let completable = if self.compliance.variant().immediate_reward() {
-            // Reuse the immediate-signal machinery: a zero penalty means completable.
-            self.compliance
-                .immediate(&self.tree, self.tree.current(), usize::MAX, remaining)
-                >= 0.0
-                && self.compliance.immediate(
-                    &self.tree,
-                    self.tree.current(),
-                    self.config.imm_min_step,
-                    remaining,
-                ) >= 0.0
-        } else {
-            true
-        };
+        let completable = !self.compliance.variant().immediate_reward()
+            || self.config.imm_penalty >= 0.0
+            || self.compliance.can_complete(ShapeKey::new(
+                &self.tree,
+                self.tree.current(),
+                remaining,
+            ));
         self.shared.featurizer.featurize_with(
             self.current_view(),
             &self.tree,
@@ -249,6 +255,7 @@ impl LinxEnv {
                             .explore_reward
                             .primary_histogram(&self.tree, &view, node);
                         let diversity = self.diversity.observe(node, hist);
+                        self.interest_sum += interest;
                         let w = self.explore_reward.weights();
                         let r_gen = w.mu * interest + w.lambda * diversity;
                         // Immediate compliance signal.
@@ -281,36 +288,24 @@ impl LinxEnv {
     /// realizes the paper's "dynamically shifting the action distribution probabilities
     /// toward queries that are more likely to be included in a specifications-compliant
     /// exploration session".
+    ///
+    /// The probes are [`ShapeKey`]s built from the current tree, never copies of it:
+    /// structural specifications constrain only the operation kind.
     pub fn action_keeps_structure_feasible(&self, kind: Option<linx_explore::OpKind>) -> bool {
-        use linx_dataframe::filter::CompareOp;
-        use linx_dataframe::groupby::AggFunc;
-        use linx_dataframe::Value;
-        use linx_explore::OpKind;
-
         let remaining = self.max_ops.saturating_sub(self.tree.num_ops());
+        let current = self.tree.current();
         match kind {
-            None => {
-                if self.tree.current() == NodeId::ROOT {
-                    return false;
-                }
-                let mut probe = self.tree.clone();
-                probe.back();
-                self.compliance
-                    .can_complete(&probe, probe.current(), remaining)
-            }
+            None => match self.tree.parent(current) {
+                None => false,
+                Some(parent) => self
+                    .compliance
+                    .can_complete(ShapeKey::new(&self.tree, parent, remaining)),
+            },
             Some(kind) => {
-                if remaining == 0 {
-                    return false;
-                }
-                let mut probe = self.tree.clone();
-                // A placeholder operation of the right kind; structural specifications
-                // constrain only the operation kind, so the parameters are irrelevant.
-                let op = match kind {
-                    OpKind::Filter => QueryOp::filter("__probe", CompareOp::Eq, Value::Null),
-                    OpKind::GroupBy => QueryOp::group_by("__probe", AggFunc::Count, "__probe"),
-                };
-                let node = probe.push_op(op);
-                self.compliance.can_complete(&probe, node, remaining - 1)
+                remaining > 0
+                    && self.compliance.can_complete(
+                        ShapeKey::new(&self.tree, current, remaining - 1).with_child(kind),
+                    )
             }
         }
     }
@@ -326,11 +321,17 @@ impl LinxEnv {
         self.config.beta * self.config.gamma_eos * eos / num_steps as f64
     }
 
-    /// The generic exploration score of the final session (used for reporting and for
-    /// picking the best session across episodes).
+    /// The generic exploration score of the session (used for reporting and for
+    /// picking the best session across episodes): `(μ·Σinterest + λ·Σdiversity) / n`
+    /// from the terms the steps already computed, 0 for an empty session. Equals
+    /// [`ExplorationReward::session_score`] on the same tree without re-executing it.
     pub fn session_score(&self) -> f64 {
-        self.explore_reward
-            .session_score(&self.executor, &self.tree)
+        let n = self.tree.num_ops();
+        if n == 0 {
+            return 0.0;
+        }
+        let w = self.explore_reward.weights();
+        (w.mu * self.interest_sum + w.lambda * self.diversity.total()) / n as f64
     }
 
     /// Whether the final session is fully / structurally compliant.
@@ -551,6 +552,76 @@ mod tests {
         let warm = env.shared_stats().stats.stats();
         assert_eq!(warm.misses, cold.misses, "replay computes nothing new");
         assert!(warm.hits > cold.hits, "replay is served from the cache");
+    }
+
+    /// The incremental session score equals a full re-execution and re-score after
+    /// every episode of a seeded run: sampled episodes with wasted `back` steps at the
+    /// root and invalid operations mixed in, then the greedy rollout.
+    #[test]
+    fn session_score_equals_a_full_rescore_after_every_episode() {
+        use crate::agent::LinxAgent;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let cfg = CdrlConfig::default();
+        let executor = SessionExecutor::new(dataset());
+        let mut env = LinxEnv::with_executor(executor.clone(), ldx(), cfg.clone());
+        let agent = LinxAgent::new(&dataset(), &ldx(), &cfg);
+        let full = ExplorationReward::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        let invalid = QueryOp::filter("no_such_column", CompareOp::Eq, Value::Int(0));
+        let (mut backs, mut rejected) = (0, 0);
+        let check = |env: &LinxEnv| {
+            let rescored = full.session_score(&executor, env.tree());
+            let incremental = env.session_score();
+            assert!(
+                (incremental - rescored).abs() < 1e-9,
+                "{incremental} != {rescored} for {}",
+                env.tree().to_compact_string()
+            );
+        };
+        for episode in 0..30 {
+            env.reset();
+            assert_eq!(env.session_score(), 0.0, "an empty session scores 0");
+            for step in 0.. {
+                let obs = env.observe();
+                let action = match (episode % 3, step) {
+                    (1, 0) => AgentAction::Back,
+                    (2, 1) => AgentAction::Apply(invalid.clone()),
+                    _ => agent.select_action(&env, &obs, &mut rng).0,
+                };
+                let moves_back =
+                    action == AgentAction::Back && env.tree().current() != NodeId::ROOT;
+                let is_op = matches!(action, AgentAction::Apply(_));
+                let out = env.step(action);
+                backs += moves_back as usize;
+                rejected += (is_op && !out.applied) as usize;
+                if out.done {
+                    break;
+                }
+            }
+            check(&env);
+        }
+        env.reset();
+        while !env.is_done() {
+            let obs = env.observe();
+            let (action, _) = agent.greedy_action(&env, &obs);
+            if env.step(action).done {
+                break;
+            }
+        }
+        assert!(env.tree().num_ops() > 0);
+        check(&env);
+        assert!(
+            backs >= 10 && rejected >= 10,
+            "{backs} backs, {rejected} rejected"
+        );
+        // Sessions of only wasted steps and rejected operations score 0 too.
+        env.reset();
+        env.step(AgentAction::Back);
+        env.step(AgentAction::Apply(invalid));
+        assert_eq!(env.session_score(), 0.0);
+        check(&env);
     }
 
     #[test]

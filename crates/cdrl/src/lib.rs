@@ -27,6 +27,23 @@
 //! The goal-agnostic **ATENA** baseline and the paper's ablation variants (Table 4) are
 //! all expressed as [`CdrlVariant`]s of the same engine.
 //!
+//! Two things the loop would otherwise re-derive at every step are kept instead:
+//!
+//! * **Structural feasibility.** Whether the ongoing session can still be completed
+//!   into a structurally compliant tree is asked when observing, when masking the
+//!   operation types, and for the immediate reward. [`ComplianceReward`] holds one
+//!   [`linx_ldx::partial::StructuralOracle`] per run, which memoizes each answer by
+//!   the session's shape: every node's parent and operation kind, the cursor, and the
+//!   remaining budget. The memo is exact because the structural reduction of an LDX
+//!   query keeps only the kind token of each operation pattern, so the search never
+//!   reads an operation's parameters.
+//! * **The session score.** [`LinxEnv::session_score`] is
+//!   `(μ·Σinterest + λ·Σdiversity) / n` over the terms each applied step already
+//!   computed, summed in the same order as
+//!   [`linx_explore::ExplorationReward::session_score`], which re-executes a tree
+//!   from scratch and remains the scorer for trees the environment did not build
+//!   (refinement, reporting).
+//!
 //! Invariant: everything derivable from the dataset alone — the term inventory, the
 //! featurizer, and the view-statistics cache bundled in [`DatasetStats`]
 //! ([`context`]) — is built *once per dataset* and shared read-only across every

@@ -17,11 +17,12 @@
 //! with the specifications") at a budget a laptop can afford. Documented in DESIGN.md.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use linx_dataframe::filter::CompareOp;
 use linx_dataframe::groupby::AggFunc;
 use linx_dataframe::{DataFrame, Value};
-use linx_explore::{ExplorationReward, ExplorationTree, NodeId, QueryOp, SessionExecutor};
+use linx_explore::{ExplorationReward, ExplorationTree, NodeId, OpMemo, QueryOp, SessionExecutor};
 use linx_ldx::VerifyEngine;
 
 use crate::terms::TermInventory;
@@ -29,6 +30,10 @@ use crate::terms::TermInventory;
 /// Refine the free parameters of a compliant session to maximize the generic exploration
 /// score, keeping it compliant. Returns the input unchanged if it is not already
 /// compliant or no improvement is found.
+///
+/// Candidates are scored through an op memo that lives for this call only, so the
+/// views they share (every candidate of a round keeps most of the best tree's
+/// operations) are computed once.
 pub fn refine_session(
     tree: &ExplorationTree,
     dataset: &DataFrame,
@@ -39,7 +44,7 @@ pub fn refine_session(
     if tree.num_ops() == 0 || !engine.verify(tree) {
         return tree.clone();
     }
-    let executor = SessionExecutor::new(dataset.clone());
+    let executor = SessionExecutor::with_memo(dataset.clone(), Arc::new(OpMemo::new()));
     let score = |t: &ExplorationTree| reward.session_score(&executor, t);
 
     let mut best = tree.clone();

@@ -424,6 +424,86 @@ mod tests {
         assert!(outcome.log.total_env_steps() > 0);
     }
 
+    /// Seeded runs reproduce these sessions, compliance flags, scores and episode
+    /// lengths, recorded from the from-scratch feasibility search and session scoring:
+    /// the memoized oracle and the incremental score must not move a mask, a random
+    /// draw or a score.
+    #[test]
+    fn seeded_training_reproduces_its_recorded_sessions() {
+        let two_branches = parse_ldx(
+            "ROOT CHILDREN {A1,A2}\n\
+             A1 LIKE [F,country,eq,(?<X>.*)] and CHILDREN {B1}\n\
+             B1 LIKE [G,(?<COL>.*),(?<AGG>.*),.*]\n\
+             A2 LIKE [F,country,neq,(?<X>.*)] and CHILDREN {B2}\n\
+             B2 LIKE [G,(?<COL>.*),(?<AGG>.*),.*]",
+        )
+        .unwrap();
+        assert_trains_to(
+            CdrlConfig {
+                episodes: 60,
+                ..CdrlConfig::default()
+            },
+            simple_ldx(),
+            "ROOT([G,type,nunique,id],[F,country,eq,US]([G,type,count,country]))",
+            (true, true),
+            0.8796966711327765,
+            &[
+                4, 5, 5, 4, 4, 4, 4, 5, 4, 4, 3, 4, 3, 4, 4, 4, 4, 4, 4, 3, 4, 4, 4, 3, 4, 4, 4, 3,
+                4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 3, 4,
+                4, 4, 4, 4,
+            ],
+        );
+        assert_trains_to(
+            CdrlConfig {
+                episodes: 40,
+                ..CdrlConfig::default()
+            },
+            two_branches.clone(),
+            "ROOT([G,country,nunique,country],[F,id,eq,43]([G,type,count,type]),\
+             [F,country,neq,India]([G,type,min,id]))",
+            (false, true),
+            0.8082566862215635,
+            &[
+                8, 8, 8, 8, 7, 8, 7, 8, 8, 8, 7, 8, 7, 8, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+                8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+            ],
+        );
+        assert_trains_to(
+            CdrlConfig {
+                episodes: 30,
+                ..CdrlConfig::for_variant(CdrlVariant::NoSpecAwareNet)
+            },
+            two_branches,
+            "ROOT([G,country,min,id],[G,country,nunique,type],[G,type,nunique,country],\
+             [G,country,sum,id],[G,id,max,type])",
+            (false, false),
+            1.0132331253245201,
+            &[
+                7, 6, 5, 8, 5, 7, 5, 5, 5, 7, 6, 5, 8, 5, 5, 6, 6, 7, 9, 6, 7, 7, 7, 7, 6, 7, 5, 7,
+                6, 8,
+            ],
+        );
+    }
+
+    fn assert_trains_to(
+        config: CdrlConfig,
+        ldx: Ldx,
+        tree: &str,
+        flags: (bool, bool),
+        score: f64,
+        episode_steps: &[usize],
+    ) {
+        let outcome = CdrlTrainer::new(config).train(dataset(), ldx);
+        assert_eq!(outcome.best_tree.to_compact_string(), tree);
+        assert_eq!((outcome.best_compliant, outcome.best_structural), flags);
+        assert!(
+            (outcome.best_score - score).abs() < 1e-9,
+            "{}",
+            outcome.best_score
+        );
+        assert_eq!(outcome.log.episode_steps, episode_steps);
+    }
+
     #[test]
     fn atena_variant_ignores_the_specification() {
         let config = CdrlConfig {

@@ -23,7 +23,8 @@
 //!   per-parameter satisfaction counting used by the CDRL compliance reward,
 //! * [`partial`] — the ongoing-session ("immediate reward") check that asks whether a
 //!   prefix of a session can still be completed into a structurally compliant tree
-//!   within the remaining step budget (paper Appendix A.3), and
+//!   within the remaining step budget (paper Appendix A.3), memoized per session
+//!   shape by [`partial::StructuralOracle`], and
 //! * [`builder`] — a programmatic construction API used by the benchmark generator.
 
 #![forbid(unsafe_code)]

@@ -12,8 +12,27 @@
 //! The number of completions of an `N`-node session is bounded by the Catalan number
 //! `C_N` (Appendix A.3); the helper [`catalan`] and [`count_completions`] expose the
 //! bound and the exact count for analysis and benchmarking.
+//!
+//! # Memoized feasibility
+//!
+//! The CDRL loop asks this question several times per step (observation, action
+//! masking, immediate reward), yet the hundreds of steps of one training run ask it
+//! about only a hundred or so distinct sessions. [`StructuralOracle`] builds the
+//! structural engine once and memoizes each answer by the session's [`ShapeKey`]:
+//! every node's parent and operation kind, the cursor, and the remaining budget.
+//!
+//! The memo is exact. [`Ldx::structural`] keeps only the kind token of every `LIKE`
+//! pattern ([`crate::OpPattern::structural`]) and turns the parameters into wildcards,
+//! so the structural search never looks past an operation's kind, and two sessions
+//! with the same key get the same answer. A miss runs the search on a tree rebuilt
+//! from the key alone, so nothing outside the key can reach it. The memo has no bound:
+//! it holds one boolean per state a run visits. [`can_complete_structurally`] is the
+//! one-shot entry over the same search.
 
-use linx_explore::{ExplorationTree, NodeId};
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
+
+use linx_explore::{ExplorationTree, NodeId, OpKind};
 
 use crate::ast::Ldx;
 use crate::verify::{MatchTree, VerifyEngine};
@@ -22,7 +41,8 @@ use crate::verify::{MatchTree, VerifyEngine};
 /// operations can satisfy the *structural* part of `ldx`.
 ///
 /// `current` is the node under which the next operation would be placed (the CDRL
-/// environment's cursor).
+/// environment's cursor). Builds the structural engine on every call; callers asking
+/// repeatedly about one query should hold a [`StructuralOracle`].
 pub fn can_complete_structurally(
     ldx: &Ldx,
     tree: &ExplorationTree,
@@ -30,52 +50,129 @@ pub fn can_complete_structurally(
     remaining: usize,
 ) -> bool {
     let engine = VerifyEngine::new(ldx.structural());
-    let mtree = MatchTree::from(tree);
-    // Fast path: already satisfied.
-    if engine.find_assignment_in(&mtree).is_some() {
+    completes(&engine, &MatchTree::from(tree), current.index(), remaining)
+}
+
+/// Whether `tree` already satisfies `engine`, or adding at most `remaining` blank nodes
+/// can make it: each one attached under the current node or one of its ancestors, then
+/// becoming the current node (the pre-order growth rule).
+fn completes(engine: &VerifyEngine, tree: &MatchTree, current: usize, remaining: usize) -> bool {
+    if engine.find_assignment_in(tree).is_some() {
         return true;
     }
-    let mut found = false;
-    explore_completions(&engine, mtree, current.index(), remaining, &mut found);
-    found
-}
-
-/// Recursively extend the tree with blank nodes (respecting the pre-order growth rule)
-/// and test structural satisfiability after each extension.
-fn explore_completions(
-    engine: &VerifyEngine,
-    tree: MatchTree,
-    current: usize,
-    remaining: usize,
-    found: &mut bool,
-) {
-    if *found || remaining == 0 {
-        return;
+    if remaining == 0 {
+        return false;
     }
-    // Attachment points: the current node and each of its ancestors (including root).
-    let mut attach_points = Vec::new();
-    let mut cur = Some(current);
-    while let Some(c) = cur {
-        attach_points.push(c);
-        cur = parent_of(&tree, c);
-    }
-    for &p in &attach_points {
+    let mut attach = Some(current);
+    while let Some(parent) = attach {
         let mut next = tree.clone();
-        let new_node = next.push_blank(p);
-        if engine.find_assignment_in(&next).is_some() {
-            *found = true;
-            return;
+        let node = next.push_blank(parent);
+        if completes(engine, &next, node, remaining - 1) {
+            return true;
         }
-        explore_completions(engine, next, new_node, remaining - 1, found);
-        if *found {
-            return;
+        attach = tree.parent(parent);
+    }
+    false
+}
+
+/// The structural signature of an ongoing session: everything the feasibility search
+/// reads, and the key of [`StructuralOracle`]'s memo.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ShapeKey {
+    /// Parent index and operation kind of every non-root node, in node-id order.
+    nodes: Vec<(usize, Option<OpKind>)>,
+    cursor: usize,
+    remaining: usize,
+}
+
+impl ShapeKey {
+    /// The signature of `tree` with the next operation placed under `cursor` and at
+    /// most `remaining` operations left.
+    pub fn new(tree: &ExplorationTree, cursor: NodeId, remaining: usize) -> Self {
+        let nodes = (1..tree.len())
+            .map(|i| {
+                let id = NodeId(i);
+                let parent = tree.parent(id).map_or(0, |p| p.index());
+                (parent, tree.op(id).map(|op| op.kind()))
+            })
+            .collect();
+        ShapeKey {
+            nodes,
+            cursor: cursor.index(),
+            remaining,
         }
+    }
+
+    /// The signature after appending an operation of `kind` under the cursor, which
+    /// moves to the new node. The budget is left as it is.
+    pub fn with_child(mut self, kind: OpKind) -> Self {
+        self.nodes.push((self.cursor, Some(kind)));
+        self.cursor = self.nodes.len();
+        self
+    }
+
+    /// The tree the key stands for, each operation reduced to its kind token.
+    fn match_tree(&self) -> MatchTree {
+        let mut tree = MatchTree::root();
+        for &(parent, kind) in &self.nodes {
+            tree.push_op(parent, kind.map(|k| vec![k.tag().to_string()]));
+        }
+        tree
     }
 }
 
-fn parent_of(tree: &MatchTree, node: usize) -> Option<usize> {
-    // MatchTree exposes children; reconstruct parent by scanning (trees are tiny).
-    (0..tree.len()).find(|&idx| tree.children(idx).contains(&node))
+/// [`can_complete_structurally`] for one LDX query, with the structural engine built
+/// once and every answer memoized by [`ShapeKey`] (exact; see the module docs).
+#[derive(Debug)]
+pub struct StructuralOracle {
+    engine: VerifyEngine,
+    memo: Mutex<HashMap<ShapeKey, bool>>,
+}
+
+impl StructuralOracle {
+    /// An oracle for the structural reduction of `ldx`.
+    pub fn new(ldx: &Ldx) -> Self {
+        StructuralOracle {
+            engine: VerifyEngine::new(ldx.structural()),
+            memo: Mutex::default(),
+        }
+    }
+
+    /// The verification engine of `struct(Q_X)`.
+    pub fn engine(&self) -> &VerifyEngine {
+        &self.engine
+    }
+
+    /// Whether some completion of the session `key` describes can satisfy the
+    /// structural specifications. Equals [`can_complete_structurally`] on every tree
+    /// with this key; the search runs once per key.
+    pub fn can_complete(&self, key: ShapeKey) -> bool {
+        let known = self.memo().get(&key).copied();
+        if let Some(answer) = known {
+            return answer;
+        }
+        let answer = completes(&self.engine, &key.match_tree(), key.cursor, key.remaining);
+        self.memo().insert(key, answer);
+        answer
+    }
+
+    /// Number of memoized answers.
+    pub fn memoized(&self) -> usize {
+        self.memo().len()
+    }
+
+    fn memo(&self) -> MutexGuard<'_, HashMap<ShapeKey, bool>> {
+        self.memo.lock().expect("feasibility memo lock")
+    }
+}
+
+impl Clone for StructuralOracle {
+    fn clone(&self) -> Self {
+        StructuralOracle {
+            engine: self.engine.clone(),
+            memo: Mutex::new(self.memo().clone()),
+        }
+    }
 }
 
 /// Exact number of distinct completions when extending a session whose current node has

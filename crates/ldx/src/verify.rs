@@ -62,6 +62,30 @@ impl MatchTree {
         &self.children[idx]
     }
 
+    /// Parent of a node (`None` for the root).
+    pub(crate) fn parent(&self, idx: usize) -> Option<usize> {
+        self.parents[idx]
+    }
+
+    /// A tree holding only the root.
+    pub(crate) fn root() -> Self {
+        MatchTree {
+            parents: vec![None],
+            children: vec![Vec::new()],
+            ops: vec![None],
+            blank: vec![false],
+        }
+    }
+
+    /// Append a node carrying the operation tokens `op` under `parent`, returning its
+    /// index.
+    pub(crate) fn push_op(&mut self, parent: usize, op: Option<Vec<String>>) -> usize {
+        let idx = self.push_blank(parent);
+        self.ops[idx] = op;
+        self.blank[idx] = false;
+        idx
+    }
+
     /// Append a blank node under `parent`, returning its index.
     pub fn push_blank(&mut self, parent: usize) -> usize {
         let idx = self.parents.len();

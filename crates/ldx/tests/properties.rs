@@ -1,11 +1,13 @@
 //! Property-based tests for the LDX language: parser/printer round-tripping, the
-//! structural/operational partition, and verification-engine soundness (a tree built to
-//! satisfy a query verifies; structurally-broken mutations do not).
+//! structural/operational partition, verification-engine soundness (a tree built to
+//! satisfy a query verifies; structurally-broken mutations do not), and the memoized
+//! feasibility oracle answering exactly like a fresh completion search.
 
 use linx_dataframe::filter::CompareOp;
 use linx_dataframe::groupby::AggFunc;
 use linx_dataframe::Value;
-use linx_explore::{ExplorationTree, NodeId, QueryOp};
+use linx_explore::{ExplorationTree, NodeId, OpKind, QueryOp};
+use linx_ldx::partial::{can_complete_structurally, ShapeKey, StructuralOracle};
 use linx_ldx::{parse_ldx, Ldx, VerifyEngine};
 use proptest::prelude::*;
 
@@ -65,7 +67,146 @@ fn compliant_tree(branches: &[Branch]) -> ExplorationTree {
     tree
 }
 
+/// A branch of a structural shape: `A_i` under ROOT and `B_i` under `A_i`, each as a
+/// child or a descendant, with kind patterns that may be literals, alternations or
+/// wildcards, and possibly one extra unnamed child of `A_i`.
+#[derive(Debug, Clone)]
+struct ShapedBranch {
+    branch: Branch,
+    a_descendant: bool,
+    b_descendant: bool,
+    a_extra_child: bool,
+    kinds: (&'static str, &'static str),
+}
+
+fn kind_pattern_strategy() -> impl Strategy<Value = &'static str> {
+    prop::sample::select(vec!["F", "G", "F|G", ".*"])
+}
+
+fn shaped_branch_strategy() -> impl Strategy<Value = ShapedBranch> {
+    let placement = (any::<bool>(), any::<bool>(), any::<bool>());
+    let kinds = (kind_pattern_strategy(), kind_pattern_strategy());
+    (branch_strategy(), placement, kinds).prop_map(|(branch, (ad, bd, extra), kinds)| {
+        ShapedBranch {
+            branch,
+            a_descendant: ad,
+            b_descendant: bd,
+            a_extra_child: extra && !bd,
+            kinds,
+        }
+    })
+}
+
+/// The LDX text of 1-2 shaped branches.
+fn shaped_ldx_text(branches: &[ShapedBranch]) -> String {
+    let mut lines = Vec::new();
+    for (i, s) in branches.iter().enumerate() {
+        let (a, b) = (format!("A{}", i + 1), format!("B{}", i + 1));
+        let under_root = if s.a_descendant {
+            "DESCENDANTS"
+        } else {
+            "CHILDREN"
+        };
+        lines.push(format!("ROOT {under_root} {{{a}}}"));
+        let under_a = match (s.b_descendant, s.a_extra_child) {
+            (true, _) => format!("DESCENDANTS {{{b}}}"),
+            (false, true) => format!("CHILDREN {{{b},+}}"),
+            (false, false) => format!("CHILDREN {{{b}}}"),
+        };
+        lines.push(format!(
+            "{a} LIKE [{},{},{},.*] and {under_a}",
+            s.kinds.0, s.branch.filter_attr, s.branch.filter_op
+        ));
+        lines.push(format!(
+            "{b} LIKE [{},{},count,.*]",
+            s.kinds.1, s.branch.group_attr
+        ));
+    }
+    lines.join("\n")
+}
+
+/// The operation an action code appends: codes 1-2 are filters, 3-4 group-bys, each
+/// pair with different parameters.
+fn grow_op(code: u8) -> QueryOp {
+    match code {
+        1 => QueryOp::filter("country", CompareOp::Eq, Value::str("India")),
+        2 => QueryOp::filter("rating", CompareOp::Neq, Value::Int(3)),
+        3 => QueryOp::group_by("type", AggFunc::Count, "id"),
+        _ => QueryOp::group_by("country", AggFunc::Sum, "duration"),
+    }
+}
+
+/// Ask the oracle about `(tree, cursor, budget)` twice and compare both answers with a
+/// fresh search: the first ask may be a miss, the second must be a memo hit.
+fn oracle_agrees(
+    oracle: &StructuralOracle,
+    ldx: &Ldx,
+    tree: &ExplorationTree,
+    key: ShapeKey,
+    cursor: NodeId,
+    budget: usize,
+) -> TestCaseResult {
+    let fresh = can_complete_structurally(ldx, tree, cursor, budget);
+    let case = format!(
+        "{} at node {} with budget {budget} under\n{ldx}",
+        tree.to_compact_string(),
+        cursor.index()
+    );
+    let first = oracle.can_complete(key.clone());
+    prop_assert!(
+        first == fresh,
+        "first ask: {first} != fresh {fresh}: {case}"
+    );
+    let memoized = oracle.memoized();
+    let second = oracle.can_complete(key);
+    prop_assert!(
+        second == fresh,
+        "second ask: {second} != fresh {fresh}: {case}"
+    );
+    prop_assert!(oracle.memoized() == memoized, "second ask missed: {case}");
+    Ok(())
+}
+
 proptest! {
+    /// The memoized oracle equals a fresh `can_complete_structurally` on randomly grown
+    /// sessions: at every cursor the growth visits, for every node of the final tree as
+    /// the cursor, and for the probe keys of a child appended under the cursor (which
+    /// the fresh search sees as a real tree with real parameters).
+    #[test]
+    fn oracle_equals_a_fresh_search(
+        branches in prop::collection::vec(shaped_branch_strategy(), 1..3),
+        actions in prop::collection::vec(0u8..5, 0..7),
+        budget in 0usize..4,
+    ) {
+        let ldx = parse_ldx(&shaped_ldx_text(&branches)).unwrap();
+        prop_assert!(ldx.validate().is_ok());
+        let oracle = StructuralOracle::new(&ldx);
+        let mut tree = ExplorationTree::new();
+        for code in actions {
+            if code == 0 {
+                tree.back();
+            } else {
+                tree.push_op(grow_op(code));
+            }
+            let cursor = tree.current();
+            oracle_agrees(&oracle, &ldx, &tree, ShapeKey::new(&tree, cursor, budget), cursor, budget)?;
+            for (kind, code) in [(OpKind::Filter, 2), (OpKind::GroupBy, 4)] {
+                let mut grown = tree.clone();
+                let node = grown.push_op(grow_op(code));
+                let key = ShapeKey::new(&tree, cursor, budget).with_child(kind);
+                prop_assert_eq!(&key, &ShapeKey::new(&grown, node, budget));
+                oracle_agrees(&oracle, &ldx, &grown, key, node, budget)?;
+            }
+        }
+        for node in 0..tree.len() {
+            for remaining in 0..=budget {
+                let cursor = NodeId(node);
+                let key = ShapeKey::new(&tree, cursor, remaining);
+                oracle_agrees(&oracle, &ldx, &tree, key, cursor, remaining)?;
+            }
+        }
+    }
+
     /// Parsing and canonical printing round-trips: reparsing the canonical form yields an
     /// equal query.
     #[test]
