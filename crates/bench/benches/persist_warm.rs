@@ -1,4 +1,4 @@
-//! Persistent-tier benchmark: the codec's encode/decode cost, plus the scenario
+//! Persistent-tier benchmark: the result codec's encode/decode cost, plus the scenario
 //! behind the disk tier's headline claim — a *cold process* over a *warm cache
 //! directory* serves a repeated batch workload at least 2x faster than over an
 //! empty directory, and the warm router may even use a different `--shards` count,
@@ -14,14 +14,15 @@
 //! (default 300).
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, Criterion};
 use linx_data::{generate, DatasetKind, ScaleConfig};
-use linx_dataframe::{DataFrame, StatValue};
-use linx_engine::persist::{decode_stat, encode_stat};
-use linx_engine::{BatchRequest, EngineConfig, PersistConfig, Router, RouterConfig};
+use linx_dataframe::DataFrame;
+use linx_engine::persist::{decode_result, encode_result};
+use linx_engine::{
+    BatchRequest, Engine, EngineConfig, ExploreRequest, PersistConfig, Router, RouterConfig,
+};
 
 /// Goals per batch: enough to amortize the per-dataset context build.
 const GOALS: usize = 4;
@@ -70,14 +71,25 @@ fn router(shards: usize, dir: &PathBuf) -> Router {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    let hist = dataset().histogram("country").expect("netflix has country");
-    let value = StatValue::Hist(Arc::new(hist));
-    c.bench_function("persist_codec/encode_histogram", |b| {
-        b.iter(|| black_box(encode_stat(black_box(&value))))
+    // One real answer (a notebook, its narrative and scores): the only entry kind
+    // the tier persists.
+    let mut config = EngineConfig::fast();
+    config.workers = 1;
+    config.cdrl.episodes = episodes();
+    let engine = Engine::new(config);
+    let ctx = engine.dataset_context(&dataset(), "netflix");
+    let result = engine
+        .submit(&ctx, ExploreRequest::new("netflix", goals()[0].clone()))
+        .wait()
+        .outcome
+        .expect("codec sample trains");
+    engine.shutdown();
+    c.bench_function("persist_codec/encode_result", |b| {
+        b.iter(|| black_box(encode_result(black_box(&result))))
     });
-    let bytes = encode_stat(&value);
-    c.bench_function("persist_codec/decode_histogram", |b| {
-        b.iter(|| black_box(decode_stat(black_box(&bytes)).expect("valid entry")))
+    let bytes = encode_result(&result);
+    c.bench_function("persist_codec/decode_result", |b| {
+        b.iter(|| black_box(decode_result(black_box(&bytes)).expect("valid entry")))
     });
 }
 

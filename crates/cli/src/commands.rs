@@ -596,8 +596,8 @@ pub struct ServeBatchArgs {
     pub shards: Option<usize>,
     /// Tenant the batch is billed to (admission control + weighted-fair scheduling).
     pub tenant: Option<String>,
-    /// Persistent cache directory shared by all shards (results + dataset
-    /// statistics survive the process and are shared with other processes).
+    /// Persistent cache directory shared by all shards (results survive the
+    /// process and are shared with other processes).
     pub cache_dir: Option<PathBuf>,
     /// Size cap for the persistent cache directory, in bytes.
     pub cache_disk_cap: Option<u64>,

@@ -93,7 +93,5 @@ pub use data::{ColumnData, NullMask, ValueRef};
 pub use error::{DataFrameError, Result};
 pub use frame::DataFrame;
 pub use schema::{DataType, Field, Schema};
-pub use stats_cache::{
-    ColumnSummary, StatKey, StatKind, StatValue, StatsCache, StatsCacheStats, StatsTier,
-};
+pub use stats_cache::{ColumnSummary, StatsCache, StatsCacheStats};
 pub use value::{GroupKey, OwnedGroupKey, Value};

@@ -126,29 +126,6 @@ impl Histogram {
         }
     }
 
-    /// Rebuild a histogram from `(value, count)` pairs, e.g. the pairs [`Histogram::iter`]
-    /// yields. The inverse of iteration, used by persistence codecs: for any histogram
-    /// `h`, `Histogram::from_counts(h.iter().map(|(v, c)| (v.clone(), c))) == h`.
-    ///
-    /// Null values and zero counts are skipped (a histogram never stores either);
-    /// duplicate keys accumulate, so malformed input still yields a well-formed
-    /// histogram whose `total` matches the sum of its counts.
-    pub fn from_counts(pairs: impl IntoIterator<Item = (Value, usize)>) -> Histogram {
-        let mut counts: HashMap<OwnedGroupKey, (Value, usize)> = HashMap::new();
-        let mut total = 0usize;
-        for (v, c) in pairs {
-            if v.is_null() || c == 0 {
-                continue;
-            }
-            total += c;
-            counts
-                .entry(v.owned_group_key())
-                .and_modify(|e| e.1 += c)
-                .or_insert((v, c));
-        }
-        Histogram { counts, total }
-    }
-
     /// Number of distinct values.
     pub fn n_distinct(&self) -> usize {
         self.counts.len()

@@ -1,5 +1,5 @@
 //! View-level statistics cache: fingerprint-keyed memoization of [`Histogram`]s,
-//! [`Groups`], group sizes, and per-column summary statistics.
+//! group sizes, and per-column summary statistics.
 //!
 //! Profiling the CDRL training loop shows that once op execution is memoized, the
 //! remaining hot path is the generic exploration reward `R_gen` (paper §5.1), which
@@ -16,13 +16,16 @@
 //! global hit/miss/eviction counters. Entries are `Arc`-shared, so a cache hit is a
 //! pointer bump, never a histogram clone, and keys fold the column name through the
 //! same stable FNV-1a as the frame fingerprint, so a lookup allocates nothing.
+//!
+//! The cache is memory-only: a miss recomputes. A statistic is cheap to rebuild
+//! (well under a millisecond a column at 2k rows) next to persisting it as a file
+//! of its own, so only whole exploration results are kept on disk.
 
 use std::sync::Arc;
 
 use crate::error::Result;
 use crate::fingerprint::Fnv1a;
 use crate::frame::DataFrame;
-use crate::groupby::Groups;
 use crate::sharded::ShardedLru;
 use crate::stats::Histogram;
 
@@ -48,36 +51,24 @@ pub struct ColumnSummary {
 }
 
 /// One cached statistic. All kinds share one store so capacity, eviction, and
-/// counters are managed in one place. Public so a second-level [`StatsTier`] can
-/// serialize entries; the payloads stay `Arc`-shared either way.
+/// counters are managed in one place; the payloads are `Arc`-shared.
 #[derive(Debug, Clone)]
-pub enum StatValue {
+pub(crate) enum StatValue {
     /// A value histogram ([`StatsCache::histogram`]).
     Hist(Arc<Histogram>),
-    /// A full grouping structure ([`StatsCache::groups`]).
-    Groups(Arc<Groups>),
-    /// Group sizes only ([`StatsCache::group_sizes`]).
+    /// Group sizes ([`StatsCache::group_sizes`]).
     Sizes(Arc<Vec<usize>>),
     /// Per-column summary statistics ([`StatsCache::summary`]).
     Summary(Arc<ColumnSummary>),
 }
 
 impl StatValue {
-    /// The statistic kind this value carries.
-    pub fn kind(&self) -> StatKind {
-        match self {
-            StatValue::Hist(_) => StatKind::Hist,
-            StatValue::Groups(_) => StatKind::Groups,
-            StatValue::Sizes(_) => StatKind::Sizes,
-            StatValue::Summary(_) => StatKind::Summary,
-        }
-    }
-
     /// Approximate resident payload bytes: what this entry charges against the
-    /// cache's byte budget. Counts the dominant terms — rows × cells for groupings,
-    /// per-distinct-value entries (plus interned-string lengths) for histograms —
-    /// not exact allocator overhead; the budget is a bound, not an audit.
-    pub fn approx_bytes(&self) -> u64 {
+    /// cache's byte budget. Counts the dominant terms — per-distinct-value entries
+    /// (plus interned-string lengths) for histograms, one `usize` per group for
+    /// group sizes — not exact allocator overhead; the budget is a bound, not an
+    /// audit.
+    pub(crate) fn approx_bytes(&self) -> u64 {
         /// Per-cell footprint: the enum itself plus any string payload (interned, so
         /// shared — counted anyway as the conservative upper bound).
         fn value_bytes(v: &crate::value::Value) -> u64 {
@@ -87,30 +78,19 @@ impl StatValue {
         const ENTRY_OVERHEAD: u64 = 32; // hash-map slot + count fields, roughly
         match self {
             StatValue::Hist(h) => h.iter().map(|(v, _)| ENTRY_OVERHEAD + value_bytes(v)).sum(),
-            StatValue::Groups(g) => {
-                let keys: u64 = g.keys.iter().map(value_bytes).sum();
-                let rows: u64 = g
-                    .indices
-                    .iter()
-                    .map(|idx| (idx.len() * std::mem::size_of::<usize>()) as u64)
-                    .sum();
-                keys + rows + g.keys.len() as u64 * ENTRY_OVERHEAD
-            }
             StatValue::Sizes(s) => (s.len() * std::mem::size_of::<usize>()) as u64 + ENTRY_OVERHEAD,
             StatValue::Summary(_) => std::mem::size_of::<ColumnSummary>() as u64 + ENTRY_OVERHEAD,
         }
     }
 }
 
-/// Which statistic a key addresses (folded into the key so a histogram and a grouping
-/// of the same column never collide).
+/// Which statistic a key addresses (folded into the key so a histogram and the group
+/// sizes of the same column never collide).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StatKind {
+pub(crate) enum StatKind {
     /// Value histogram.
     Hist,
-    /// Full grouping structure.
-    Groups,
-    /// Group sizes only.
+    /// Group sizes.
     Sizes,
     /// Per-column summary.
     Summary,
@@ -121,21 +101,20 @@ pub enum StatKind {
 /// The column name is folded in with the same stable FNV-1a the frame fingerprint
 /// uses, so keys are `Copy` and a lookup performs no allocation — the same
 /// content-addressing trade-off the engine's result cache already makes with its
-/// 64-bit request fingerprints. Both fingerprints are stable across processes, which
-/// is what lets a [`StatsTier`] persist entries under these keys.
+/// 64-bit request fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StatKey {
+pub(crate) struct StatKey {
     /// The statistic kind this key addresses.
-    pub kind: StatKind,
+    kind: StatKind,
     /// The frame's content fingerprint ([`DataFrame::fingerprint`]).
-    pub frame_fp: u64,
+    frame_fp: u64,
     /// Stable FNV-1a fingerprint of the column name.
-    pub column_fp: u64,
+    column_fp: u64,
 }
 
 impl StatKey {
     /// The key of `kind` for `column` of `frame`.
-    pub fn new(kind: StatKind, frame: &DataFrame, column: &str) -> StatKey {
+    fn new(kind: StatKind, frame: &DataFrame, column: &str) -> StatKey {
         let mut h = Fnv1a::new();
         h.write_str(column);
         StatKey {
@@ -146,39 +125,20 @@ impl StatKey {
     }
 }
 
-/// A second-level store behind a [`StatsCache`]: consulted on memory misses, fed on
-/// computes.
-///
-/// Implementations are expected to be durable and/or shared (a disk directory, a
-/// remote store) and therefore fallible and slower than the in-memory tier — which is
-/// why the contract is miss-tolerant in both directions: `load` returning `None` (or
-/// a value of the wrong kind, which callers discard) simply falls through to a fresh
-/// computation, and `store` failures must be swallowed by the implementation. A tier
-/// can never serve a *stale* statistic because [`StatKey`] embeds the frame's content
-/// fingerprint. `linx-engine`'s `DiskTier` is the canonical implementation.
-pub trait StatsTier: Send + Sync + std::fmt::Debug {
-    /// Look up a persisted statistic; `None` on any miss, corruption, or I/O error.
-    fn load(&self, key: &StatKey) -> Option<StatValue>;
-    /// Persist a freshly computed statistic (best-effort; errors are swallowed).
-    fn store(&self, key: &StatKey, value: &StatValue);
-}
-
 /// A sharded, thread-safe cache of per-`(view, column)` statistics.
 ///
 /// Keyed by [`DataFrame::fingerprint`], so two views with identical content share
 /// entries no matter how they were produced, and a view whose content differs — even
 /// by one cell — can never be served a stale statistic.
 ///
-/// Capacity is a budget of **approximate payload bytes** ([`StatValue::approx_bytes`]):
-/// a [`Histogram`] of a per-row-unique column weighs O(rows) and is charged
-/// accordingly, so heavy entries can no longer crowd the cache at the same price as
-/// tiny summaries. Entries heavier than a whole shard's budget are simply not
-/// cached (recomputed on every request) rather than flushing everything else.
+/// Capacity is a budget of **approximate payload bytes**: a [`Histogram`] of a
+/// per-row-unique column weighs O(rows) and is charged accordingly, so heavy entries
+/// can no longer crowd the cache at the same price as tiny summaries. Entries heavier
+/// than a whole shard's budget are simply not cached (recomputed on every request)
+/// rather than flushing everything else.
 #[derive(Debug)]
 pub struct StatsCache {
     store: ShardedLru<StatKey, StatValue>,
-    /// Optional second-level tier consulted on memory misses and fed on computes.
-    tier: Option<Arc<dyn StatsTier>>,
 }
 
 impl Default for StatsCache {
@@ -201,25 +161,12 @@ impl StatsCache {
     pub fn new(mem_bytes: usize, shards: usize) -> Self {
         StatsCache {
             store: ShardedLru::new(mem_bytes, shards),
-            tier: None,
         }
     }
 
-    /// Like [`StatsCache::new`], but backed by a second-level [`StatsTier`]: memory
-    /// misses consult the tier before computing, and computed entries are written
-    /// through to it — so a cache in a fresh process (or a different engine shard
-    /// sharing the tier) re-loads statistics instead of re-deriving them.
-    pub fn with_tier(mem_bytes: usize, shards: usize, tier: Arc<dyn StatsTier>) -> Self {
-        StatsCache {
-            store: ShardedLru::new(mem_bytes, shards),
-            tier: Some(tier),
-        }
-    }
-
-    /// Generic lookup-or-compute. `compute` runs outside any lock; errors are
-    /// returned, never cached (a missing column should fail again, not poison an
-    /// entry). A second-level tier, when present, sits between the memory miss and
-    /// the computation; a tier value of the wrong kind is discarded as a miss.
+    /// Generic lookup-or-compute: memory first, then `compute`. `compute` runs
+    /// outside any lock; errors are returned, never cached (a missing column should
+    /// fail again, not poison an entry).
     fn get_or_compute(
         &self,
         key: StatKey,
@@ -228,19 +175,9 @@ impl StatsCache {
         if let Some(entry) = self.store.get(&key) {
             return Ok(entry);
         }
-        if let Some(tier) = &self.tier {
-            if let Some(loaded) = tier.load(&key).filter(|v| v.kind() == key.kind) {
-                self.store
-                    .insert_weighted(key, loaded.clone(), loaded.approx_bytes());
-                return Ok(loaded);
-            }
-        }
         let computed = compute()?;
         self.store
             .insert_weighted(key, computed.clone(), computed.approx_bytes());
-        if let Some(tier) = &self.tier {
-            tier.store(&key, &computed);
-        }
         Ok(computed)
     }
 
@@ -256,25 +193,9 @@ impl StatsCache {
         }
     }
 
-    /// The grouping structure of `column` in `frame`, computed once per distinct frame
-    /// content.
-    ///
-    /// A `Groups` entry pins one `usize` per row of the view; reward computations that
-    /// only need the group-size distribution should use [`StatsCache::group_sizes`],
-    /// which caches a vector of one `usize` per *group* instead.
-    pub fn groups(&self, frame: &DataFrame, column: &str) -> Result<Arc<Groups>> {
-        let key = StatKey::new(StatKind::Groups, frame, column);
-        match self.get_or_compute(key, || {
-            Ok(StatValue::Groups(Arc::new(frame.groups(column)?)))
-        })? {
-            StatValue::Groups(g) => Ok(g),
-            _ => unreachable!("groups key yields groups entry"),
-        }
-    }
-
     /// The group sizes of `column` in `frame` (what the conciseness reward consumes),
-    /// computed once per distinct frame content. Much lighter than caching the full
-    /// [`Groups`]: one `usize` per group rather than per row.
+    /// computed once per distinct frame content: one `usize` per group, never the
+    /// per-row grouping itself.
     pub fn group_sizes(&self, frame: &DataFrame, column: &str) -> Result<Arc<Vec<usize>>> {
         let key = StatKey::new(StatKind::Sizes, frame, column);
         let entry = self.get_or_compute(key, || {
@@ -353,13 +274,12 @@ mod tests {
         let cache = StatsCache::default();
         let df = frame();
         cache.histogram(&df, "country").unwrap();
-        cache.groups(&df, "country").unwrap();
         cache.group_sizes(&df, "country").unwrap();
         cache.summary(&df, "country").unwrap();
         let s = cache.stats();
-        // Four distinct entries; the one hit is summary() reusing the histogram entry
+        // Three distinct entries; the one hit is summary() reusing the histogram entry
         // for its entropy.
-        assert_eq!((s.hits, s.misses, s.entries), (1, 4, 4));
+        assert_eq!((s.hits, s.misses, s.entries), (1, 3, 3));
     }
 
     #[test]
@@ -368,7 +288,11 @@ mod tests {
         let df = frame();
         let sizes = cache.group_sizes(&df, "country").unwrap();
         assert_eq!(*sizes, df.groups("country").unwrap().sizes());
-        assert_eq!(*sizes, cache.groups(&df, "country").unwrap().sizes());
+        let again = cache.group_sizes(&df, "country").unwrap();
+        assert!(
+            Arc::ptr_eq(&sizes, &again),
+            "second lookup is the shared Arc"
+        );
     }
 
     #[test]
@@ -389,7 +313,6 @@ mod tests {
         let cache = StatsCache::default();
         let df = frame();
         assert!(cache.histogram(&df, "missing").is_err());
-        assert!(cache.groups(&df, "missing").is_err());
         assert!(cache.group_sizes(&df, "missing").is_err());
         assert!(cache.summary(&df, "missing").is_err());
         assert_eq!(cache.stats().entries, 0);

@@ -252,9 +252,9 @@ pub struct EngineConfig {
     /// In-memory cache budget in **approximate payload bytes** for everything this
     /// engine holds resident: split evenly between the result cache (each entry
     /// weighed by [`ExploreResult::approx_bytes`]) and the single engine-wide
-    /// view-statistics cache (entries weighed by
-    /// [`linx_dataframe::StatValue::approx_bytes`]; shared across all datasets, so
-    /// the budget is never multiplied per dataset). 0 disables in-memory caching
+    /// [`linx_dataframe::StatsCache`] (each statistic weighed by its approximate
+    /// payload bytes; shared across all datasets, so the budget is never multiplied
+    /// per dataset). 0 disables in-memory caching
     /// (`--cache-mem-cap` on the CLI).
     pub cache_mem_bytes: usize,
     /// Number of cache shards (reduces lock contention). Rounded up to at least 1.
@@ -269,9 +269,8 @@ pub struct EngineConfig {
     /// behavior); per-tenant overrides are set on the engine's quota table.
     pub default_quota: TenantQuota,
     /// Optional persistent cache tier (see [`crate::persist`]): when set, results
-    /// and per-dataset statistics are written through to (and re-loaded from) a
-    /// disk directory keyed by content fingerprints, so warmed work survives
-    /// restarts. Under a [`crate::Router`] the tier is opened once and shared by
+    /// are written through to (and re-loaded from) a disk directory keyed by
+    /// content fingerprints, so answers survive restarts. Under a [`crate::Router`] the tier is opened once and shared by
     /// every shard. Defaults to `None` (memory-only, the prior behavior).
     pub persist: Option<crate::persist::PersistConfig>,
     /// The clock every timing measurement in this engine reads. Defaults to the

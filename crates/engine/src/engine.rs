@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use linx_cdrl::CdrlConfig;
-use linx_dataframe::{DataFrame, StatsCache, StatsTier};
+use linx_dataframe::{DataFrame, StatsCache};
 use linx_metrics::HistogramSnapshot;
 
 use crate::api::{EngineConfig, ExploreRequest, ExploreResponse, JobError, Priority, RequestId};
@@ -219,8 +219,9 @@ impl Engine {
 
     /// Start an engine sharing both a quota table and (optionally) a disk cache
     /// tier with other engines. The [`crate::Router`] hands every shard the same
-    /// tier, so statistics and results warmed by one shard are served by all — and
-    /// survive the process, since fingerprint keys are content-derived.
+    /// tier, so results computed by one shard are served by all — and survive the
+    /// process, since fingerprint keys are content-derived. The tier backs the
+    /// result cache only; the engine's view-statistics cache is memory-only.
     pub fn with_shared(
         config: EngineConfig,
         quota: Arc<QuotaTable>,
@@ -242,14 +243,7 @@ impl Engine {
         // matter how many datasets pass through.
         let result_budget = config.cache_mem_bytes / 2;
         let stats_budget = config.cache_mem_bytes - result_budget;
-        let stats = Arc::new(match &disk {
-            Some(tier) => StatsCache::with_tier(
-                stats_budget,
-                StatsCache::DEFAULT_SHARDS,
-                Arc::clone(tier) as Arc<dyn StatsTier>,
-            ),
-            None => StatsCache::new(stats_budget, StatsCache::DEFAULT_SHARDS),
-        });
+        let stats = Arc::new(StatsCache::new(stats_budget, StatsCache::DEFAULT_SHARDS));
         let cache = Arc::new(match disk {
             Some(tier) => TieredCache::with_disk(result_budget, config.cache_shards, tier),
             None => TieredCache::new(result_budget, config.cache_shards),
@@ -286,10 +280,9 @@ impl Engine {
     /// memo, term inventory / featurizer). Submitting many goals against one context
     /// shares this work across them. Every context is handed the *engine-wide*
     /// statistics cache (content-keyed, so cross-dataset sharing is safe and the
-    /// engine's byte budget is not multiplied per dataset); when a disk tier is
-    /// mounted that cache is backed by it, so per-dataset histograms warmed in an
-    /// earlier process (or on another shard sharing the tier) are re-loaded instead
-    /// of recomputed.
+    /// engine's byte budget is not multiplied per dataset). That cache lives in
+    /// memory only, so a context built in a fresh process computes its root-frame
+    /// statistics afresh, whether or not a disk tier is mounted.
     pub fn dataset_context(&self, dataset: &DataFrame, dataset_id: &str) -> DatasetContext {
         DatasetContext::with_stats(
             dataset,

@@ -15,10 +15,9 @@
 //!   tenant delays its own backlog, not everyone else's;
 //! * [`cache`] — a sharded LRU result cache keyed by a stable [`fingerprint`] of
 //!   `(dataset content, goal, config)`;
-//! * [`persist`] — the optional disk-backed second cache level: a versioned,
-//!   checksummed binary codec plus a size-capped [`DiskTier`] behind both the
-//!   result cache and the per-dataset statistics cache, so warmed work survives
-//!   restarts and is shared across shards and processes;
+//! * [`persist`] — the optional disk-backed second level of the result cache: a
+//!   versioned, checksummed binary codec plus a size-capped [`DiskTier`], so
+//!   answers survive restarts and are shared across shards and processes;
 //! * [`batch`] — a front-end that accepts many goals against one dataset and shares
 //!   the derivation inputs and materialized views across them; and
 //! * [`router`] — a [`Router`] owning N engine shards with consistent-hash dataset

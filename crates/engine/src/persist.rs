@@ -2,30 +2,32 @@
 //! ([`DiskTier`]), and the [`TieredCache`] that fronts it with the in-memory
 //! [`ShardedLru`].
 //!
-//! Both of the engine's caches key on *content* fingerprints that are stable across
-//! processes and shard counts — the result cache on
-//! [`request_fingerprint`](crate::fingerprint::request_fingerprint) and the
-//! view-statistics cache on [`StatKey`] (frame content + column name, both FNV-1a).
-//! This module turns that property into durability: entries survive process
-//! restarts, and one cache directory can back every shard of a
-//! [`Router`](crate::Router) (or several cooperating processes) at once, so work
-//! warmed anywhere is served everywhere.
+//! The engine's result cache keys on
+//! [`request_fingerprint`](crate::fingerprint::request_fingerprint), a *content*
+//! fingerprint that is stable across processes and shard counts. This module turns
+//! that property into durability: answers survive process restarts, and one cache
+//! directory can back every shard of a [`Router`](crate::Router) (or several
+//! cooperating processes) at once, so an answer computed anywhere is served
+//! everywhere.
+//!
+//! Only whole [`ExploreResult`]s are persisted. View statistics stay in the
+//! engine's memory-only [`StatsCache`](linx_dataframe::StatsCache): rebuilding one
+//! costs less than writing it as a file of its own, and a directory holding one
+//! file per statistic took far longer to scrub at start-up than to recompute.
 //!
 //! # On-disk format
 //!
 //! One file per entry, named by its cache key, all integers little-endian:
 //!
 //! ```text
-//! file name   res-<fp:016x>.lnx                              (result entries)
-//!             st<k>-<frame_fp:016x>-<column_fp:016x>.lnx     (statistics entries,
-//!                                                             k ∈ {h,g,z,s})
+//! file name   res-<fp:016x>.lnx
 //!
 //! bytes 0..4  magic  b"LNXP"
 //! bytes 4..6  format version (u16; readers reject any version but their own)
-//! byte  6     payload kind   (1 result, 2 histogram, 3 groups, 4 sizes, 5 summary)
-//! bytes 7..N  payload        (kind-specific; strings are u64-length-prefixed UTF-8,
-//!                             floats are IEEE-754 bit patterns, enums travel as
-//!                             their canonical tokens)
+//! byte  6     payload kind   (1 result; 2–5 are retired, see below)
+//! bytes 7..N  payload        (strings are u64-length-prefixed UTF-8, floats are
+//!                             IEEE-754 bit patterns, enums travel as their
+//!                             canonical tokens)
 //! bytes N..+8 FNV-1a checksum over bytes 0..N
 //! ```
 //!
@@ -52,6 +54,13 @@
 //! `linx_scrub_*` metrics families). Quarantined files sit outside the eviction
 //! walk (it is not recursive) and are overwritten by name if the same entry is
 //! quarantined twice.
+//!
+//! Kinds 2–5 are retired: earlier builds persisted view statistics (histograms,
+//! groupings, group sizes, summaries) under them, in the same format version. An
+//! intact entry of a retired kind is not damage, just stale: the scrub deletes it,
+//! counts it in [`ScrubReport::retired`], and leaves it out of the quarantine and
+//! of the byte/entry counters. The tags stay reserved so no future kind reuses
+//! them.
 //!
 //! # Invalidation story
 //!
@@ -80,9 +89,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use linx_dataframe::filter::CompareOp;
-use linx_dataframe::groupby::{AggFunc, Groups};
-use linx_dataframe::stats::Histogram;
-use linx_dataframe::{ColumnSummary, StatKey, StatKind, StatValue, StatsTier, Value};
+use linx_dataframe::groupby::AggFunc;
+use linx_dataframe::Value;
 use linx_explore::notebook::NotebookCell;
 use linx_explore::{Narrative, Notebook, QueryOp};
 
@@ -107,12 +115,16 @@ const ENTRY_EXT: &str = "lnx";
 /// entries into. Invisible to the (non-recursive) eviction walk.
 const QUARANTINE_DIR: &str = "quarantine";
 
-/// Payload kind tags (byte 6 of the frame).
+/// Payload kind tag (byte 6 of the frame) of an [`ExploreResult`].
 const KIND_RESULT: u8 = 1;
+
+/// Retired kind tags: view statistics that earlier builds persisted. Reserved, so
+/// no future kind reuses them; the scrub deletes such entries as stale.
 const KIND_HIST: u8 = 2;
 const KIND_GROUPS: u8 = 3;
 const KIND_SIZES: u8 = 4;
 const KIND_SUMMARY: u8 = 5;
+const RETIRED_KINDS: [u8; 4] = [KIND_HIST, KIND_GROUPS, KIND_SIZES, KIND_SUMMARY];
 
 /// Why a persisted entry failed to decode. Carried for diagnostics; every variant
 /// is handled identically (treat as miss, delete the file).
@@ -346,86 +358,6 @@ fn take_query_op(r: &mut Reader<'_>) -> Result<QueryOp, CodecError> {
     }
 }
 
-fn put_histogram(out: &mut Vec<u8>, h: &Histogram) {
-    put_u64(out, h.n_distinct() as u64);
-    for (v, c) in h.iter() {
-        put_value(out, v);
-        put_u64(out, c as u64);
-    }
-}
-
-fn take_histogram(r: &mut Reader<'_>) -> Result<Histogram, CodecError> {
-    let n = r.take_count()?;
-    let mut pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = r.take_value()?;
-        let c = r.take_u64()? as usize;
-        pairs.push((v, c));
-    }
-    Ok(Histogram::from_counts(pairs))
-}
-
-fn put_groups(out: &mut Vec<u8>, g: &Groups) {
-    put_u64(out, g.keys.len() as u64);
-    for (key, rows) in g.keys.iter().zip(&g.indices) {
-        put_value(out, key);
-        put_u64(out, rows.len() as u64);
-        for &row in rows {
-            put_u64(out, row as u64);
-        }
-    }
-}
-
-fn take_groups(r: &mut Reader<'_>) -> Result<Groups, CodecError> {
-    let n = r.take_count()?;
-    let mut keys = Vec::with_capacity(n);
-    let mut indices = Vec::with_capacity(n);
-    for _ in 0..n {
-        keys.push(r.take_value()?);
-        let rows = r.take_count()?;
-        let mut group = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            group.push(r.take_u64()? as usize);
-        }
-        indices.push(group);
-    }
-    Ok(Groups { keys, indices })
-}
-
-fn put_sizes(out: &mut Vec<u8>, sizes: &[usize]) {
-    put_u64(out, sizes.len() as u64);
-    for &s in sizes {
-        put_u64(out, s as u64);
-    }
-}
-
-fn take_sizes(r: &mut Reader<'_>) -> Result<Vec<usize>, CodecError> {
-    let n = r.take_count()?;
-    let mut sizes = Vec::with_capacity(n);
-    for _ in 0..n {
-        sizes.push(r.take_u64()? as usize);
-    }
-    Ok(sizes)
-}
-
-fn put_summary(out: &mut Vec<u8>, s: &ColumnSummary) {
-    put_u64(out, s.rows as u64);
-    put_u64(out, s.n_distinct as u64);
-    put_u64(out, s.null_count as u64);
-    put_f64(out, s.normalized_entropy);
-    put_bool(out, s.numeric);
-}
-
-fn take_summary(r: &mut Reader<'_>) -> Result<ColumnSummary, CodecError> {
-    Ok(ColumnSummary {
-        rows: r.take_u64()? as usize,
-        n_distinct: r.take_u64()? as usize,
-        null_count: r.take_u64()? as usize,
-        normalized_entropy: r.take_f64()?,
-        numeric: r.take_bool()?,
-    })
-}
-
 /// Encode a complete [`ExploreResult`] (notebook, narrative, scores) as one framed,
 /// checksummed entry.
 pub fn encode_result(result: &ExploreResult) -> Vec<u8> {
@@ -491,45 +423,6 @@ pub fn decode_result(bytes: &[u8]) -> Result<ExploreResult, CodecError> {
         best_structural,
         best_score,
     })
-}
-
-/// Encode one view-statistics entry ([`StatValue`]) as a framed, checksummed entry.
-pub fn encode_stat(value: &StatValue) -> Vec<u8> {
-    let mut p = Vec::new();
-    let kind = match value {
-        StatValue::Hist(h) => {
-            put_histogram(&mut p, h);
-            KIND_HIST
-        }
-        StatValue::Groups(g) => {
-            put_groups(&mut p, g);
-            KIND_GROUPS
-        }
-        StatValue::Sizes(s) => {
-            put_sizes(&mut p, s);
-            KIND_SIZES
-        }
-        StatValue::Summary(s) => {
-            put_summary(&mut p, s);
-            KIND_SUMMARY
-        }
-    };
-    frame(kind, &p)
-}
-
-/// Decode a view-statistics entry; the variant comes from the frame's kind byte.
-pub fn decode_stat(bytes: &[u8]) -> Result<StatValue, CodecError> {
-    let (kind, payload) = unframe(bytes)?;
-    let mut r = Reader::new(payload);
-    let value = match kind {
-        KIND_HIST => StatValue::Hist(Arc::new(take_histogram(&mut r)?)),
-        KIND_GROUPS => StatValue::Groups(Arc::new(take_groups(&mut r)?)),
-        KIND_SIZES => StatValue::Sizes(Arc::new(take_sizes(&mut r)?)),
-        KIND_SUMMARY => StatValue::Summary(Arc::new(take_summary(&mut r)?)),
-        _ => return err("payload kind is not a statistic"),
-    };
-    r.finish()?;
-    Ok(value)
 }
 
 // --- the disk tier ----------------------------------------------------------------
@@ -797,6 +690,9 @@ pub struct ScrubReport {
     pub bytes: u64,
     /// Orphaned temp files reclaimed.
     pub orphans_reclaimed: u64,
+    /// Intact entries of a retired payload kind (statistics persisted by earlier
+    /// builds), deleted as stale; see the module docs.
+    pub retired: u64,
 }
 
 /// A disk-backed, size-capped entry store: one file per fingerprint-keyed entry.
@@ -844,15 +740,24 @@ pub struct DiskTier {
     sync_micros: LatencyHistogram,
 }
 
+/// What the startup scrub makes of one entry file.
+enum Verdict {
+    /// A result that decodes in full: kept.
+    Live,
+    /// An intact entry of a retired kind: deleted as stale.
+    Retired,
+    /// Anything else, unreadable files included: quarantined.
+    Damaged,
+}
+
 /// Structurally verify one entry's bytes: framing (magic, version, checksum)
 /// *and* a full payload decode, so a checksum collision over a malformed payload
 /// still cannot survive the scrub.
-fn verify_entry(bytes: &[u8]) -> Result<(), CodecError> {
-    let (kind, _) = unframe(bytes)?;
-    if kind == KIND_RESULT {
-        decode_result(bytes).map(|_| ())
-    } else {
-        decode_stat(bytes).map(|_| ())
+fn verify_entry(bytes: &[u8]) -> Verdict {
+    match unframe(bytes) {
+        Ok((kind, _)) if RETIRED_KINDS.contains(&kind) => Verdict::Retired,
+        Ok(_) if decode_result(bytes).is_ok() => Verdict::Live,
+        _ => Verdict::Damaged,
     }
 }
 
@@ -881,18 +786,27 @@ impl DiskTier {
             }
             if path.extension().and_then(|e| e.to_str()) == Some(ENTRY_EXT) {
                 scrub.scanned += 1;
-                let verified = match std::fs::read(&path) {
-                    Ok(bytes) if verify_entry(&bytes).is_ok() => Some(bytes.len() as u64),
+                let (verdict, len) = match std::fs::read(&path) {
+                    Ok(bytes) => (verify_entry(&bytes), bytes.len() as u64),
                     // Unreadable counts as corrupt: the file exists but cannot
                     // serve a hit, so it goes to quarantine with the rest.
-                    _ => None,
+                    Err(_) => (Verdict::Damaged, 0),
                 };
-                match verified {
-                    Some(len) => {
+                match verdict {
+                    Verdict::Live => {
                         scrub.bytes += len;
                         scrub.entries += 1;
                     }
-                    None => {
+                    Verdict::Retired => {
+                        // Nothing reads these any more, and they hold no
+                        // evidence of damage: delete, don't quarantine.
+                        if std::fs::remove_file(&path).is_ok() {
+                            scrub.retired += 1;
+                        } else {
+                            unlink_errors += 1;
+                        }
+                    }
+                    Verdict::Damaged => {
                         // Never unlink — keep the bytes for forensics. A failed
                         // quarantine leaves the file in place; the load path
                         // will still reject (and then delete) it at runtime.
@@ -967,29 +881,22 @@ impl DiskTier {
         self.dir.join(QUARANTINE_DIR)
     }
 
-    fn entry_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.{ENTRY_EXT}"))
+    fn entry_path(&self, fp: u64) -> PathBuf {
+        self.dir.join(format!("res-{fp:016x}.{ENTRY_EXT}"))
     }
 
-    /// Load and decode one entry. Missing file → miss; present-but-undecodable file
-    /// → the file is deleted and the lookup is a miss (with `load_errors` bumped).
-    fn load_entry<T>(
-        &self,
-        name: &str,
-        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
-    ) -> Option<T> {
+    /// Load a persisted exploration result by request fingerprint. Missing file →
+    /// miss; present-but-undecodable file → the file is deleted and the lookup is a
+    /// miss (with `load_errors` bumped).
+    pub fn load_result(&self, fp: u64) -> Option<ExploreResult> {
         let start = self.clock.now_micros();
-        let out = self.load_entry_inner(name, decode);
+        let out = self.load_result_inner(fp);
         self.read_micros
             .record(self.clock.now_micros().saturating_sub(start));
         out
     }
 
-    fn load_entry_inner<T>(
-        &self,
-        name: &str,
-        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
-    ) -> Option<T> {
+    fn load_result_inner(&self, fp: u64) -> Option<ExploreResult> {
         // Open breaker: the tier is cooling down, so the lookup short-circuits
         // to a clean miss without touching the failing disk at all.
         if !self.breaker.allow(self.clock.now_micros()) {
@@ -1003,7 +910,7 @@ impl DiskTier {
             self.breaker.record_failure(self.clock.now_micros());
             return None;
         }
-        let path = self.entry_path(name);
+        let path = self.entry_path(fp);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(e) => {
@@ -1018,7 +925,7 @@ impl DiskTier {
                 return None;
             }
         };
-        match decode(&bytes) {
+        match decode_result(&bytes) {
             Ok(value) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.breaker.record_success();
@@ -1072,14 +979,16 @@ impl DiskTier {
         }
     }
 
-    /// Write one encoded entry atomically (temp file + rename), then enforce the
-    /// size cap. A transiently failing write is retried with exponential
-    /// backoff ([`PersistConfig::with_write_retries`]); a write that keeps
-    /// failing — or arrives while the breaker is open — is dropped: the tier
-    /// is a cache, so a dropped write degrades to a later recompute.
-    fn store_entry(&self, name: &str, encoded: &[u8]) {
+    /// Persist one exploration result under its request fingerprint, atomically
+    /// (temp file + rename), then enforce the size cap. A transiently failing
+    /// write is retried with exponential backoff
+    /// ([`PersistConfig::with_write_retries`]); a write that keeps failing — or
+    /// arrives while the breaker is open — is dropped: the tier is a cache, so a
+    /// dropped write degrades to a later recompute.
+    pub fn store_result(&self, fp: u64, result: &ExploreResult) {
+        let encoded = encode_result(result);
         let start = self.clock.now_micros();
-        let over_cap = self.store_entry_with_retry(name, encoded);
+        let over_cap = self.store_entry_with_retry(fp, &encoded);
         // Eviction is timed separately (`linx_disk_evict_micros`): it is a
         // directory-wide scan whose cost says nothing about a single write.
         self.write_micros
@@ -1091,13 +1000,13 @@ impl DiskTier {
 
     /// Breaker gate + bounded retry loop around the raw write; returns whether
     /// the directory exceeded the size cap.
-    fn store_entry_with_retry(&self, name: &str, encoded: &[u8]) -> bool {
+    fn store_entry_with_retry(&self, fp: u64, encoded: &[u8]) -> bool {
         if !self.breaker.allow(self.clock.now_micros()) {
             return false;
         }
         let mut attempt = 0u32;
         loop {
-            match self.store_entry_inner(name, encoded) {
+            match self.store_entry_inner(fp, encoded) {
                 Ok(over_cap) => {
                     self.breaker.record_success();
                     return over_cap;
@@ -1123,7 +1032,7 @@ impl DiskTier {
     /// The write itself; `Ok(over_cap)` on success, `Err(())` on any I/O
     /// failure (including one injected at the `disk.write` or `disk.rename`
     /// failpoint).
-    fn store_entry_inner(&self, name: &str, encoded: &[u8]) -> Result<bool, ()> {
+    fn store_entry_inner(&self, fp: u64, encoded: &[u8]) -> Result<bool, ()> {
         // Process-global counter: two DiskTier instances over one directory (two
         // engines configured independently rather than through a Router) must not
         // collide on temp names, or concurrent stores truncate each other mid-write.
@@ -1171,7 +1080,7 @@ impl DiskTier {
             let _ = std::fs::remove_file(&tmp);
             return Err(());
         }
-        let path = self.entry_path(name);
+        let path = self.entry_path(fp);
         // An overwrite replaces the previous file's bytes rather than adding an
         // entry; account for it so the approximate counters don't inflate (two
         // shards computing the same key both write through).
@@ -1273,16 +1182,6 @@ impl DiskTier {
         self.entries.store(entries, Ordering::Relaxed);
     }
 
-    /// Load a persisted exploration result by request fingerprint.
-    pub fn load_result(&self, fp: u64) -> Option<ExploreResult> {
-        self.load_entry(&format!("res-{fp:016x}"), decode_result)
-    }
-
-    /// Persist one exploration result under its request fingerprint.
-    pub fn store_result(&self, fp: u64, result: &ExploreResult) {
-        self.store_entry(&format!("res-{fp:016x}"), &encode_result(result));
-    }
-
     /// Snapshot of the read/write/evict/sync latency distributions (entry
     /// loads, atomic entry writes, size-cap eviction scans, and durable-mode
     /// fsyncs, in microseconds).
@@ -1313,29 +1212,6 @@ impl DiskTier {
             scrub_quarantined: self.scrub.quarantined,
             orphans_reclaimed: self.scrub.orphans_reclaimed,
         }
-    }
-}
-
-fn stat_entry_name(key: &StatKey) -> String {
-    let k = match key.kind {
-        StatKind::Hist => 'h',
-        StatKind::Groups => 'g',
-        StatKind::Sizes => 'z',
-        StatKind::Summary => 's',
-    };
-    format!("st{k}-{:016x}-{:016x}", key.frame_fp, key.column_fp)
-}
-
-/// The disk tier doubles as the [`StatsCache`](linx_dataframe::StatsCache)'s
-/// second-level store: per-dataset histograms, groupings, and summaries persist in
-/// the same directory (and under the same size cap) as full results.
-impl StatsTier for DiskTier {
-    fn load(&self, key: &StatKey) -> Option<StatValue> {
-        self.load_entry(&stat_entry_name(key), decode_stat)
-    }
-
-    fn store(&self, key: &StatKey, value: &StatValue) {
-        self.store_entry(&stat_entry_name(key), &encode_stat(value));
     }
 }
 
@@ -1412,7 +1288,6 @@ impl TieredCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linx_dataframe::DataFrame;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1464,45 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn stat_round_trips_preserve_values() {
-        let df = DataFrame::from_rows(
-            &["c"],
-            vec![
-                vec![Value::str("a")],
-                vec![Value::str("a")],
-                vec![Value::Int(3)],
-            ],
-        )
-        .unwrap();
-        let hist = df.histogram("c").unwrap();
-        match decode_stat(&encode_stat(&StatValue::Hist(Arc::new(hist.clone())))).unwrap() {
-            StatValue::Hist(h) => assert_eq!(*h, hist),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let groups = df.groups("c").unwrap();
-        match decode_stat(&encode_stat(&StatValue::Groups(Arc::new(groups.clone())))).unwrap() {
-            StatValue::Groups(g) => assert_eq!(*g, groups),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let sizes = groups.sizes();
-        match decode_stat(&encode_stat(&StatValue::Sizes(Arc::new(sizes.clone())))).unwrap() {
-            StatValue::Sizes(s) => assert_eq!(*s, sizes),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let summary = ColumnSummary {
-            rows: 3,
-            n_distinct: 2,
-            null_count: 0,
-            normalized_entropy: 0.918,
-            numeric: false,
-        };
-        match decode_stat(&encode_stat(&StatValue::Summary(Arc::new(summary.clone())))).unwrap() {
-            StatValue::Summary(s) => assert_eq!(*s, summary),
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
     fn disk_tier_round_trips_and_counts() {
         let dir = temp_dir("roundtrip");
         let tier = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
@@ -1519,6 +1355,52 @@ mod tests {
         let again = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
         assert!(again.load_result(42).is_some());
         assert_eq!(again.stats().entries, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn retired_stat_entries_are_removed_as_stale() {
+        // A directory warmed by a build that still persisted statistics: one
+        // result beside intact entries of every retired kind, in the same format
+        // version (the histogram one laid out as those builds wrote it).
+        let dir = temp_dir("retired");
+        DiskTier::open(&PersistConfig::new(&dir))
+            .unwrap()
+            .store_result(5, &sample_result());
+        let mut hist = Vec::new();
+        put_u64(&mut hist, 1);
+        put_value(&mut hist, &Value::str("India"));
+        put_u64(&mut hist, 3);
+        let stale: Vec<PathBuf> = ["h", "g", "z", "s"]
+            .iter()
+            .map(|k| dir.join(format!("st{k}-00000000000000aa-00000000000000bb.lnx")))
+            .collect();
+        std::fs::write(&stale[0], frame(KIND_HIST, &hist)).unwrap();
+        for (path, kind) in stale[1..]
+            .iter()
+            .zip([KIND_GROUPS, KIND_SIZES, KIND_SUMMARY])
+        {
+            std::fs::write(path, frame(kind, &[0; 8])).unwrap();
+        }
+
+        let tier = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
+        let scrub = tier.scrub_report();
+        assert_eq!(scrub.quarantined, 0, "a retired kind is not damage");
+        assert_eq!((scrub.scanned, scrub.retired, scrub.entries), (5, 4, 1));
+        assert_eq!(
+            scrub.bytes,
+            std::fs::metadata(tier.entry_path(5)).unwrap().len(),
+            "only the result counts"
+        );
+        assert!(
+            stale.iter().all(|p| !p.exists()),
+            "stale statistics deleted"
+        );
+        assert!(!tier.quarantine_dir().exists());
+        assert_eq!(
+            tier.load_result(5).unwrap().best_score,
+            sample_result().best_score
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -62,12 +62,10 @@ impl DatasetContext {
     /// Like [`DatasetContext::new`], but with an explicit — typically *shared* —
     /// view-statistics cache. [`crate::Engine`] hands every context its one
     /// engine-wide cache (statistics are content-keyed, so cross-dataset sharing is
-    /// safe and the engine's byte budget is never multiplied per dataset); when that
-    /// cache is backed by a [`StatsTier`](linx_dataframe::StatsTier) (the persistent
-    /// disk tier), the
-    /// inventory/featurizer build — and every reward computed later against this
-    /// context — loads persisted histograms instead of recomputing them, and writes
-    /// fresh ones through for the next process or shard.
+    /// safe and the engine's byte budget is never multiplied per dataset), so the
+    /// inventory/featurizer build and every reward computed later against this
+    /// context share one set of memoized histograms. The cache is memory-only: it
+    /// starts empty in every process.
     pub fn with_stats(
         dataset: &DataFrame,
         dataset_id: impl Into<String>,

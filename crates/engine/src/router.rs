@@ -208,10 +208,10 @@ pub struct Router {
     table: RoutingTable,
     routed: Vec<AtomicU64>,
     quota: Arc<QuotaTable>,
-    /// The shared persistent cache tier, when one is configured: opened once here
-    /// and handed to every shard, exactly like the quota table — so a result (or
-    /// per-dataset statistic) persisted by one shard is served by all of them,
-    /// including after a ring change moved the dataset to a different shard.
+    /// The shared persistent result tier, when one is configured: opened once here
+    /// and handed to every shard, exactly like the quota table — so a result
+    /// persisted by one shard is served by all of them, including after a ring
+    /// change moved the dataset to a different shard.
     tier: Option<Arc<DiskTier>>,
     clock: Clock,
     /// Placement latency (ring lookups), router-owned: shards never route.

@@ -25,30 +25,37 @@ use std::time::{Duration, Instant};
 
 /// The `linx` binary built alongside this workspace's test profile:
 /// `target/<profile>/deps/crash_recovery-<hash>` → `target/<profile>/linx`.
+///
+/// Built through cargo on every run, a no-op when it is current: neither
+/// `cargo test -p linx-engine` nor a workspace-root `cargo test` rebuilds another
+/// package's binary, so a `linx` left over from an earlier build would otherwise
+/// be the program under test.
 fn linx_bin() -> PathBuf {
     let exe = std::env::current_exe().expect("current_exe");
     let profile_dir = exe
         .parent()
         .and_then(Path::parent)
         .expect("test binary lives in target/<profile>/deps");
+    let status = Command::new(env!("CARGO"))
+        .args(["build", "-q", "-p", "linx-cli", "--bin", "linx"])
+        .args(if profile_dir.ends_with("release") {
+            &["--release"][..]
+        } else {
+            &[][..]
+        })
+        .status()
+        .expect("spawn cargo build for the linx binary");
+    assert!(status.success(), "building the linx binary failed");
     let bin = profile_dir.join("linx");
-    if !bin.exists() {
-        // `cargo test -p linx-engine` builds only this package's targets; pull
-        // the CLI binary in explicitly so the harness stays self-contained.
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "linx-cli", "--bin", "linx"])
-            .args(if profile_dir.ends_with("release") {
-                &["--release"][..]
-            } else {
-                &[][..]
-            })
-            .status()
-            .expect("spawn cargo build for the linx binary");
-        assert!(status.success(), "building the linx binary failed");
-    }
     assert!(bin.exists(), "no linx binary at {}", bin.display());
     bin
 }
+
+/// Goals submitted to each victim. Only answers are persisted, one entry per job,
+/// and in a debug build about five jobs finish in the 400 ms before the kill: with
+/// three goals every store would land first and the SIGKILL would never catch the
+/// victim mid-run, so it gets more work than it can finish.
+const VICTIM_GOALS: usize = 12;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -251,7 +258,7 @@ fn seeded_sigkill_cycles_recover_with_scrub_and_warm_hits() {
             8 + (cycle * 5) % 48
         );
         let victim = spawn_daemon(&bin, &cache_dir, Some(&plan));
-        for goal in 0..3 {
+        for goal in 0..VICTIM_GOALS {
             let (status, body) = http(
                 victim.addr,
                 "POST",
@@ -286,11 +293,10 @@ fn seeded_sigkill_cycles_recover_with_scrub_and_warm_hits() {
             entries_before.len() as u64,
             "cycle {cycle}: scrub must examine every entry file it found"
         );
-        // The survivor may already be writing *new* entries (startup stat
-        // computation — which can even re-create a quarantined entry's
-        // deterministic file name with fresh bytes), so reconcile by name:
-        // every pre-crash entry is still resident or sits in quarantine/ —
-        // the scrub never simply deletes one.
+        // Only answers are persisted, and the survivor has run no job yet, so
+        // nothing it wrote can be mistaken for a pre-crash entry. Reconcile by
+        // name: every pre-crash entry is still resident or sits in
+        // quarantine/ — the scrub never simply deletes one.
         let live_now = lnx_names(&cache_dir);
         let quarantined_now = lnx_names(&quarantine);
         let mut newly_quarantined = 0u64;

@@ -1,18 +1,20 @@
 //! Persistence-layer integration tests: corrupted, truncated, wrong-version, and
 //! zero-length cache files must all load as clean misses (and be unlinked) — never
-//! panics, never wrong data — and the codec must round-trip every persisted type
-//! exactly (proptest-verified).
+//! panics, never wrong data — and the codec must round-trip a result exactly
+//! (proptest-verified).
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
+use linx_data::{generate, DatasetKind, ScaleConfig};
 use linx_dataframe::filter::CompareOp;
 use linx_dataframe::fingerprint::Fnv1a;
-use linx_dataframe::groupby::{AggFunc, Groups};
-use linx_dataframe::stats::Histogram;
-use linx_dataframe::{ColumnSummary, StatKey, StatKind, StatValue, StatsCache, StatsTier, Value};
-use linx_engine::persist::{decode_result, decode_stat, encode_result, encode_stat};
-use linx_engine::{DiskTier, ExploreResult, PersistConfig};
+use linx_dataframe::groupby::AggFunc;
+use linx_dataframe::Value;
+use linx_engine::persist::{decode_result, encode_result};
+use linx_engine::{
+    DiskTier, EngineConfig, ExploreRequest, ExploreResponse, ExploreResult, PersistConfig, Router,
+    RouterConfig,
+};
 use linx_explore::notebook::{Notebook, NotebookCell};
 use linx_explore::{Narrative, QueryOp};
 use proptest::prelude::*;
@@ -157,77 +159,84 @@ fn wrong_version_entries_are_clean_misses_and_unlinked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn corrupt_stat_entries_fall_back_to_computation() {
-    let dir = temp_dir("stat-corrupt");
-    let tier = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
-    let df = linx_dataframe::DataFrame::from_rows(
-        &["c"],
-        vec![vec![Value::str("a")], vec![Value::str("b")]],
-    )
-    .unwrap();
-    let key = StatKey::new(StatKind::Hist, &df, "c");
-    // Persist a valid entry, then corrupt it in place.
-    let hist = df.histogram("c").unwrap();
-    StatsTier::store(&*tier, &key, &StatValue::Hist(Arc::new(hist.clone())));
-    let path = tier.dir().join(format!(
-        "sth-{:016x}-{:016x}.lnx",
-        key.frame_fp, key.column_fp
-    ));
-    assert!(path.exists(), "stat entry persisted");
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff;
-    std::fs::write(&path, &bytes).unwrap();
-
-    // A tier-backed cache over the corrupt entry computes the correct histogram.
-    let cache = StatsCache::with_tier(64 * 1024, 2, Arc::clone(&tier) as Arc<dyn StatsTier>);
-    let served = cache.histogram(&df, "c").unwrap();
-    assert_eq!(*served, hist, "corruption must never yield wrong data");
-    assert!(
-        !path.exists() || std::fs::read(&path).unwrap() != bytes,
-        "corrupt stat file must be unlinked (and may be legitimately re-persisted)"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
+// --- what a router leaves in the directory -------------------------------------
 
 #[test]
-fn stats_cache_round_trips_through_a_shared_tier() {
-    let dir = temp_dir("stat-share");
-    let tier = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
-    let df = linx_dataframe::DataFrame::from_rows(
-        &["k", "v"],
-        vec![
-            vec![Value::str("x"), Value::Int(1)],
-            vec![Value::str("x"), Value::Int(2)],
-            vec![Value::str("y"), Value::Int(3)],
-        ],
-    )
-    .unwrap();
-    let warm = StatsCache::with_tier(64 * 1024, 2, Arc::clone(&tier) as Arc<dyn StatsTier>);
-    let h = warm.histogram(&df, "k").unwrap();
-    let g = warm.groups(&df, "k").unwrap();
-    let z = warm.group_sizes(&df, "k").unwrap();
-    let s = warm.summary(&df, "v").unwrap();
-
-    // A fresh cache over the same tier ("new process / other shard") loads every
-    // statistic from disk instead of recomputing — and the values are identical.
-    let cold = StatsCache::with_tier(64 * 1024, 2, Arc::clone(&tier) as Arc<dyn StatsTier>);
-    assert_eq!(*cold.histogram(&df, "k").unwrap(), *h);
-    assert_eq!(*cold.groups(&df, "k").unwrap(), *g);
-    assert_eq!(*cold.group_sizes(&df, "k").unwrap(), *z);
-    assert_eq!(*cold.summary(&df, "v").unwrap(), *s);
-    assert!(tier.stats().hits >= 4, "cold cache must hit the tier");
-    // Tier-loaded entries are promoted into the in-memory level: a repeat lookup
-    // is served from memory, not the disk tier.
-    let tier_hits_before = tier.stats().hits;
-    assert_eq!(*cold.histogram(&df, "k").unwrap(), *h);
-    assert!(cold.stats().hits >= 1, "repeat lookup served from memory");
-    assert_eq!(
-        tier.stats().hits,
-        tier_hits_before,
-        "tier not consulted again"
+fn a_cache_dir_holds_one_entry_per_answer_and_a_restart_serves_them_all() {
+    let dir = temp_dir("router-answers");
+    let dataset = generate(
+        DatasetKind::Netflix,
+        ScaleConfig {
+            rows: Some(200),
+            seed: 5,
+        },
     );
+    let goals = [
+        "Survey the duration of the titles",
+        "Examine titles from India",
+        "Find an atypical type",
+    ];
+    let config = || {
+        let mut engine = EngineConfig::fast();
+        engine.workers = 2;
+        engine.cdrl.episodes = 30;
+        engine.persist = Some(PersistConfig::new(&dir));
+        RouterConfig {
+            shards: 1,
+            vnodes: 64,
+            engine,
+        }
+    };
+    let answer_all = |router: &Router| -> Vec<ExploreResponse> {
+        let ctx = router.dataset_context(&dataset, "netflix");
+        let handles: Vec<_> = goals
+            .iter()
+            .map(|g| router.submit(&ctx, ExploreRequest::new("netflix", *g)))
+            .collect();
+        handles.into_iter().map(|h| h.wait()).collect()
+    };
+
+    // A fresh directory: every goal trains, and each answer is one entry file —
+    // nothing else (no statistics, no temp files, no quarantine) is left behind.
+    let cold = Router::new(config());
+    let trained = answer_all(&cold);
+    cold.shutdown();
+    assert!(trained
+        .iter()
+        .all(|r| r.outcome.is_ok() && !r.served_from_cache));
+    let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), goals.len(), "one file per answer: {files:?}");
+    for path in &files {
+        assert_eq!(path.extension().and_then(|e| e.to_str()), Some("lnx"));
+        let bytes = std::fs::read(path).unwrap();
+        assert!(
+            decode_result(&bytes).is_ok(),
+            "{} is a result",
+            path.display()
+        );
+    }
+
+    // A restarted router answers every goal from the disk tier, byte for byte,
+    // without a training job.
+    let warm = Router::new(config());
+    let served = answer_all(&warm);
+    let stats = warm.stats();
+    warm.shutdown();
+    for (first, again) in trained.iter().zip(&served) {
+        assert!(again.served_from_cache, "{} served from cache", again.goal);
+        assert_eq!(
+            encode_result(again.outcome.as_ref().unwrap()),
+            encode_result(first.outcome.as_ref().unwrap()),
+            "{} byte-identical after the restart",
+            again.goal
+        );
+    }
+    assert_eq!(stats.tier.hits, goals.len() as u64);
+    assert_eq!(stats.tier.stores, 0, "a warm restart writes nothing");
+    assert_eq!(stats.aggregate().pool.completed, 0, "no training job ran");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -381,33 +390,6 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn histogram_strategy() -> impl Strategy<Value = Histogram> {
-    prop::collection::vec(value_strategy(), 0..40).prop_map(|vals| Histogram::from_values(&vals))
-}
-
-fn groups_strategy() -> impl Strategy<Value = Groups> {
-    prop::collection::vec(value_strategy(), 0..40).prop_map(|vals| Groups::from_values(&vals))
-}
-
-fn summary_strategy() -> impl Strategy<Value = ColumnSummary> {
-    (
-        0usize..10_000,
-        0usize..500,
-        0usize..500,
-        0.0f64..1.0,
-        any::<bool>(),
-    )
-        .prop_map(
-            |(rows, n_distinct, null_count, normalized_entropy, numeric)| ColumnSummary {
-                rows,
-                n_distinct,
-                null_count,
-                normalized_entropy,
-                numeric,
-            },
-        )
-}
-
 fn query_op_strategy() -> impl Strategy<Value = QueryOp> {
     let attrs = || prop::sample::select(vec!["country", "type", "release year", "α"]);
     prop_oneof![
@@ -482,45 +464,6 @@ fn result_strategy() -> impl Strategy<Value = ExploreResult> {
 }
 
 proptest! {
-    /// `decode(encode(x)) == x` for histograms.
-    #[test]
-    fn histogram_round_trip(h in histogram_strategy()) {
-        let decoded = decode_stat(&encode_stat(&StatValue::Hist(Arc::new(h.clone())))).unwrap();
-        match decoded {
-            StatValue::Hist(d) => prop_assert_eq!(&*d, &h),
-            other => return Err(TestCaseError::Fail(format!("wrong variant: {other:?}"))),
-        }
-    }
-
-    /// `decode(encode(x)) == x` for groupings and their size vectors.
-    #[test]
-    fn groups_and_sizes_round_trip(g in groups_strategy()) {
-        match decode_stat(&encode_stat(&StatValue::Groups(Arc::new(g.clone())))).unwrap() {
-            StatValue::Groups(d) => prop_assert_eq!(&*d, &g),
-            other => return Err(TestCaseError::Fail(format!("wrong variant: {other:?}"))),
-        }
-        let sizes = g.sizes();
-        match decode_stat(&encode_stat(&StatValue::Sizes(Arc::new(sizes.clone())))).unwrap() {
-            StatValue::Sizes(d) => prop_assert_eq!(&*d, &sizes),
-            other => return Err(TestCaseError::Fail(format!("wrong variant: {other:?}"))),
-        }
-    }
-
-    /// `decode(encode(x)) == x` for column summaries (floats bit-exact).
-    #[test]
-    fn summary_round_trip(s in summary_strategy()) {
-        match decode_stat(&encode_stat(&StatValue::Summary(Arc::new(s.clone())))).unwrap() {
-            StatValue::Summary(d) => {
-                prop_assert_eq!(d.rows, s.rows);
-                prop_assert_eq!(d.n_distinct, s.n_distinct);
-                prop_assert_eq!(d.null_count, s.null_count);
-                prop_assert_eq!(d.normalized_entropy.to_bits(), s.normalized_entropy.to_bits());
-                prop_assert_eq!(d.numeric, s.numeric);
-            }
-            other => return Err(TestCaseError::Fail(format!("wrong variant: {other:?}"))),
-        }
-    }
-
     /// `decode(encode(x)) == x` for full exploration results.
     #[test]
     fn result_round_trip(r in result_strategy()) {
@@ -547,7 +490,6 @@ proptest! {
     #[test]
     fn garbage_never_decodes(bytes in prop::collection::vec(0u8..=255, 0..200)) {
         prop_assert!(decode_result(&bytes).is_err());
-        prop_assert!(decode_stat(&bytes).is_err());
     }
 }
 
