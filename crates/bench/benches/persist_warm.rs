@@ -21,7 +21,7 @@ use linx_data::{generate, DatasetKind, ScaleConfig};
 use linx_dataframe::DataFrame;
 use linx_engine::persist::{decode_result, encode_result};
 use linx_engine::{
-    BatchRequest, Engine, EngineConfig, ExploreRequest, PersistConfig, Router, RouterConfig,
+    BatchRequest, EngineConfig, ExploreRequest, PersistConfig, Router, RouterConfig,
 };
 
 /// Goals per batch: enough to amortize the per-dataset context build.
@@ -73,17 +73,21 @@ fn router(shards: usize, dir: &PathBuf) -> Router {
 fn bench_codec(c: &mut Criterion) {
     // One real answer (a notebook, its narrative and scores): the only entry kind
     // the tier persists.
-    let mut config = EngineConfig::fast();
-    config.workers = 1;
-    config.cdrl.episodes = episodes();
-    let engine = Engine::new(config);
-    let ctx = engine.dataset_context(&dataset(), "netflix");
-    let result = engine
+    let mut engine = EngineConfig::fast();
+    engine.workers = 1;
+    engine.cdrl.episodes = episodes();
+    let router = Router::new(RouterConfig {
+        shards: 1,
+        engine,
+        ..RouterConfig::default()
+    });
+    let ctx = router.dataset_context(&dataset(), "netflix");
+    let result = router
         .submit(&ctx, ExploreRequest::new("netflix", goals()[0].clone()))
         .wait()
         .outcome
         .expect("codec sample trains");
-    engine.shutdown();
+    router.shutdown();
     c.bench_function("persist_codec/encode_result", |b| {
         b.iter(|| black_box(encode_result(black_box(&result))))
     });

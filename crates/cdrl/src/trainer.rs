@@ -129,23 +129,16 @@ impl CdrlTrainer {
 
     /// Train and return the best session found plus the training log.
     pub fn train(&self, dataset: DataFrame, ldx: Ldx) -> TrainOutcome {
-        self.train_with_executor(SessionExecutor::new(dataset), ldx)
+        let shared = crate::context::DatasetStats::build(&dataset, self.config.term_slots);
+        self.train_with_shared(SessionExecutor::new(dataset), ldx, shared)
     }
 
     /// Like [`Self::train`], but executing query operations through an existing
-    /// executor — and thereby its shared [`linx_explore::OpMemo`], when it has one.
-    /// The serving layer (`linx-engine`) uses this to share materialized views across
-    /// episodes and across concurrently trained goals over the same dataset.
-    pub fn train_with_executor(&self, executor: SessionExecutor, ldx: Ldx) -> TrainOutcome {
-        let shared =
-            crate::context::DatasetStats::build(executor.dataset(), self.config.term_slots);
-        self.train_with_shared(executor, ldx, shared)
-    }
-
-    /// Like [`Self::train_with_executor`], but additionally reusing prebuilt
-    /// per-dataset statistics ([`crate::context::DatasetStats`]): the term inventory,
-    /// featurizer, and view-statistics cache are shared across every goal trained over
-    /// the same dataset instead of being rebuilt per training run.
+    /// executor — and thereby its shared [`linx_explore::OpMemo`], when it has one —
+    /// and reusing prebuilt per-dataset statistics ([`crate::context::DatasetStats`]):
+    /// the term inventory, featurizer, and view-statistics cache are shared across
+    /// every goal trained over the same dataset instead of being rebuilt per training
+    /// run. The exploration pipeline (`linx-engine`) trains every request this way.
     pub fn train_with_shared(
         &self,
         executor: SessionExecutor,

@@ -5,7 +5,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use linx::{Linx, LinxConfig};
 use linx_benchgen::generate_benchmark;
@@ -156,6 +155,115 @@ impl DatasetSelection {
             .clone()
             .unwrap_or_else(|| kind.name().to_lowercase());
         Ok((df, name))
+    }
+}
+
+/// The help fragment describing the router flags `serve` and `serve-batch` share.
+const ROUTER_FLAGS_HELP: &str = "\
+      --episodes <N>     Training episodes for the CDRL engine
+      --workers <N>      Worker threads (per shard)
+      --cache-mem-cap <BYTES>  In-memory cache budget in bytes (per shard) [default: 64 MiB]
+      --shards <N>       Engine shards behind the router [default: 1]
+      --cache-dir <PATH> Persistent cache directory (results survive the process)
+      --cache-disk-cap <BYTES>  Size cap for the cache directory [default: 256 MiB]
+      --slow-ms <N>      Log requests slower than N ms with per-stage breakdowns
+      --fault-plan <SPEC>  Arm a fault-injection plan (seed=N;point=err|panic|delay:<us>@<pct>;..)
+      --deadline-ms <N>  Per-request deadline; an expired request is rejected at the next checkpoint (504 over HTTP)
+      --shed-threshold <N>  Shed low-priority requests once N jobs are queued per shard (503 over HTTP)";
+
+/// The router flags `serve` and `serve-batch` share: parsed by one matcher and
+/// mapped onto one [`RouterConfig`] by [`RouterFlags::config`]. Every flag is
+/// optional and may be given once.
+#[derive(Debug, Clone, Default)]
+pub struct RouterFlags {
+    /// Training episodes for the CDRL engine.
+    pub episodes: Option<usize>,
+    /// Worker threads (per shard).
+    pub workers: Option<usize>,
+    /// In-memory cache budget in approximate payload bytes (per shard; covers the
+    /// result cache and the view-statistics cache).
+    pub cache_mem_cap: Option<usize>,
+    /// Engine shards behind the router (each dataset is owned by one shard).
+    pub shards: Option<usize>,
+    /// Persistent cache directory shared by all shards (results survive the
+    /// process and are shared with other processes).
+    pub cache_dir: Option<PathBuf>,
+    /// Size cap for the persistent cache directory, in bytes.
+    pub cache_disk_cap: Option<u64>,
+    /// Record requests slower than this many milliseconds in the slow-request log.
+    pub slow_ms: Option<u64>,
+    /// Fault-injection plan (`seed=N;point=action@pct;..`), grammar-checked at
+    /// parse time.
+    pub fault_plan: Option<String>,
+    /// Per-request deadline in milliseconds; requests that exceed it are rejected
+    /// at the next checkpoint instead of burning workers.
+    pub deadline_ms: Option<u64>,
+    /// Load-shed threshold: when this many jobs are queued across a shard's bands,
+    /// new low-priority requests are rejected with `Overloaded`.
+    pub shed_threshold: Option<usize>,
+}
+
+impl RouterFlags {
+    /// Consume one router flag if `flag` is one, returning whether it was.
+    fn try_flag(&mut self, flag: &str, cursor: &mut Cursor) -> ParseResult<bool> {
+        match flag {
+            "--episodes" => set_once(&mut self.episodes, cursor.parse_value(flag)?, flag)?,
+            "--workers" => set_once(&mut self.workers, cursor.parse_value(flag)?, flag)?,
+            "--cache-mem-cap" => {
+                set_once(&mut self.cache_mem_cap, cursor.parse_value(flag)?, flag)?
+            }
+            "--shards" => set_once(&mut self.shards, cursor.parse_value(flag)?, flag)?,
+            "--cache-dir" => set_once(&mut self.cache_dir, cursor.path_value(flag)?, flag)?,
+            "--cache-disk-cap" => {
+                set_once(&mut self.cache_disk_cap, cursor.parse_value(flag)?, flag)?
+            }
+            "--slow-ms" => set_once(&mut self.slow_ms, cursor.parse_value(flag)?, flag)?,
+            "--fault-plan" => {
+                let spec = cursor.value_of(flag)?;
+                // Validate the grammar at parse time so a typo fails fast.
+                FaultPlan::parse(&spec).map_err(invalid)?;
+                set_once(&mut self.fault_plan, spec, flag)?;
+            }
+            "--deadline-ms" => set_once(&mut self.deadline_ms, cursor.parse_value(flag)?, flag)?,
+            "--shed-threshold" => {
+                set_once(&mut self.shed_threshold, cursor.parse_value(flag)?, flag)?
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The router configuration these flags select; unset flags keep the defaults.
+    pub fn config(&self) -> Result<RouterConfig, String> {
+        let mut engine = EngineConfig::default();
+        if let Some(episodes) = self.episodes {
+            engine.cdrl.episodes = episodes;
+        }
+        if let Some(workers) = self.workers {
+            engine.workers = workers;
+        }
+        if let Some(mem_bytes) = self.cache_mem_cap {
+            engine.cache_mem_bytes = mem_bytes;
+        }
+        engine.slow_threshold_micros = self.slow_ms.map(|ms| ms.saturating_mul(1000));
+        if let Some(dir) = &self.cache_dir {
+            let mut persist = PersistConfig::new(dir);
+            if let Some(cap) = self.cache_disk_cap {
+                persist = persist.with_max_bytes(cap);
+            }
+            engine.persist = Some(persist);
+        }
+        if let Some(spec) = &self.fault_plan {
+            let plan = FaultPlan::parse(spec).map_err(|e| format!("invalid --fault-plan: {e}"))?;
+            engine.fault_plan = Some(Arc::new(plan));
+        }
+        engine.default_deadline_micros = self.deadline_ms.map(|ms| ms.saturating_mul(1000));
+        engine.shed_queue_depth = self.shed_threshold;
+        Ok(RouterConfig {
+            shards: self.shards.unwrap_or(1).max(1),
+            engine,
+            ..RouterConfig::default()
+        })
     }
 }
 
@@ -581,41 +689,17 @@ pub fn generate_data(args: &GenerateDataArgs) -> Result<String, String> {
 pub struct ServeBatchArgs {
     /// Dataset selection.
     pub data: DatasetSelection,
+    /// The router flags shared with `serve`.
+    pub router: RouterFlags,
     /// The goals to explore (given inline and/or via a file).
     pub goals: Vec<String>,
-    /// Training episodes for the CDRL engine.
-    pub episodes: Option<usize>,
-    /// Worker threads (defaults to the engine's choice; per shard).
-    pub workers: Option<usize>,
-    /// In-memory cache budget in approximate payload bytes (per shard; covers the
-    /// result cache and the per-dataset statistics cache).
-    pub cache_mem_cap: Option<usize>,
     /// How many times to submit the whole batch (> 1 demonstrates the result cache).
     pub repeat: usize,
-    /// Engine shards behind the router (each dataset is owned by one shard).
-    pub shards: Option<usize>,
     /// Tenant the batch is billed to (admission control + weighted-fair scheduling).
     pub tenant: Option<String>,
-    /// Persistent cache directory shared by all shards (results survive the
-    /// process and are shared with other processes).
-    pub cache_dir: Option<PathBuf>,
-    /// Size cap for the persistent cache directory, in bytes.
-    pub cache_disk_cap: Option<u64>,
     /// Write a metrics snapshot here after the run (`.json` → JSON snapshot,
     /// anything else → Prometheus text exposition).
     pub metrics_out: Option<PathBuf>,
-    /// Record requests slower than this many milliseconds in the slow-request
-    /// log and print the stage breakdowns after the run.
-    pub slow_ms: Option<u64>,
-    /// Fault-injection plan (`seed=N;point=action@pct;..`) armed for the run —
-    /// chaos testing from the command line.
-    pub fault_plan: Option<String>,
-    /// Per-request deadline in milliseconds; requests that exceed it are
-    /// rejected at the next checkpoint instead of burning workers.
-    pub deadline_ms: Option<u64>,
-    /// Load-shed threshold: when this many jobs are queued across a shard's
-    /// bands, new low-priority requests are rejected with `Overloaded`.
-    pub shed_threshold: Option<usize>,
 }
 
 impl ServeBatchArgs {
@@ -623,33 +707,23 @@ impl ServeBatchArgs {
         help_text(
             "linx serve-batch",
             "Serve many goals against one dataset through the concurrent linx-engine",
-            "      --goals <G1;G2;..> Semicolon-separated goals (may repeat)
+            &format!(
+                "      --goals <G1;G2;..> Semicolon-separated goals (may repeat)
       --goals-file <PATH> File with one goal per line ('#' comments allowed)
-      --episodes <N>     Training episodes for the CDRL engine
-      --workers <N>      Worker threads (per shard)
-      --cache-mem-cap <BYTES>  In-memory cache budget in bytes (per shard) [default: 64 MiB]
       --repeat <N>       Submit the whole batch N times [default: 1]
-      --shards <N>       Engine shards behind the router [default: 1]
       --tenant <NAME>    Tenant the batch is billed to [default: default]
-      --cache-dir <PATH> Persistent cache directory (results survive the process)
-      --cache-disk-cap <BYTES>  Size cap for the cache directory [default: 256 MiB]
       --metrics-out <PATH>  Write a metrics snapshot after the run (.json → JSON, else Prometheus text)
-      --slow-ms <N>      Log requests slower than N ms with per-stage breakdowns
-      --fault-plan <SPEC>  Arm a fault-injection plan (seed=N;point=err|panic|delay:<us>@<pct>;..)
-      --deadline-ms <N>  Reject requests that exceed this deadline at the next checkpoint
-      --shed-threshold <N>  Shed low-priority requests once N jobs are queued per shard",
+{ROUTER_FLAGS_HELP}"
+            ),
             true,
         )
     }
 
     pub(crate) fn parse(cursor: &mut Cursor) -> ParseResult<Self> {
         let mut data = DatasetFlags::default();
+        let mut router = RouterFlags::default();
         let mut goals = Vec::new();
-        let (mut episodes, mut workers, mut cache_mem_cap, mut repeat) = (None, None, None, None);
-        let (mut shards, mut tenant) = (None, None);
-        let (mut cache_dir, mut cache_disk_cap) = (None, None);
-        let (mut metrics_out, mut slow_ms) = (None, None);
-        let (mut fault_plan, mut deadline_ms, mut shed_threshold) = (None, None, None);
+        let (mut repeat, mut tenant, mut metrics_out) = (None, None, None);
         while let Some(flag) = cursor.next() {
             match flag.as_str() {
                 "-h" | "--help" => return Err(ParseError::Help(Self::help())),
@@ -673,30 +747,10 @@ impl ServeBatchArgs {
                             .map(String::from),
                     );
                 }
-                "--episodes" => set_once(&mut episodes, cursor.parse_value(&flag)?, &flag)?,
-                "--workers" => set_once(&mut workers, cursor.parse_value(&flag)?, &flag)?,
-                "--cache-mem-cap" => {
-                    set_once(&mut cache_mem_cap, cursor.parse_value(&flag)?, &flag)?
-                }
                 "--repeat" => set_once(&mut repeat, cursor.parse_value(&flag)?, &flag)?,
-                "--shards" => set_once(&mut shards, cursor.parse_value(&flag)?, &flag)?,
                 "--tenant" => set_once(&mut tenant, cursor.value_of(&flag)?, &flag)?,
-                "--cache-dir" => set_once(&mut cache_dir, cursor.path_value(&flag)?, &flag)?,
-                "--cache-disk-cap" => {
-                    set_once(&mut cache_disk_cap, cursor.parse_value(&flag)?, &flag)?
-                }
                 "--metrics-out" => set_once(&mut metrics_out, cursor.path_value(&flag)?, &flag)?,
-                "--slow-ms" => set_once(&mut slow_ms, cursor.parse_value(&flag)?, &flag)?,
-                "--fault-plan" => {
-                    let spec = cursor.value_of(&flag)?;
-                    // Validate the grammar at parse time so a typo fails fast.
-                    FaultPlan::parse(&spec).map_err(invalid)?;
-                    set_once(&mut fault_plan, spec, &flag)?;
-                }
-                "--deadline-ms" => set_once(&mut deadline_ms, cursor.parse_value(&flag)?, &flag)?,
-                "--shed-threshold" => {
-                    set_once(&mut shed_threshold, cursor.parse_value(&flag)?, &flag)?
-                }
+                _ if router.try_flag(&flag, cursor)? => {}
                 _ if data.try_flag(&flag, cursor)? => {}
                 other => return Err(invalid(format!("unknown flag '{other}' for serve-batch"))),
             }
@@ -709,86 +763,13 @@ impl ServeBatchArgs {
         }
         Ok(ServeBatchArgs {
             data,
+            router,
             goals,
-            episodes,
-            workers,
-            cache_mem_cap,
             repeat: repeat.unwrap_or(1).max(1),
-            shards,
             tenant,
-            cache_dir,
-            cache_disk_cap,
             metrics_out,
-            slow_ms,
-            fault_plan,
-            deadline_ms,
-            shed_threshold,
         })
     }
-}
-
-/// Cache knobs threaded from the CLI into [`EngineConfig`]; all optional.
-#[derive(Debug, Default)]
-struct CacheFlags<'a> {
-    /// Memory-tier byte budget.
-    mem_cap: Option<usize>,
-    /// Persistent disk-tier directory.
-    dir: Option<&'a PathBuf>,
-    /// Disk-tier byte cap.
-    disk_cap: Option<u64>,
-    /// Durable disk-tier writes (fsync before rename + directory sync).
-    durable: bool,
-}
-
-/// Resilience knobs threaded from the CLI into [`EngineConfig`]; all optional.
-#[derive(Debug, Default)]
-struct ResilienceFlags<'a> {
-    /// Fault-injection plan spec (already grammar-checked at parse time).
-    fault_plan: Option<&'a str>,
-    /// Per-request deadline, milliseconds.
-    deadline_ms: Option<u64>,
-    /// Queue-depth load-shed threshold, per shard.
-    shed_threshold: Option<usize>,
-}
-
-/// Build a [`RouterConfig`] from the CLI knobs shared by `serve-batch`/`bench-engine`.
-fn router_config(
-    shards: Option<usize>,
-    episodes: Option<usize>,
-    workers: Option<usize>,
-    cache: CacheFlags<'_>,
-    slow_ms: Option<u64>,
-    resilience: ResilienceFlags<'_>,
-) -> Result<RouterConfig, String> {
-    let mut engine = EngineConfig::default();
-    if let Some(episodes) = episodes {
-        engine.cdrl.episodes = episodes;
-    }
-    if let Some(workers) = workers {
-        engine.workers = workers;
-    }
-    if let Some(mem_bytes) = cache.mem_cap {
-        engine.cache_mem_bytes = mem_bytes;
-    }
-    engine.slow_threshold_micros = slow_ms.map(|ms| ms.saturating_mul(1000));
-    if let Some(dir) = cache.dir {
-        let mut persist = PersistConfig::new(dir).with_durable(cache.durable);
-        if let Some(cap) = cache.disk_cap {
-            persist = persist.with_max_bytes(cap);
-        }
-        engine.persist = Some(persist);
-    }
-    if let Some(spec) = resilience.fault_plan {
-        let plan = FaultPlan::parse(spec).map_err(|e| format!("invalid --fault-plan: {e}"))?;
-        engine.fault_plan = Some(Arc::new(plan));
-    }
-    engine.default_deadline_micros = resilience.deadline_ms.map(|ms| ms.saturating_mul(1000));
-    engine.shed_queue_depth = resilience.shed_threshold;
-    Ok(RouterConfig {
-        shards: shards.unwrap_or(1).max(1),
-        engine,
-        ..RouterConfig::default()
-    })
 }
 
 /// Write the router's metrics snapshot to `path` and return a one-line receipt.
@@ -830,26 +811,10 @@ fn slow_log_dump(router: &Router, slow_ms: u64) -> String {
 /// Run `linx serve-batch`.
 pub fn serve_batch(args: &ServeBatchArgs) -> Result<String, String> {
     let (dataset, name) = args.data.load()?;
-    let router = Router::new(router_config(
-        args.shards,
-        args.episodes,
-        args.workers,
-        CacheFlags {
-            mem_cap: args.cache_mem_cap,
-            dir: args.cache_dir.as_ref(),
-            disk_cap: args.cache_disk_cap,
-            durable: false,
-        },
-        args.slow_ms,
-        ResilienceFlags {
-            fault_plan: args.fault_plan.as_deref(),
-            deadline_ms: args.deadline_ms,
-            shed_threshold: args.shed_threshold,
-        },
-    )?);
+    let router = Router::new(args.router.config()?);
     let tenant = args.tenant.clone().unwrap_or_else(|| "default".to_string());
 
-    let persistence = match &args.cache_dir {
+    let persistence = match &args.router.cache_dir {
         Some(dir) => format!(" (persistent cache: {})", dir.display()),
         None => String::new(),
     };
@@ -868,7 +833,7 @@ pub fn serve_batch(args: &ServeBatchArgs) -> Result<String, String> {
         );
         out.push_str(&format!(
             "-- round {round} [shard {}]: {}/{} ok, {} from cache, {} throttled, {:.1} ms total (memo: {} hits / {} misses; stats: {} hits / {} misses, {:.0}% hit rate)\n",
-            outcome.shard.unwrap_or(0),
+            outcome.shard,
             outcome.succeeded(),
             outcome.responses.len(),
             outcome.cache_hits(),
@@ -915,7 +880,7 @@ pub fn serve_batch(args: &ServeBatchArgs) -> Result<String, String> {
     }
     let stats = router.stats();
     out.push_str(&format!("{}\n", stats.summary()));
-    if let Some(slow_ms) = args.slow_ms {
+    if let Some(slow_ms) = args.router.slow_ms {
         out.push_str(&slow_log_dump(&router, slow_ms));
     }
     if let Some(path) = &args.metrics_out {
@@ -939,29 +904,10 @@ pub struct ServeArgs {
     /// Dataset selection. When neither `--dataset` nor `--csv` is given, every
     /// built-in synthetic dataset is registered under its own name.
     pub data: DatasetSelection,
+    /// The router flags shared with `serve-batch`.
+    pub router: RouterFlags,
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Training episodes for the CDRL engine.
-    pub episodes: Option<usize>,
-    /// Worker threads (per shard).
-    pub workers: Option<usize>,
-    /// In-memory cache budget in bytes (per shard).
-    pub cache_mem_cap: Option<usize>,
-    /// Engine shards behind the router.
-    pub shards: Option<usize>,
-    /// Persistent cache directory shared by all shards.
-    pub cache_dir: Option<PathBuf>,
-    /// Size cap for the persistent cache directory, in bytes.
-    pub cache_disk_cap: Option<u64>,
-    /// Record requests slower than this many milliseconds in the slow-request log.
-    pub slow_ms: Option<u64>,
-    /// Fault-injection plan armed for the daemon's lifetime.
-    pub fault_plan: Option<String>,
-    /// Default per-request deadline in milliseconds (requests may override it).
-    pub deadline_ms: Option<u64>,
-    /// Load-shed threshold: queued jobs per shard before low-priority requests
-    /// answer 503.
-    pub shed_threshold: Option<usize>,
     /// Default per-tenant admission quota (max in-flight = max queued = N);
     /// exceeding it answers 429.
     pub max_in_flight: Option<usize>,
@@ -982,58 +928,29 @@ impl ServeArgs {
         help_text(
             "linx serve",
             "Serve exploration requests over HTTP/1.1 (POST /v1/explore, GET /v1/jobs/{id}[/result], /healthz, /metrics)",
-            "      --addr <HOST:PORT> Bind address [default: 127.0.0.1:7878]
-      --episodes <N>     Training episodes for the CDRL engine
-      --workers <N>      Worker threads (per shard)
-      --cache-mem-cap <BYTES>  In-memory cache budget in bytes (per shard) [default: 64 MiB]
-      --shards <N>       Engine shards behind the router [default: 1]
-      --cache-dir <PATH> Persistent cache directory (results survive the process)
-      --cache-disk-cap <BYTES>  Size cap for the cache directory [default: 256 MiB]
-      --slow-ms <N>      Log requests slower than N ms with per-stage breakdowns
-      --fault-plan <SPEC>  Arm a fault-injection plan (seed=N;point=err|panic|delay:<us>@<pct>;..)
-      --deadline-ms <N>  Default per-request deadline (504 once exceeded)
-      --shed-threshold <N>  Shed low-priority requests once N jobs are queued per shard (503)
+            &format!(
+                "      --addr <HOST:PORT> Bind address [default: 127.0.0.1:7878]
       --max-in-flight <N>  Per-tenant admission quota; exceeding it answers 429
       --max-body-bytes <N>  Request body cap; larger bodies answer 400 [default: 1 MiB]
       --durable          fsync cache entries before rename so they survive a power cut
       --max-connections <N>  Open-connection cap; connections over it answer 503 [default: 1024, 0 = off]
-      --request-read-timeout-ms <N>  Cumulative read deadline per request; slowloris clients answer 408 [default: 10000, 0 = off]",
+      --request-read-timeout-ms <N>  Cumulative read deadline per request; slowloris clients answer 408 [default: 10000, 0 = off]
+{ROUTER_FLAGS_HELP}"
+            ),
             true,
         )
     }
 
     pub(crate) fn parse(cursor: &mut Cursor) -> ParseResult<Self> {
         let mut data = DatasetFlags::default();
+        let mut router = RouterFlags::default();
         let mut addr = None;
-        let (mut episodes, mut workers, mut cache_mem_cap, mut shards) = (None, None, None, None);
-        let (mut cache_dir, mut cache_disk_cap, mut slow_ms) = (None, None, None);
-        let (mut fault_plan, mut deadline_ms, mut shed_threshold) = (None, None, None);
         let (mut max_in_flight, mut max_body_bytes) = (None, None);
         let (mut durable, mut max_connections, mut request_read_timeout_ms) = (None, None, None);
         while let Some(flag) = cursor.next() {
             match flag.as_str() {
                 "-h" | "--help" => return Err(ParseError::Help(Self::help())),
                 "--addr" => set_once(&mut addr, cursor.value_of(&flag)?, &flag)?,
-                "--episodes" => set_once(&mut episodes, cursor.parse_value(&flag)?, &flag)?,
-                "--workers" => set_once(&mut workers, cursor.parse_value(&flag)?, &flag)?,
-                "--cache-mem-cap" => {
-                    set_once(&mut cache_mem_cap, cursor.parse_value(&flag)?, &flag)?
-                }
-                "--shards" => set_once(&mut shards, cursor.parse_value(&flag)?, &flag)?,
-                "--cache-dir" => set_once(&mut cache_dir, cursor.path_value(&flag)?, &flag)?,
-                "--cache-disk-cap" => {
-                    set_once(&mut cache_disk_cap, cursor.parse_value(&flag)?, &flag)?
-                }
-                "--slow-ms" => set_once(&mut slow_ms, cursor.parse_value(&flag)?, &flag)?,
-                "--fault-plan" => {
-                    let spec = cursor.value_of(&flag)?;
-                    FaultPlan::parse(&spec).map_err(invalid)?;
-                    set_once(&mut fault_plan, spec, &flag)?;
-                }
-                "--deadline-ms" => set_once(&mut deadline_ms, cursor.parse_value(&flag)?, &flag)?,
-                "--shed-threshold" => {
-                    set_once(&mut shed_threshold, cursor.parse_value(&flag)?, &flag)?
-                }
                 "--max-in-flight" => {
                     set_once(&mut max_in_flight, cursor.parse_value(&flag)?, &flag)?
                 }
@@ -1049,23 +966,15 @@ impl ServeArgs {
                     cursor.parse_value(&flag)?,
                     &flag,
                 )?,
+                _ if router.try_flag(&flag, cursor)? => {}
                 _ if data.try_flag(&flag, cursor)? => {}
                 other => return Err(invalid(format!("unknown flag '{other}' for serve"))),
             }
         }
         Ok(ServeArgs {
             data: data.finish()?,
+            router,
             addr: addr.unwrap_or_else(|| "127.0.0.1:7878".to_string()),
-            episodes,
-            workers,
-            cache_mem_cap,
-            shards,
-            cache_dir,
-            cache_disk_cap,
-            slow_ms,
-            fault_plan,
-            deadline_ms,
-            shed_threshold,
             max_in_flight,
             max_body_bytes,
             durable: durable.unwrap_or(false),
@@ -1085,23 +994,11 @@ impl ServeArgs {
 /// graceful drain; SIGTERM still works, it just skips the drain line.
 pub fn serve(args: &ServeArgs) -> Result<String, String> {
     let datasets = serve_datasets(&args.data)?;
-    let mut router = router_config(
-        args.shards,
-        args.episodes,
-        args.workers,
-        CacheFlags {
-            mem_cap: args.cache_mem_cap,
-            dir: args.cache_dir.as_ref(),
-            disk_cap: args.cache_disk_cap,
-            durable: args.durable,
-        },
-        args.slow_ms,
-        ResilienceFlags {
-            fault_plan: args.fault_plan.as_deref(),
-            deadline_ms: args.deadline_ms,
-            shed_threshold: args.shed_threshold,
-        },
-    )?;
+    let mut router = args.router.config()?;
+    router.engine.persist = router
+        .engine
+        .persist
+        .map(|persist| persist.with_durable(args.durable));
     if let Some(cap) = args.max_in_flight {
         router.engine.default_quota = TenantQuota::limited(cap);
     }
@@ -1169,177 +1066,6 @@ fn serve_datasets(data: &DatasetSelection) -> Result<Vec<(String, DataFrame)>, S
         (id.to_string(), frame)
     })
     .collect())
-}
-
-/// Arguments of `linx bench-engine`.
-#[derive(Debug, Clone)]
-pub struct BenchEngineArgs {
-    /// Dataset selection (must be a built-in dataset; goals come from the benchmark).
-    pub data: DatasetSelection,
-    /// Number of benchmark goals to run.
-    pub goals: usize,
-    /// Training episodes for the CDRL engine.
-    pub episodes: Option<usize>,
-    /// Worker threads (per shard).
-    pub workers: Option<usize>,
-    /// Engine shards behind the router.
-    pub shards: Option<usize>,
-    /// In-memory cache budget in approximate payload bytes (per shard).
-    pub cache_mem_cap: Option<usize>,
-    /// Persistent cache directory shared by all shards.
-    pub cache_dir: Option<PathBuf>,
-    /// Size cap for the persistent cache directory, in bytes.
-    pub cache_disk_cap: Option<u64>,
-    /// Write a metrics snapshot here after the run (`.json` → JSON snapshot,
-    /// anything else → Prometheus text exposition).
-    pub metrics_out: Option<PathBuf>,
-    /// Record requests slower than this many milliseconds in the slow-request
-    /// log and print the stage breakdowns after the run.
-    pub slow_ms: Option<u64>,
-}
-
-impl BenchEngineArgs {
-    fn help() -> String {
-        help_text(
-            "linx bench-engine",
-            "Benchmark the engine: batched+cached vs sequential Linx::explore",
-            "      --goals <N>        Number of benchmark goals to run [default: 8]
-      --episodes <N>     Training episodes for the CDRL engine [default: 60]
-      --workers <N>      Worker threads (per shard)
-      --shards <N>       Engine shards behind the router [default: 1]
-      --cache-mem-cap <BYTES>  In-memory cache budget in bytes (per shard) [default: 64 MiB]
-      --cache-dir <PATH> Persistent cache directory (results survive the process)
-      --cache-disk-cap <BYTES>  Size cap for the cache directory [default: 256 MiB]
-      --metrics-out <PATH>  Write a metrics snapshot after the run (.json → JSON, else Prometheus text)
-      --slow-ms <N>      Log requests slower than N ms with per-stage breakdowns",
-            true,
-        )
-    }
-
-    pub(crate) fn parse(cursor: &mut Cursor) -> ParseResult<Self> {
-        let mut data = DatasetFlags::default();
-        let (mut goals, mut episodes, mut workers, mut shards) = (None, None, None, None);
-        let (mut cache_dir, mut cache_disk_cap) = (None, None);
-        let mut cache_mem_cap = None;
-        let (mut metrics_out, mut slow_ms) = (None, None);
-        while let Some(flag) = cursor.next() {
-            match flag.as_str() {
-                "-h" | "--help" => return Err(ParseError::Help(Self::help())),
-                "--goals" => set_once(&mut goals, cursor.parse_value(&flag)?, &flag)?,
-                "--episodes" => set_once(&mut episodes, cursor.parse_value(&flag)?, &flag)?,
-                "--workers" => set_once(&mut workers, cursor.parse_value(&flag)?, &flag)?,
-                "--shards" => set_once(&mut shards, cursor.parse_value(&flag)?, &flag)?,
-                "--cache-mem-cap" => {
-                    set_once(&mut cache_mem_cap, cursor.parse_value(&flag)?, &flag)?
-                }
-                "--cache-dir" => set_once(&mut cache_dir, cursor.path_value(&flag)?, &flag)?,
-                "--cache-disk-cap" => {
-                    set_once(&mut cache_disk_cap, cursor.parse_value(&flag)?, &flag)?
-                }
-                "--metrics-out" => set_once(&mut metrics_out, cursor.path_value(&flag)?, &flag)?,
-                "--slow-ms" => set_once(&mut slow_ms, cursor.parse_value(&flag)?, &flag)?,
-                _ if data.try_flag(&flag, cursor)? => {}
-                other => return Err(invalid(format!("unknown flag '{other}' for bench-engine"))),
-            }
-        }
-        Ok(BenchEngineArgs {
-            data: data.finish()?,
-            goals: goals.unwrap_or(8).max(1),
-            episodes,
-            workers,
-            shards,
-            cache_mem_cap,
-            cache_dir,
-            cache_disk_cap,
-            metrics_out,
-            slow_ms,
-        })
-    }
-}
-
-/// Run `linx bench-engine`.
-pub fn bench_engine(args: &BenchEngineArgs) -> Result<String, String> {
-    let Some(dataset_arg) = args.data.dataset else {
-        return Err(
-            "bench-engine needs a built-in --dataset (goals come from the benchmark)".to_string(),
-        );
-    };
-    let (dataset, name) = args.data.load()?;
-    let goals: Vec<String> = generate_benchmark(args.data.seed)
-        .instances
-        .iter()
-        .filter(|inst| inst.dataset == dataset_arg.kind())
-        .take(args.goals)
-        .map(|inst| inst.goal_text.clone())
-        .collect();
-    if goals.len() < args.goals {
-        return Err(format!(
-            "benchmark has only {} goals for this dataset (asked for {})",
-            goals.len(),
-            args.goals
-        ));
-    }
-    let episodes = args.episodes.unwrap_or(60);
-
-    // Baseline: N sequential one-shot calls through the facade.
-    let mut linx_config = LinxConfig::default();
-    linx_config.cdrl.episodes = episodes;
-    let linx = Linx::new(linx_config);
-    let seq_start = Instant::now();
-    for goal in &goals {
-        let _ = linx.explore(&dataset, &name, goal);
-    }
-    let sequential = seq_start.elapsed();
-
-    // The routed engine: one batch over the worker pool, then the identical batch
-    // again to show cache serving (both land on the shard owning the dataset).
-    let router = Router::new(router_config(
-        args.shards,
-        Some(episodes),
-        args.workers,
-        CacheFlags {
-            mem_cap: args.cache_mem_cap,
-            dir: args.cache_dir.as_ref(),
-            disk_cap: args.cache_disk_cap,
-            durable: false,
-        },
-        args.slow_ms,
-        ResilienceFlags::default(),
-    )?);
-    let cold = router.run_batch(&dataset, BatchRequest::new(name.clone(), goals.clone()));
-    let warm = router.run_batch(&dataset, BatchRequest::new(name.clone(), goals));
-    let stats = router.stats();
-
-    let cold_secs = cold.total_micros as f64 / 1e6;
-    let warm_secs = warm.total_micros as f64 / 1e6;
-    let seq_secs = sequential.as_secs_f64();
-    let mut out = format!(
-        "bench-engine: {} goals over '{name}' ({} rows), {} episodes, {} workers x {} shards (dataset owned by shard {})\n",
-        cold.responses.len(),
-        dataset.num_rows(),
-        episodes,
-        router.engine(0).config().workers,
-        router.shards(),
-        cold.shard.unwrap_or(0),
-    );
-    out.push_str(&format!(
-        "  sequential Linx::explore : {seq_secs:>8.2} s\n  engine batch (cold)      : {cold_secs:>8.2} s  ({:.2}x speedup, memo {} hits, stats {} hits / {} misses)\n  engine batch (cached)    : {warm_secs:>8.2} s  ({} of {} served from cache)\n",
-        seq_secs / cold_secs.max(1e-9),
-        cold.memo.hits,
-        cold.stats.hits,
-        cold.stats.misses,
-        warm.cache_hits(),
-        warm.responses.len(),
-    ));
-    out.push_str(&format!("  {}\n", stats.summary()));
-    if let Some(slow_ms) = args.slow_ms {
-        out.push_str(&slow_log_dump(&router, slow_ms));
-    }
-    if let Some(path) = &args.metrics_out {
-        out.push_str(&write_metrics(&stats, path)?);
-    }
-    router.shutdown();
-    Ok(out)
 }
 
 fn write_or_return(output: String, out: &Option<PathBuf>) -> Result<String, String> {
@@ -1497,20 +1223,16 @@ mod tests {
         let json_path = temp_path("metrics.json");
         let mut args = ServeBatchArgs {
             data: netflix_selection(250),
+            router: RouterFlags {
+                episodes: Some(40),
+                workers: Some(2),
+                slow_ms: Some(0),
+                ..RouterFlags::default()
+            },
             goals: vec!["Survey the duration of the titles".to_string()],
-            episodes: Some(40),
-            workers: Some(2),
-            cache_mem_cap: None,
             repeat: 1,
-            shards: None,
             tenant: None,
-            cache_dir: None,
-            cache_disk_cap: None,
             metrics_out: Some(prom_path.clone()),
-            slow_ms: Some(0),
-            fault_plan: None,
-            deadline_ms: None,
-            shed_threshold: None,
         };
         let out = serve_batch(&args).unwrap();
         assert!(out.contains("slow requests (>= 0 ms)"));
@@ -1522,7 +1244,7 @@ mod tests {
         std::fs::remove_file(&prom_path).ok();
 
         args.metrics_out = Some(json_path.clone());
-        args.slow_ms = None;
+        args.router.slow_ms = None;
         let out = serve_batch(&args).unwrap();
         assert!(out.contains("wrote JSON metrics"));
         assert!(!out.contains("slow requests"));

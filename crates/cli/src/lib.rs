@@ -17,8 +17,10 @@
 //! * `linx serve` — a long-running HTTP/1.1 daemon over the router: submit goals
 //!   with `POST /v1/explore`, poll `GET /v1/jobs/{id}`, fetch results, and scrape
 //!   `/metrics`; stdin-close (or a `shutdown` line) drains gracefully.
-//! * `linx bench-engine` — measure the routed engine against sequential
-//!   `Linx::explore` calls (batch speedup + cache-hit demonstration).
+//!
+//! `serve` and `serve-batch` parse the router flags they share (`--shards`,
+//! `--workers`, the cache and resilience knobs, ...) through one
+//! [`commands::RouterFlags`].
 //!
 //! The command definitions and their execution live in this library crate so they can be
 //! unit-tested without spawning processes; `main.rs` is a thin wrapper. Argument parsing
@@ -48,7 +50,6 @@ Commands:
   generate-data  Generate a synthetic benchmark dataset and write it to CSV
   serve-batch    Serve many goals against one dataset via the concurrent linx-engine
   serve          Serve exploration requests over HTTP/1.1 (submit/poll/result/healthz/metrics)
-  bench-engine   Benchmark the engine against sequential Linx::explore calls
 
 Options:
   -h, --help     Print this help (or a command's help after the command)
@@ -133,8 +134,6 @@ pub enum Command {
     ServeBatch(commands::ServeBatchArgs),
     /// Serve exploration requests over HTTP/1.1 via `linx-engine`'s daemon.
     Serve(commands::ServeArgs),
-    /// Benchmark `linx-engine` against sequential `Linx::explore` calls.
-    BenchEngine(commands::BenchEngineArgs),
 }
 
 /// A parsed `linx` invocation.
@@ -180,7 +179,6 @@ impl Cli {
             }
             "serve-batch" => Command::ServeBatch(commands::ServeBatchArgs::parse(&mut cursor)?),
             "serve" => Command::Serve(commands::ServeArgs::parse(&mut cursor)?),
-            "bench-engine" => Command::BenchEngine(commands::BenchEngineArgs::parse(&mut cursor)?),
             other => return Err(invalid(format!("unknown command '{other}'\n\n{USAGE}"))),
         };
         Ok(Cli { command })
@@ -212,7 +210,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
         Command::GenerateData(args) => commands::generate_data(args),
         Command::ServeBatch(args) => commands::serve_batch(args),
         Command::Serve(args) => commands::serve(args),
-        Command::BenchEngine(args) => commands::bench_engine(args),
     }
 }
 
@@ -231,7 +228,6 @@ mod tests {
             "generate-data",
             "serve-batch",
             "serve",
-            "bench-engine",
         ] {
             let err = Cli::try_parse_from(["linx", cmd, "--help"]).unwrap_err();
             assert!(err.is_help(), "{cmd} --help should render help");
@@ -355,22 +351,22 @@ mod tests {
         match cli.command {
             Command::ServeBatch(args) => {
                 assert_eq!(args.goals, vec!["goal one", "goal two"]);
-                assert_eq!(args.workers, Some(3));
-                assert_eq!(args.episodes, Some(50));
+                assert_eq!(args.router.workers, Some(3));
+                assert_eq!(args.router.episodes, Some(50));
                 assert_eq!(args.repeat, 2);
-                assert_eq!(args.shards, Some(4));
+                assert_eq!(args.router.shards, Some(4));
                 assert_eq!(args.tenant.as_deref(), Some("acme"));
                 assert_eq!(
                     args.metrics_out.as_deref(),
                     Some(std::path::Path::new("metrics.txt"))
                 );
-                assert_eq!(args.slow_ms, Some(50));
+                assert_eq!(args.router.slow_ms, Some(50));
                 assert_eq!(
-                    args.fault_plan.as_deref(),
+                    args.router.fault_plan.as_deref(),
                     Some("seed=7;disk.read=err@25;pool.execute=delay:200@10")
                 );
-                assert_eq!(args.deadline_ms, Some(750));
-                assert_eq!(args.shed_threshold, Some(16));
+                assert_eq!(args.router.deadline_ms, Some(750));
+                assert_eq!(args.router.shed_threshold, Some(16));
             }
             other => panic!("unexpected command: {other:?}"),
         }
@@ -421,12 +417,12 @@ mod tests {
                 assert_eq!(args.addr, "127.0.0.1:0");
                 assert_eq!(args.data.dataset, Some(DatasetArg::Netflix));
                 assert_eq!(args.data.rows, Some(200));
-                assert_eq!(args.shards, Some(2));
-                assert_eq!(args.shed_threshold, Some(0));
+                assert_eq!(args.router.shards, Some(2));
+                assert_eq!(args.router.shed_threshold, Some(0));
                 assert_eq!(args.max_in_flight, Some(1));
                 assert_eq!(args.max_body_bytes, Some(4096));
                 assert_eq!(
-                    args.fault_plan.as_deref(),
+                    args.router.fault_plan.as_deref(),
                     Some("seed=7;http.accept=delay:200@10")
                 );
             }
@@ -443,30 +439,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bench_engine_parses_shards() {
-        let cli = Cli::try_parse_from([
-            "linx",
-            "bench-engine",
-            "--dataset",
-            "netflix",
-            "--shards",
-            "2",
-            "--metrics-out",
-            "metrics.json",
-        ])
-        .unwrap();
-        match cli.command {
-            Command::BenchEngine(args) => {
-                assert_eq!(args.shards, Some(2));
-                assert_eq!(args.goals, 8);
-                assert_eq!(
-                    args.metrics_out.as_deref(),
-                    Some(std::path::Path::new("metrics.json"))
-                );
-                assert_eq!(args.slow_ms, None);
-            }
+    /// Reads one `RouterConfig` field.
+    type Field = fn(&linx_engine::RouterConfig) -> String;
+
+    /// The router flags `serve` and `serve-batch` share, each with a value and the
+    /// `RouterConfig` field that value must set.
+    const ROUTER_FLAGS: [(&str, &str, Field); 10] = [
+        ("--episodes", "17", |c| c.engine.cdrl.episodes.to_string()),
+        ("--workers", "3", |c| c.engine.workers.to_string()),
+        ("--cache-mem-cap", "4096", |c| {
+            c.engine.cache_mem_bytes.to_string()
+        }),
+        ("--shards", "4", |c| c.shards.to_string()),
+        ("--cache-dir", "cache-dir", |c| {
+            format!("{:?}", c.engine.persist.as_ref().map(|p| &p.dir))
+        }),
+        ("--cache-disk-cap", "1234", |c| {
+            format!("{:?}", c.engine.persist.as_ref().map(|p| p.max_bytes))
+        }),
+        ("--slow-ms", "50", |c| {
+            format!("{:?}", c.engine.slow_threshold_micros)
+        }),
+        ("--fault-plan", "seed=7;disk.read=err@25", |c| {
+            format!("{:?}", c.engine.fault_plan.as_ref().map(|p| p.rules()))
+        }),
+        ("--deadline-ms", "750", |c| {
+            format!("{:?}", c.engine.default_deadline_micros)
+        }),
+        ("--shed-threshold", "16", |c| {
+            format!("{:?}", c.engine.shed_queue_depth)
+        }),
+    ];
+
+    /// The router flags parsed from `linx <command> <extra..>`.
+    fn router_flags(command: &str, extra: &[&str]) -> ParseResult<commands::RouterFlags> {
+        let mut argv = vec!["linx", command];
+        if command == "serve-batch" {
+            argv.extend(["--goals", "g"]);
+        }
+        argv.extend(extra);
+        match Cli::try_parse_from(argv)?.command {
+            Command::Serve(args) => Ok(args.router),
+            Command::ServeBatch(args) => Ok(args.router),
             other => panic!("unexpected command: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn serve_and_serve_batch_map_each_router_flag_onto_the_same_field() {
+        for (flag, value, field) in ROUTER_FLAGS {
+            // `--cache-disk-cap` only shapes a mounted tier.
+            let mut extra = vec![flag, value];
+            if flag == "--cache-disk-cap" {
+                extra.extend(["--cache-dir", "cache-dir"]);
+            }
+            let landed: Vec<String> = ["serve", "serve-batch"]
+                .into_iter()
+                .map(|command| {
+                    let base = router_flags(command, &extra[2..])
+                        .unwrap()
+                        .config()
+                        .unwrap();
+                    let set = router_flags(command, &extra).unwrap().config().unwrap();
+                    assert_ne!(field(&set), field(&base), "{command} {flag} sets its field");
+                    let twice = [extra.as_slice(), &[flag, value]].concat();
+                    let err = router_flags(command, &twice).unwrap_err();
+                    assert!(
+                        err.message().contains("more than once"),
+                        "{command} rejects a repeated {flag}: {}",
+                        err.message()
+                    );
+                    field(&set)
+                })
+                .collect();
+            assert_eq!(
+                landed[0], landed[1],
+                "{flag} lands alike under both commands"
+            );
         }
     }
 
@@ -474,6 +523,6 @@ mod tests {
     fn unknown_flags_are_rejected_per_command() {
         assert!(Cli::try_parse_from(["linx", "explore", "--goal", "g", "--bogus"]).is_err());
         assert!(Cli::try_parse_from(["linx", "benchmark", "--bogus"]).is_err());
-        assert!(Cli::try_parse_from(["linx", "bench-engine", "--bogus"]).is_err());
+        assert!(Cli::try_parse_from(["linx", "serve", "--bogus"]).is_err());
     }
 }

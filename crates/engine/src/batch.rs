@@ -1,4 +1,5 @@
-//! The batch front-end: many goals against one dataset, sharing per-dataset work.
+//! The batch request and outcome types of [`crate::Router::run_batch`]: many goals
+//! against one dataset, sharing per-dataset work.
 //!
 //! Batching is where the serving architecture pays off: the dataset fingerprint,
 //! schema, and linking sample are computed once; materialized views are shared through
@@ -6,13 +7,11 @@
 //! pool, so a batch of N goals completes in roughly `ceil(N / workers)` training
 //! rounds of wall-clock time instead of N.
 
-use linx_dataframe::{DataFrame, StatsCacheStats};
+use linx_dataframe::StatsCacheStats;
 use linx_explore::OpMemoStats;
 
-use crate::api::{Budget, ExploreRequest, ExploreResponse, JobError, Priority};
-use crate::engine::Engine;
+use crate::api::{Budget, ExploreResponse, JobError, Priority};
 use crate::quota::TenantId;
-use crate::telemetry::TraceHandle;
 
 /// A batch of goals to explore against one dataset.
 #[derive(Debug, Clone)]
@@ -63,9 +62,8 @@ pub struct BatchOutcome {
     pub stats: StatsCacheStats,
     /// Wall-clock microseconds for the whole batch.
     pub total_micros: u64,
-    /// The router shard that served the batch; `None` when the batch ran against a
-    /// bare [`Engine`] rather than through a [`crate::Router`].
-    pub shard: Option<usize>,
+    /// The router shard that served the batch (the one owning the dataset).
+    pub shard: usize,
 }
 
 impl BatchOutcome {
@@ -88,39 +86,5 @@ impl BatchOutcome {
             .iter()
             .filter(|r| matches!(r.outcome, Err(JobError::QuotaExceeded(_))))
             .count()
-    }
-}
-
-/// Run a batch: submit every goal against one shared dataset context, then collect.
-pub fn run_batch(engine: &Engine, dataset: &DataFrame, batch: BatchRequest) -> BatchOutcome {
-    let started = std::time::Instant::now();
-    let ctx = engine.dataset_context(dataset, &batch.dataset_id);
-    // Submit everything before waiting on anything: the pool runs jobs concurrently
-    // while cache hits resolve inline.
-    let handles: Vec<_> = batch
-        .goals
-        .iter()
-        .map(|goal| {
-            engine.submit(
-                &ctx,
-                ExploreRequest {
-                    dataset_id: batch.dataset_id.clone(),
-                    goal: goal.clone(),
-                    priority: batch.priority,
-                    budget: batch.budget,
-                    tenant: batch.tenant.clone(),
-                    trace: TraceHandle::default(),
-                    deadline_micros: None,
-                },
-            )
-        })
-        .collect();
-    let responses = handles.into_iter().map(|h| h.wait()).collect();
-    BatchOutcome {
-        responses,
-        memo: ctx.memo.stats(),
-        stats: ctx.shared.stats.stats(),
-        total_micros: started.elapsed().as_micros() as u64,
-        shard: None,
     }
 }

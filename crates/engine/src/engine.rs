@@ -9,11 +9,13 @@ use linx_cdrl::CdrlConfig;
 use linx_dataframe::{DataFrame, StatsCache};
 use linx_metrics::HistogramSnapshot;
 
-use crate::api::{EngineConfig, ExploreRequest, ExploreResponse, JobError, Priority, RequestId};
+use crate::api::{
+    EngineConfig, ExploreRequest, ExploreResponse, ExploreResult, JobError, Priority, RequestId,
+};
 use crate::faults::{self, FaultKind};
 use crate::fingerprint::request_fingerprint;
 use crate::persist::{DiskTier, TieredCache};
-use crate::pipeline::{run_exploration_cancellable, Cancelled, DatasetContext};
+use crate::pipeline::{run_exploration, Cancelled, DatasetContext, Spec};
 use crate::pool::WorkerPool;
 use crate::quota::QuotaTable;
 use crate::stats::EngineStats;
@@ -97,30 +99,12 @@ impl JobHandle {
     }
 }
 
-/// The concurrent, cache-aware exploration service.
+/// One shard of the concurrent, cache-aware exploration service: a worker pool,
+/// a result cache, single-flight coalescing and admission control.
 ///
-/// ```
-/// use linx_engine::{Engine, EngineConfig, ExploreRequest};
-/// use linx_data::{generate, DatasetKind, ScaleConfig};
-///
-/// let dataset = generate(DatasetKind::Netflix, ScaleConfig { rows: Some(300), seed: 7 });
-/// let mut config = EngineConfig::fast();
-/// config.cdrl.episodes = 40; // keep the doctest fast
-/// let engine = Engine::new(config);
-///
-/// let ctx = engine.dataset_context(&dataset, "netflix");
-/// let handle = engine.submit(&ctx, ExploreRequest::new("netflix", "Examine titles from India"));
-/// let response = handle.wait();
-/// assert!(response.outcome.is_ok());
-///
-/// // The identical request is now served from the cache.
-/// let again = engine
-///     .submit(&ctx, ExploreRequest::new("netflix", "Examine titles from India"))
-///     .wait();
-/// assert!(again.served_from_cache);
-/// assert!(engine.stats().cache.hits >= 1);
-/// engine.shutdown();
-/// ```
+/// Engines are built and driven only by a [`crate::Router`], the service's front
+/// door (see its docs for a runnable example); [`crate::Router::engine`] exposes a
+/// shard's [`Engine::config`].
 pub struct Engine {
     config: EngineConfig,
     pool: WorkerPool,
@@ -169,25 +153,6 @@ struct Waiter {
 }
 
 impl Engine {
-    /// Start an engine: spawns the worker pool and allocates the result cache. The
-    /// engine gets its own quota table seeded from `config.default_quota`, and — if
-    /// `config.persist` is set — its own disk tier over the configured directory.
-    pub fn new(config: EngineConfig) -> Self {
-        let quota = Arc::new(QuotaTable::with_clock(
-            config.default_quota,
-            config.clock.clone(),
-        ));
-        Engine::with_quota(config, quota)
-    }
-
-    /// Start an engine that enforces admission against a caller-provided quota
-    /// table. Sharing one table across engines makes tenant budgets global — the
-    /// [`crate::Router`] uses this to bound a tenant across all shards at once.
-    pub fn with_quota(config: EngineConfig, quota: Arc<QuotaTable>) -> Self {
-        let disk = Engine::open_tier(&config);
-        Engine::with_shared(config, quota, disk)
-    }
-
     /// Open the configured disk tier, degrading to memory-only (with a warning on
     /// stderr) when the directory cannot be created: persistence is an optimization
     /// and must never keep the service from starting.
@@ -217,12 +182,14 @@ impl Engine {
         }
     }
 
-    /// Start an engine sharing both a quota table and (optionally) a disk cache
-    /// tier with other engines. The [`crate::Router`] hands every shard the same
-    /// tier, so results computed by one shard are served by all — and survive the
-    /// process, since fingerprint keys are content-derived. The tier backs the
-    /// result cache only; the engine's view-statistics cache is memory-only.
-    pub fn with_shared(
+    /// Start an engine: spawns the worker pool and allocates the result cache. The
+    /// quota table and (optionally) the disk cache tier are shared with the other
+    /// shards: the [`crate::Router`] hands every shard the same table, so tenant
+    /// budgets are global, and the same tier, so results computed by one shard are
+    /// served by all — and survive the process, since fingerprint keys are
+    /// content-derived. The tier backs the result cache only; the engine's
+    /// view-statistics cache is memory-only.
+    pub(crate) fn with_shared(
         config: EngineConfig,
         quota: Arc<QuotaTable>,
         disk: Option<Arc<DiskTier>>,
@@ -271,11 +238,6 @@ impl Engine {
         &self.config
     }
 
-    /// The admission-control table (set per-tenant overrides here).
-    pub fn quota(&self) -> &Arc<QuotaTable> {
-        &self.quota
-    }
-
     /// Precompute the shared per-dataset context (fingerprint, schema, sample, view
     /// memo, term inventory / featurizer). Submitting many goals against one context
     /// shares this work across them. Every context is handed the *engine-wide*
@@ -283,7 +245,7 @@ impl Engine {
     /// engine's byte budget is not multiplied per dataset). That cache lives in
     /// memory only, so a context built in a fresh process computes its root-frame
     /// statistics afresh, whether or not a disk tier is mounted.
-    pub fn dataset_context(&self, dataset: &DataFrame, dataset_id: &str) -> DatasetContext {
+    pub(crate) fn dataset_context(&self, dataset: &DataFrame, dataset_id: &str) -> DatasetContext {
         DatasetContext::with_stats(
             dataset,
             dataset_id,
@@ -297,7 +259,7 @@ impl Engine {
     ///
     /// Cache hits resolve immediately on the calling thread; misses are queued on the
     /// worker pool at the request's priority.
-    pub fn submit(&self, ctx: &DatasetContext, request: ExploreRequest) -> JobHandle {
+    pub(crate) fn submit(&self, ctx: &DatasetContext, request: ExploreRequest) -> JobHandle {
         let clock = self.config.clock.clone();
         let started = clock.now_micros();
         // Activate the request's trace (a no-op clone when the router already
@@ -549,11 +511,11 @@ impl Engine {
                     }
                     None => {}
                 }
-                run_exploration_cancellable(&ctx, &request.goal, cdrl, sample_rows, &|| {
+                run_exploration(&ctx, Spec::Goal(&request.goal), cdrl, sample_rows, &|| {
                     deadline.is_some_and(|dl| clock.now_micros() >= dl)
                 })
             })) {
-                Ok(Ok(result)) => Ok(result),
+                Ok(Ok(exploration)) => Ok(ExploreResult::from(exploration)),
                 Ok(Err(Cancelled)) => {
                     deadline_expired[Stage::Execute as usize].fetch_add(1, Ordering::Relaxed);
                     Err(JobError::DeadlineExceeded(Stage::Execute))
@@ -678,7 +640,7 @@ impl Engine {
     }
 
     /// Counters snapshot across cache and pool.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         let mut pool = self.pool.stats();
         // Engine jobs convert their own panics into responses, bypassing the pool's
         // unwind counter; fold them back in so "panicked" means what it says.
@@ -698,16 +660,10 @@ impl Engine {
         }
     }
 
-    /// The engine-owned metrics registry (cache-lookup and end-to-end latency
-    /// histograms plus the slow-request log).
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
     /// Every latency distribution this engine can see, assembled from the
     /// component-owned instruments. The `route` histogram is empty here — only
     /// a [`crate::Router`] measures placement.
-    pub fn telemetry(&self) -> TelemetrySnapshot {
+    pub(crate) fn telemetry(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             route: Default::default(),
             admit: self.quota.admit_latency(),
@@ -725,20 +681,15 @@ impl Engine {
 
     /// The slow-request log, oldest first (empty unless
     /// [`EngineConfig::slow_threshold_micros`] is set).
-    pub fn slow_entries(&self) -> Vec<SlowEntry> {
+    pub(crate) fn slow_entries(&self) -> Vec<SlowEntry> {
         self.metrics.slow_entries()
-    }
-
-    /// Graceful shutdown: queued jobs drain, workers join.
-    pub fn shutdown(self) {
-        self.pool.shutdown();
     }
 
     /// Drain: stop intake (consumes the engine), let queued and in-flight jobs
     /// finish, join every worker, and return the engine's final counters.
     /// Result write-through is synchronous inside each job, so when this
     /// returns every completed result has already reached the disk tier.
-    pub fn drain(self) -> EngineStats {
+    pub(crate) fn drain(self) -> EngineStats {
         let Engine {
             pool,
             cache,

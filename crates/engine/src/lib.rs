@@ -18,10 +18,16 @@
 //! * [`persist`] — the optional disk-backed second level of the result cache: a
 //!   versioned, checksummed binary codec plus a size-capped [`DiskTier`], so
 //!   answers survive restarts and are shared across shards and processes;
-//! * [`batch`] — a front-end that accepts many goals against one dataset and shares
-//!   the derivation inputs and materialized views across them; and
-//! * [`router`] — a [`Router`] owning N engine shards with consistent-hash dataset
-//!   placement, one shared quota table, and (when configured) one shared disk tier;
+//! * [`pipeline`] — [`pipeline::run_exploration`], the one implementation of
+//!   derive → train → render → narrate, run by every worker job and by the `linx`
+//!   facade;
+//! * [`engine`] — one shard: worker pool, result cache, single-flight coalescing
+//!   and admission, reachable only through the router;
+//! * [`router`] — the front door: a [`Router`] owning N engine shards (one is a
+//!   valid deployment) with consistent-hash dataset placement, one shared quota
+//!   table, and (when configured) one shared disk tier; [`Router::run_batch`]
+//!   accepts many goals against one dataset ([`batch`]) and shares the derivation
+//!   inputs and materialized views across them;
 //! * [`telemetry`] — per-request stage tracing ([`TraceHandle`]), latency
 //!   histograms for every lifecycle stage, a ring-buffer slow-request log, and
 //!   Prometheus-text / JSON exposition via [`RouterStats::render_metrics`];
@@ -45,7 +51,7 @@
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the full request lifecycle
 //! (fingerprint → route → cache → coalesce → admit → schedule → pipeline) and
-//! [`Engine`] / [`Router`] for runnable examples.
+//! [`Router`] for a runnable example.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,7 +76,7 @@ pub use api::{
     Budget, EngineConfig, ExploreRequest, ExploreResponse, ExploreResult, JobError, Priority,
     RequestId,
 };
-pub use batch::{run_batch, BatchOutcome, BatchRequest};
+pub use batch::{BatchOutcome, BatchRequest};
 pub use cache::{CacheStats, ShardedLru};
 pub use engine::{Engine, JobHandle};
 pub use faults::{FaultKind, FaultPlan, ScopedPlan};

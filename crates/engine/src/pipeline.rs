@@ -1,17 +1,21 @@
-//! The exploration pipeline as executed by engine workers.
+//! The exploration pipeline: derive → train → render → narrate.
 //!
-//! Mirrors `linx::Linx::explore` (derive → train → render → narrate) but is shaped for
-//! serving: derivation inputs (schema, sample) are precomputed per dataset and shared
-//! across a batch, and rendering goes through a shared [`OpMemo`] so materialized views
-//! are computed once per dataset. This crate sits *below* the `linx` facade (which
+//! [`run_exploration`] is the one implementation of the paper's pipeline (§3,
+//! Fig. 1). Engine workers run it for every request, and the `linx` facade's
+//! `Linx::explore` / `Linx::explore_with_ldx` run it over a fresh
+//! [`DatasetContext`]. Derivation inputs (schema, sample) are precomputed per dataset
+//! and shared across goals, and training, rendering and narration go through the
+//! context's shared [`OpMemo`] and statistics cache, so materialized views are
+//! computed once per dataset. This crate sits *below* the `linx` facade (which
 //! re-exports it), so it drives the pipeline crates directly.
 
 use std::sync::Arc;
 
-use linx_cdrl::{CdrlConfig, CdrlTrainer, DatasetStats};
+use linx_cdrl::{CdrlConfig, CdrlTrainer, DatasetStats, TrainOutcome};
 use linx_dataframe::{DataFrame, Schema, StatsCache};
-use linx_explore::{narrate_with, Notebook, OpMemo, SessionExecutor};
-use linx_nl2ldx::SpecDeriver;
+use linx_explore::{narrate_with, Narrative, Notebook, OpMemo, SessionExecutor};
+use linx_ldx::Ldx;
+use linx_nl2ldx::{DerivationResult, SpecDeriver};
 
 use crate::api::ExploreResult;
 
@@ -93,44 +97,87 @@ impl DatasetContext {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled;
 
-/// Run one exploration end to end against a shared dataset context.
-///
-/// `sample_rows` is the request's effective linking-sample budget; when it matches the
-/// context's precomputed sample the shared one is used, otherwise a request-local head
-/// is taken (the budget must actually shape the derivation, not just the cache key).
-pub fn run_exploration(
-    ctx: &DatasetContext,
-    goal: &str,
-    cdrl: CdrlConfig,
-    sample_rows: usize,
-) -> ExploreResult {
-    match run_exploration_cancellable(ctx, goal, cdrl, sample_rows, &|| false) {
-        Ok(result) => result,
-        Err(Cancelled) => unreachable!("the never-cancel closure cannot cancel"),
+/// What an exploration trains against.
+#[derive(Debug, Clone)]
+pub enum Spec<'a> {
+    /// A natural-language goal: its LDX is derived first (the paper's Step 1), and
+    /// the notebook is titled `"{dataset_id} — {goal}"`.
+    Goal(&'a str),
+    /// A hand-written LDX specification, trained as given, with the notebook
+    /// titled `title`. The outcome's derivation is [`DerivationResult::given`].
+    Ldx {
+        /// The specification.
+        ldx: Ldx,
+        /// The notebook title.
+        title: &'a str,
+    },
+}
+
+/// Everything one exploration produced: the `linx` facade returns it as
+/// `LinxOutcome`, and the engine keeps the parts a client is served
+/// ([`ExploreResult`]).
+#[derive(Debug, Clone)]
+pub struct Exploration {
+    /// The specification-derivation result (meta-goal, PyLDX template, LDX).
+    pub derivation: DerivationResult,
+    /// The CDRL training outcome (best session, compliance flags, training log).
+    pub training: TrainOutcome,
+    /// The rendered notebook of the best session.
+    pub notebook: Notebook,
+    /// Spelled-out natural-language insights derived from the best session (the
+    /// paper's stated future extension; may be empty when the session surfaces no
+    /// clear contrast).
+    pub narrative: Narrative,
+}
+
+impl From<Exploration> for ExploreResult {
+    fn from(exploration: Exploration) -> Self {
+        ExploreResult {
+            ldx_canonical: exploration.derivation.ldx.canonical(),
+            notebook: exploration.notebook,
+            narrative: exploration.narrative,
+            best_structural: exploration.training.best_structural,
+            best_score: exploration.training.best_score,
+        }
     }
 }
 
-/// Like [`run_exploration`], but polls `cancelled` between the pipeline's
-/// phases (after derivation, after training, after rendering) and aborts with
-/// [`Cancelled`] as soon as it returns `true`. This is the engine's cooperative
-/// deadline checkpoint: a long training run still finishes its current phase,
-/// but an expired request stops burning CPU on rendering and narration it will
-/// never deliver.
-pub fn run_exploration_cancellable(
+/// Run one exploration end to end against a shared dataset context: derive →
+/// train → render → narrate.
+///
+/// `sample_rows` is the request's effective linking-sample budget; when it matches
+/// the context's precomputed sample the shared one is used, otherwise a
+/// request-local head is taken (the budget must actually shape the derivation, not
+/// just the cache key).
+///
+/// `cancelled` is polled between the phases (after derivation, after training,
+/// after rendering); the run aborts with [`Cancelled`] as soon as it returns
+/// `true`. This is the engine's cooperative deadline checkpoint: a long training
+/// run still finishes its current phase, but an expired request stops burning CPU
+/// on rendering and narration it will never deliver. Pass `&|| false` to run to
+/// completion.
+pub fn run_exploration(
     ctx: &DatasetContext,
-    goal: &str,
+    spec: Spec<'_>,
     cdrl: CdrlConfig,
     sample_rows: usize,
     cancelled: &dyn Fn() -> bool,
-) -> Result<ExploreResult, Cancelled> {
-    let request_sample;
-    let sample = if sample_rows.max(5) == ctx.sample_rows {
-        &ctx.sample
-    } else {
-        request_sample = ctx.dataset.head(sample_rows.max(5));
-        &request_sample
+) -> Result<Exploration, Cancelled> {
+    let (derivation, title) = match spec {
+        Spec::Goal(goal) => {
+            let request_sample;
+            let sample = if sample_rows.max(5) == ctx.sample_rows {
+                &ctx.sample
+            } else {
+                request_sample = ctx.dataset.head(sample_rows.max(5));
+                &request_sample
+            };
+            let derivation =
+                SpecDeriver::new().derive(goal, &ctx.dataset_id, &ctx.schema, Some(sample));
+            (derivation, format!("{} — {goal}", ctx.dataset_id))
+        }
+        Spec::Ldx { ldx, title } => (DerivationResult::given(ldx), title.to_string()),
     };
-    let derivation = SpecDeriver::new().derive(goal, &ctx.dataset_id, &ctx.schema, Some(sample));
     if cancelled() {
         return Err(Cancelled);
     }
@@ -153,21 +200,19 @@ pub fn run_exploration_cancellable(
             Arc::clone(&ctx.shared.stats),
         )
     };
-    let outcome = trainer.train_with_shared(executor.clone(), derivation.ldx.clone(), shared);
+    let training = trainer.train_with_shared(executor.clone(), derivation.ldx.clone(), shared);
     if cancelled() {
         return Err(Cancelled);
     }
-    let title = format!("{} — {}", ctx.dataset_id, goal);
-    let notebook = Notebook::render(title, &executor, &outcome.best_tree);
+    let notebook = Notebook::render(title, &executor, &training.best_tree);
     if cancelled() {
         return Err(Cancelled);
     }
-    let narrative = narrate_with(&executor, &outcome.best_tree);
-    Ok(ExploreResult {
-        ldx_canonical: derivation.ldx.canonical(),
+    let narrative = narrate_with(&executor, &training.best_tree);
+    Ok(Exploration {
+        derivation,
+        training,
         notebook,
         narrative,
-        best_structural: outcome.best_structural,
-        best_score: outcome.best_score,
     })
 }

@@ -28,7 +28,7 @@ use linx_dataframe::DataFrame;
 use linx_metrics::{Clock, LatencyHistogram};
 
 use crate::api::{EngineConfig, ExploreRequest, JobError};
-use crate::batch::{run_batch, BatchOutcome, BatchRequest};
+use crate::batch::{BatchOutcome, BatchRequest};
 use crate::engine::{Engine, JobHandle};
 use crate::faults::{self, FaultKind};
 use crate::persist::{DiskTier, TierStats};
@@ -199,10 +199,34 @@ pub struct RoutedContext {
 /// A router owning N engine shards with consistent-hash dataset placement and one
 /// shared tenant quota table.
 ///
-/// The router is the multi-dataset front door: [`Router::route`] decides ownership,
-/// [`Router::submit`] / [`Router::run_batch`] forward work to the owning shard, and
-/// [`Router::stats`] aggregates telemetry. All shards enforce admission against the
-/// same [`QuotaTable`], so one tenant's budget is global rather than per shard.
+/// The router is the service's only front door, for one shard or many:
+/// [`Router::route`] decides ownership, [`Router::submit`] / [`Router::run_batch`]
+/// forward work to the owning shard, and [`Router::stats`] aggregates telemetry.
+/// All shards enforce admission against the same [`QuotaTable`], so one tenant's
+/// budget is global rather than per shard.
+///
+/// ```
+/// use linx_engine::{EngineConfig, ExploreRequest, Router, RouterConfig};
+/// use linx_data::{generate, DatasetKind, ScaleConfig};
+///
+/// let dataset = generate(DatasetKind::Netflix, ScaleConfig { rows: Some(300), seed: 7 });
+/// let mut engine = EngineConfig::fast();
+/// engine.cdrl.episodes = 40; // keep the doctest fast
+/// let router = Router::new(RouterConfig { shards: 1, engine, ..RouterConfig::default() });
+///
+/// let ctx = router.dataset_context(&dataset, "netflix");
+/// let handle = router.submit(&ctx, ExploreRequest::new("netflix", "Examine titles from India"));
+/// let response = handle.wait();
+/// assert!(response.outcome.is_ok());
+///
+/// // The identical request is now served from the cache.
+/// let again = router
+///     .submit(&ctx, ExploreRequest::new("netflix", "Examine titles from India"))
+///     .wait();
+/// assert!(again.served_from_cache);
+/// assert!(router.stats().aggregate().cache.hits >= 1);
+/// router.shutdown();
+/// ```
 pub struct Router {
     shards: Vec<Engine>,
     table: RoutingTable,
@@ -255,7 +279,8 @@ impl Router {
         &self.quota
     }
 
-    /// Direct access to one shard's engine (telemetry, tests).
+    /// One shard's engine. Outside this crate only its [`Engine::config`] is
+    /// reachable: all work goes through the router.
     pub fn engine(&self, shard: usize) -> &Engine {
         &self.shards[shard]
     }
@@ -324,21 +349,36 @@ impl Router {
         self.shards[routed.shard].submit(&routed.ctx, request.with_trace(trace))
     }
 
-    /// Run a whole batch on the shard owning the dataset; the outcome records which
-    /// shard served it. Batch completion is the router's natural idle point, so the
-    /// shared quota table is swept here ([`QuotaTable::gc`]) — a long-lived router
-    /// serving many drive-by tenant names stays bounded by *active* tenants.
+    /// Run a whole batch on the shard owning the dataset: build one context, submit
+    /// every goal against it before waiting on any (the pool runs them concurrently
+    /// while cache hits resolve inline), then collect the responses in goal order.
+    /// The outcome records which shard served it. Batch completion is the router's
+    /// natural idle point, so the shared quota table is swept here
+    /// ([`QuotaTable::gc`]) — a long-lived router serving many drive-by tenant names
+    /// stays bounded by *active* tenants.
     pub fn run_batch(&self, dataset: &DataFrame, batch: BatchRequest) -> BatchOutcome {
-        let fp = dataset.fingerprint();
-        let route_start = self.clock.now_micros();
-        let shard = self.table.route(fp);
-        self.route_micros
-            .record(self.clock.now_micros().saturating_sub(route_start));
-        self.routed[shard].fetch_add(batch.goals.len() as u64, Ordering::Relaxed);
-        let mut outcome = run_batch(&self.shards[shard], dataset, batch);
-        outcome.shard = Some(shard);
+        let started = std::time::Instant::now();
+        let routed = self.dataset_context(dataset, &batch.dataset_id);
+        let handles: Vec<JobHandle> = batch
+            .goals
+            .iter()
+            .map(|goal| {
+                let request = ExploreRequest::new(batch.dataset_id.clone(), goal.clone())
+                    .with_priority(batch.priority)
+                    .with_budget(batch.budget)
+                    .with_tenant(batch.tenant.clone());
+                self.submit(&routed, request)
+            })
+            .collect();
+        let responses = handles.into_iter().map(JobHandle::wait).collect();
         self.quota.gc();
-        outcome
+        BatchOutcome {
+            responses,
+            memo: routed.ctx.memo.stats(),
+            stats: routed.ctx.shared.stats.stats(),
+            total_micros: started.elapsed().as_micros() as u64,
+            shard: routed.shard,
+        }
     }
 
     /// Counters snapshot across every shard plus the shared quota table and the
@@ -390,12 +430,10 @@ impl Router {
     }
 
     /// Graceful shutdown of every shard: queued jobs drain, workers join, and the
-    /// shared quota table is swept of dead tenant entries.
+    /// shared quota table is swept of dead tenant entries — [`Router::drain`]
+    /// without the report.
     pub fn shutdown(self) {
-        self.quota.gc();
-        for shard in self.shards {
-            shard.shutdown();
-        }
+        self.drain();
     }
 
     /// Graceful drain: stop intake (consuming `self` makes new submissions

@@ -280,7 +280,7 @@ pub struct ResponseMeta<'a> {
 ///
 /// Component-owned histograms (queue wait and execution per band in the pool,
 /// admission in the quota table, read/write/evict in the disk tier, routing in
-/// the router) live with their components; [`crate::Engine::telemetry`]
+/// the router) live with their components; [`crate::Router::stats`]
 /// assembles everything into one [`TelemetrySnapshot`]. Recording is atomic
 /// RMW only — the single lock here guards the slow log, taken solely for
 /// responses that crossed the slow threshold.

@@ -23,8 +23,8 @@ use linx_engine::faults::{self, arm_scoped, FaultKind, FaultPlan};
 use linx_engine::persist::{BREAKER_CLOSED, BREAKER_OPEN};
 use linx_engine::telemetry::Stage;
 use linx_engine::{
-    DiskTier, Engine, EngineConfig, ExploreRequest, ExploreResult, JobError, PersistConfig,
-    Priority, RequestId, Router, RouterConfig, TenantQuota, TieredCache,
+    DiskTier, EngineConfig, ExploreRequest, ExploreResult, JobError, PersistConfig, Priority,
+    RequestId, Router, RouterConfig, TenantQuota, TieredCache,
 };
 use linx_metrics::Clock;
 use proptest::prelude::*;
@@ -52,6 +52,15 @@ fn tiny_config(workers: usize) -> EngineConfig {
     config.workers = workers;
     config.cdrl.episodes = 30;
     config
+}
+
+/// A one-shard router over `engine`: the service's front door at its smallest.
+fn one_shard(engine: EngineConfig) -> Router {
+    Router::new(RouterConfig {
+        shards: 1,
+        engine,
+        ..RouterConfig::default()
+    })
 }
 
 /// A distinguishable result payload for cache-poisoning checks: the canonical
@@ -294,11 +303,11 @@ fn failed_renames_drop_the_store_and_leave_no_temp_files() {
 fn already_expired_requests_are_rejected_at_admission() {
     let mut config = tiny_config(1);
     config.clock = Clock::manual(5_000);
-    let engine = Engine::new(config);
-    let ctx = engine.dataset_context(&netflix(200, 7), "netflix");
+    let router = one_shard(config);
+    let ctx = router.dataset_context(&netflix(200, 7), "netflix");
 
     let response = wait_with_watchdog(
-        engine.submit(
+        router.submit(
             &ctx,
             ExploreRequest::new("netflix", "Survey the duration of the titles")
                 .with_deadline_micros(5_000), // now >= deadline: dead on arrival
@@ -310,11 +319,11 @@ fn already_expired_requests_are_rejected_at_admission() {
         response.outcome,
         Err(JobError::DeadlineExceeded(Stage::Admit))
     ));
-    let stats = engine.stats();
+    let stats = router.stats().aggregate();
     assert_eq!(stats.deadline_expired[Stage::Admit as usize], 1);
     assert_eq!(stats.quota.queued, 0, "nothing was admitted");
     assert_eq!(stats.quota.running, 0);
-    engine.shutdown();
+    router.shutdown();
 }
 
 #[test]
@@ -322,20 +331,20 @@ fn requests_expiring_in_the_queue_are_dropped_and_release_their_budget() {
     let mut config = tiny_config(1); // one worker: the second job must queue
     let clock = Clock::manual(1_000);
     config.clock = clock.clone();
-    let engine = Engine::new(config);
-    let ctx = engine.dataset_context(&netflix(200, 7), "netflix");
+    let router = one_shard(config);
+    let ctx = router.dataset_context(&netflix(200, 7), "netflix");
 
     // Occupy the only worker with a job that stalls 300 ms (real time) at the
     // pool.execute seam; the deadline checkpoint at dequeue runs *before* that
     // seam, so the queued victim never consumes the delay rule.
     let _scoped =
         arm_scoped(FaultPlan::new(1).with_rule("pool.execute", FaultKind::Delay(300_000), 100));
-    let blocker = engine.submit(
+    let blocker = router.submit(
         &ctx,
         ExploreRequest::new("netflix", "Examine characteristics of movies"),
     );
     let deadline = clock.now_micros() + 100;
-    let victim = engine.submit(
+    let victim = router.submit(
         &ctx,
         ExploreRequest::new("netflix", "Survey the rating of the titles")
             .with_deadline_micros(deadline),
@@ -352,11 +361,11 @@ fn requests_expiring_in_the_queue_are_dropped_and_release_their_budget() {
     let blocker_response = wait_with_watchdog(blocker, 60, "blocker");
     assert!(blocker_response.outcome.is_ok(), "the blocker still served");
 
-    let stats = engine.stats();
+    let stats = router.stats().aggregate();
     assert_eq!(stats.deadline_expired[Stage::QueueWait as usize], 1);
     assert_eq!(stats.quota.queued, 0, "expired job returned its budget");
     assert_eq!(stats.quota.running, 0);
-    engine.shutdown();
+    router.shutdown();
 }
 
 #[test]
@@ -364,15 +373,15 @@ fn deadlines_cancel_cooperatively_between_executor_phases() {
     let mut config = tiny_config(1);
     let clock = Clock::manual(1_000);
     config.clock = clock.clone();
-    let engine = Engine::new(config);
-    let ctx = engine.dataset_context(&netflix(200, 7), "netflix");
+    let router = one_shard(config);
+    let ctx = router.dataset_context(&netflix(200, 7), "netflix");
 
     // The job stalls 400 ms (real) at the execute seam — *after* the dequeue
     // checkpoint — while the test expires its deadline on the manual clock.
     // The first cooperative poll inside the pipeline then cancels it.
     let _scoped =
         arm_scoped(FaultPlan::new(2).with_rule("pool.execute", FaultKind::Delay(400_000), 100));
-    let handle = engine.submit(
+    let handle = router.submit(
         &ctx,
         ExploreRequest::new("netflix", "Find an atypical type")
             .with_deadline_micros(clock.now_micros() + 100),
@@ -385,10 +394,10 @@ fn deadlines_cancel_cooperatively_between_executor_phases() {
         response.outcome,
         Err(JobError::DeadlineExceeded(Stage::Execute))
     ));
-    let stats = engine.stats();
+    let stats = router.stats().aggregate();
     assert_eq!(stats.deadline_expired[Stage::Execute as usize], 1);
     assert_eq!(stats.quota.running, 0, "cancelled job finished its budget");
-    engine.shutdown();
+    router.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -399,12 +408,12 @@ fn deadlines_cancel_cooperatively_between_executor_phases() {
 fn shed_mode_rejects_low_priority_misses_but_still_serves_reads() {
     let mut config = tiny_config(2);
     config.shed_queue_depth = Some(0); // degenerate: always in shed mode
-    let engine = Engine::new(config);
-    let ctx = engine.dataset_context(&netflix(200, 7), "netflix");
+    let router = one_shard(config);
+    let ctx = router.dataset_context(&netflix(200, 7), "netflix");
 
     // Normal priority is never shed: warm the cache through the front door.
     let warm = wait_with_watchdog(
-        engine.submit(
+        router.submit(
             &ctx,
             ExploreRequest::new("netflix", "Survey the duration of the titles"),
         ),
@@ -415,7 +424,7 @@ fn shed_mode_rejects_low_priority_misses_but_still_serves_reads() {
 
     // A Low-priority *hit* still serves — shedding protects workers, not reads.
     let hit = wait_with_watchdog(
-        engine.submit(
+        router.submit(
             &ctx,
             ExploreRequest::new("netflix", "Survey the duration of the titles")
                 .with_priority(Priority::Low),
@@ -427,7 +436,7 @@ fn shed_mode_rejects_low_priority_misses_but_still_serves_reads() {
 
     // A Low-priority *miss* is shed with a typed error, immediately.
     let miss = wait_with_watchdog(
-        engine.submit(
+        router.submit(
             &ctx,
             ExploreRequest::new("netflix", "Find an atypical type").with_priority(Priority::Low),
         ),
@@ -435,10 +444,10 @@ fn shed_mode_rejects_low_priority_misses_but_still_serves_reads() {
         "low-priority miss",
     );
     assert!(matches!(miss.outcome, Err(JobError::Overloaded)));
-    let stats = engine.stats();
+    let stats = router.stats().aggregate();
     assert_eq!(stats.shed, 1);
     assert_eq!(stats.quota.queued, 0, "shed requests never touch quota");
-    engine.shutdown();
+    router.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -455,8 +464,8 @@ fn panic_storm_releases_budgets_and_the_pool_survives() {
         max_queued: 2,
         weight: 1,
     };
-    let engine = Engine::new(config);
-    let ctx = engine.dataset_context(&netflix(200, 7), "netflix");
+    let router = one_shard(config);
+    let ctx = router.dataset_context(&netflix(200, 7), "netflix");
 
     const STORM_GOALS: [&str; 4] = [
         "Survey the duration of the titles",
@@ -468,7 +477,7 @@ fn panic_storm_releases_budgets_and_the_pool_survives() {
         let _scoped = arm_scoped(FaultPlan::new(7).always("pool.execute", FaultKind::Panic));
         for goal in STORM_GOALS {
             let response = wait_with_watchdog(
-                engine.submit(&ctx, ExploreRequest::new("netflix", goal)),
+                router.submit(&ctx, ExploreRequest::new("netflix", goal)),
                 60,
                 goal,
             );
@@ -480,14 +489,14 @@ fn panic_storm_releases_budgets_and_the_pool_survives() {
             }
         }
     }
-    let stats = engine.stats();
+    let stats = router.stats().aggregate();
     assert_eq!(stats.pool.panicked, 4, "every injected panic was counted");
     assert_eq!(stats.quota.queued, 0, "panicked jobs returned their budget");
     assert_eq!(stats.quota.running, 0);
 
     // The storm is over; the same engine — same workers — serves again.
     let healed = wait_with_watchdog(
-        engine.submit(
+        router.submit(
             &ctx,
             ExploreRequest::new("netflix", "Survey the duration of the titles"),
         ),
@@ -496,7 +505,7 @@ fn panic_storm_releases_budgets_and_the_pool_survives() {
     );
     assert!(healed.outcome.is_ok(), "workers survived the storm");
     assert!(!healed.served_from_cache, "panics were never cached");
-    engine.shutdown();
+    router.shutdown();
 }
 
 #[test]
@@ -511,8 +520,8 @@ fn engine_drain_completes_under_a_panic_storm_without_deadlock() {
             max_queued: 8,
             weight: 1,
         };
-        let engine = Engine::new(config);
-        let ctx = engine.dataset_context(&netflix(200, 7), "netflix");
+        let router = one_shard(config);
+        let ctx = router.dataset_context(&netflix(200, 7), "netflix");
         let _scoped = arm_scoped(FaultPlan::new(13).always("pool.execute", FaultKind::Panic));
         let handles: Vec<_> = [
             "Survey the duration of the titles",
@@ -522,11 +531,11 @@ fn engine_drain_completes_under_a_panic_storm_without_deadlock() {
             "Survey the release year of the titles",
         ]
         .into_iter()
-        .map(|goal| engine.submit(&ctx, ExploreRequest::new("netflix", goal)))
+        .map(|goal| router.submit(&ctx, ExploreRequest::new("netflix", goal)))
         .collect();
         // Drain with the storm still armed: queued jobs run (and die), workers
         // join, and every handle still resolves.
-        let stats = engine.drain();
+        let stats = router.drain().stats;
         let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait().outcome).collect();
         let _ = tx.send((stats, outcomes));
     });
@@ -600,10 +609,10 @@ fn arming_via_engine_config_reaches_the_failpoints() {
     let plan = Arc::new(FaultPlan::new(21).always("pool.execute", FaultKind::Panic));
     let mut config = tiny_config(1);
     config.fault_plan = Some(Arc::clone(&plan));
-    let engine = Engine::new(config);
-    let ctx = engine.dataset_context(&netflix(200, 7), "netflix");
+    let router = one_shard(config);
+    let ctx = router.dataset_context(&netflix(200, 7), "netflix");
     let response = wait_with_watchdog(
-        engine.submit(
+        router.submit(
             &ctx,
             ExploreRequest::new("netflix", "Survey the duration of the titles"),
         ),
@@ -612,7 +621,7 @@ fn arming_via_engine_config_reaches_the_failpoints() {
     );
     assert!(matches!(response.outcome, Err(JobError::Panicked(_))));
     assert_eq!(plan.fired("pool.execute"), 1);
-    engine.shutdown();
+    router.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -343,4 +343,7 @@ fn seeded_sigkill_cycles_recover_with_scrub_and_warm_hits() {
         "{cycles} torn-write crash cycles produced no quarantined entry — \
          the harness exercised nothing"
     );
+    // Reached only when every cycle passed: a failed run keeps the directory
+    // (live entries and quarantine/) for inspection.
+    std::fs::remove_dir_all(&cache_dir).expect("remove the harness cache directory");
 }

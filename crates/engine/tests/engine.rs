@@ -1,12 +1,12 @@
-//! Integration tests for the exploration service: concurrency, caching, fingerprints,
-//! batching, and failure isolation.
+//! Integration tests for the exploration service through a one-shard [`Router`]:
+//! concurrency, caching, fingerprints, batching, and failure isolation.
 
 use std::sync::Arc;
 
 use linx_data::{generate, DatasetKind, ScaleConfig};
 use linx_dataframe::DataFrame;
 use linx_engine::{
-    run_batch, BatchRequest, Budget, Engine, EngineConfig, ExploreRequest, Priority, WorkerPool,
+    BatchRequest, Budget, EngineConfig, ExploreRequest, Priority, Router, RouterConfig, WorkerPool,
 };
 
 fn netflix(rows: usize, seed: u64) -> DataFrame {
@@ -19,12 +19,16 @@ fn netflix(rows: usize, seed: u64) -> DataFrame {
     )
 }
 
-/// A config small enough that a test batch finishes in seconds.
-fn tiny_config(workers: usize) -> EngineConfig {
-    let mut config = EngineConfig::fast();
-    config.workers = workers;
-    config.cdrl.episodes = 30;
-    config
+/// A one-shard router small enough that a test batch finishes in seconds.
+fn tiny_router(workers: usize) -> Router {
+    let mut engine = EngineConfig::fast();
+    engine.workers = workers;
+    engine.cdrl.episodes = 30;
+    Router::new(RouterConfig {
+        shards: 1,
+        engine,
+        ..RouterConfig::default()
+    })
 }
 
 const GOALS: [&str; 8] = [
@@ -40,21 +44,21 @@ const GOALS: [&str; 8] = [
 
 #[test]
 fn concurrent_submission_from_multiple_threads() {
-    let engine = Arc::new(Engine::new(tiny_config(4)));
+    let router = Arc::new(tiny_router(4));
     let dataset = netflix(250, 7);
-    let ctx = Arc::new(engine.dataset_context(&dataset, "netflix"));
+    let ctx = Arc::new(router.dataset_context(&dataset, "netflix"));
 
     // Four client threads submit two goals each and wait for their own responses —
     // the service is shared state, clients are independent.
     let handles: Vec<_> = (0..4)
         .map(|t| {
-            let engine = Arc::clone(&engine);
+            let router = Arc::clone(&router);
             let ctx = Arc::clone(&ctx);
             std::thread::spawn(move || {
                 (0..2)
                     .map(|i| {
                         let goal = GOALS[(t * 2 + i) % GOALS.len()];
-                        engine
+                        router
                             .submit(&ctx, ExploreRequest::new("netflix", goal))
                             .wait()
                     })
@@ -73,31 +77,34 @@ fn concurrent_submission_from_multiple_threads() {
     ids.sort();
     ids.dedup();
     assert_eq!(ids.len(), 8, "every request got a distinct id");
-    let stats = engine.stats();
+    let stats = router.stats().aggregate();
     assert_eq!(stats.submitted, 8);
     assert_eq!(stats.pool.panicked, 0);
 }
 
 #[test]
 fn repeated_request_is_served_from_cache() {
-    let engine = Engine::new(tiny_config(2));
+    let router = tiny_router(2);
     let dataset = netflix(250, 7);
-    let ctx = engine.dataset_context(&dataset, "netflix");
+    let ctx = router.dataset_context(&dataset, "netflix");
 
-    let first = engine
+    let first = router
         .submit(&ctx, ExploreRequest::new("netflix", GOALS[0]))
         .wait();
     assert!(first.outcome.is_ok());
     assert!(!first.served_from_cache);
 
-    let second = engine
+    let second = router
         .submit(&ctx, ExploreRequest::new("netflix", GOALS[0]))
         .wait();
     assert!(second.served_from_cache, "identical request hits the cache");
-    assert!(engine.stats().cache.hits > 0, "hit counter advanced");
+    assert!(
+        router.stats().aggregate().cache.hits > 0,
+        "hit counter advanced"
+    );
 
     // Same goal, different budget => different result shape => distinct cache entry.
-    let third = engine
+    let third = router
         .submit(
             &ctx,
             ExploreRequest::new("netflix", GOALS[0]).with_budget(Budget {
@@ -109,19 +116,19 @@ fn repeated_request_is_served_from_cache() {
     assert!(!third.served_from_cache, "budget changes the cache key");
 
     // Same content under a different dataset context still hits: the key is content.
-    let same_content_ctx = engine.dataset_context(&netflix(250, 7), "netflix");
-    let fourth = engine
+    let same_content_ctx = router.dataset_context(&netflix(250, 7), "netflix");
+    let fourth = router
         .submit(&same_content_ctx, ExploreRequest::new("netflix", GOALS[0]))
         .wait();
     assert!(fourth.served_from_cache, "cache keys by dataset content");
 
     // Different dataset content misses.
-    let other_ctx = engine.dataset_context(&netflix(250, 8), "netflix");
-    let fifth = engine
+    let other_ctx = router.dataset_context(&netflix(250, 8), "netflix");
+    let fifth = router
         .submit(&other_ctx, ExploreRequest::new("netflix", GOALS[0]))
         .wait();
     assert!(!fifth.served_from_cache, "different content, different key");
-    engine.shutdown();
+    router.shutdown();
 }
 
 #[test]
@@ -174,13 +181,9 @@ fn batch_of_eight_requests_beats_sequential_explore() {
     }
     let sequential = seq_start.elapsed();
 
-    let engine = Engine::new(tiny_config(4));
+    let router = tiny_router(4);
     let par_start = std::time::Instant::now();
-    let outcome = run_batch(
-        &engine,
-        &dataset,
-        BatchRequest::new("netflix", goals.clone()),
-    );
+    let outcome = router.run_batch(&dataset, BatchRequest::new("netflix", goals.clone()));
     let batched = par_start.elapsed();
     assert_eq!(outcome.succeeded(), goals.len());
     assert_eq!(outcome.responses.len(), 8);
@@ -215,49 +218,53 @@ fn batch_of_eight_requests_beats_sequential_explore() {
         batched < sequential,
         "batched+deduped serving should beat sequential explore: {batched:?} vs {sequential:?}"
     );
-    engine.shutdown();
+    router.shutdown();
 }
 
 #[test]
 fn dataset_context_builds_per_dataset_statistics_once() {
-    let engine = Engine::new(tiny_config(2));
+    let router = tiny_router(2);
     let dataset = netflix(200, 9);
-    let ctx = engine.dataset_context(&dataset, "netflix");
+    let routed = router.dataset_context(&dataset, "netflix");
+    let ctx = &routed.ctx;
 
     // The term inventory and featurizer are constructed at context-build time with the
     // engine's configured shape, and the stats cache is already warmed by that build.
-    assert_eq!(ctx.shared.terms.slots(), engine.config().cdrl.term_slots);
+    assert_eq!(
+        ctx.shared.terms.slots(),
+        router.engine(0).config().cdrl.term_slots
+    );
     assert!(ctx.shared.featurizer.obs_dim() > 0);
     let warmed = ctx.shared.stats.stats();
     assert!(warmed.misses > 0, "context build warms the stats cache");
 
     // Two goals served against the same context share those statistics: the second
     // goal's training run re-reads root-view statistics the first already computed.
-    engine
-        .submit(&ctx, ExploreRequest::new("netflix", GOALS[1]))
+    router
+        .submit(&routed, ExploreRequest::new("netflix", GOALS[1]))
         .wait();
     let after_first = ctx.shared.stats.stats();
-    engine
-        .submit(&ctx, ExploreRequest::new("netflix", GOALS[3]))
+    router
+        .submit(&routed, ExploreRequest::new("netflix", GOALS[3]))
         .wait();
     let after_second = ctx.shared.stats.stats();
     assert!(
         after_second.hits > after_first.hits,
         "second goal reuses the first goal's statistics: {after_second:?}"
     );
-    engine.shutdown();
+    router.shutdown();
 }
 
 #[test]
 fn identical_in_flight_requests_are_coalesced() {
-    let engine = Engine::new(tiny_config(2));
+    let router = tiny_router(2);
     let dataset = netflix(200, 5);
-    let ctx = engine.dataset_context(&dataset, "netflix");
+    let ctx = router.dataset_context(&dataset, "netflix");
 
     // Submit the same request five times back to back; nothing has completed yet, so
     // the cache is cold and single-flight coalescing must bound training runs.
     let handles: Vec<_> = (0..5)
-        .map(|_| engine.submit(&ctx, ExploreRequest::new("netflix", GOALS[1])))
+        .map(|_| router.submit(&ctx, ExploreRequest::new("netflix", GOALS[1])))
         .collect();
     let responses: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
     for r in &responses {
@@ -265,12 +272,12 @@ fn identical_in_flight_requests_are_coalesced() {
     }
     let fresh = responses.iter().filter(|r| !r.served_from_cache).count();
     assert_eq!(fresh, 1, "exactly one request actually trained");
-    let stats = engine.stats();
+    let stats = router.stats().aggregate();
     assert!(
         stats.coalesced + stats.cache.hits >= 4,
         "duplicates were deduplicated: {stats:?}"
     );
-    engine.shutdown();
+    router.shutdown();
 }
 
 #[test]
@@ -318,15 +325,13 @@ fn cache_eviction_order_is_least_recently_used() {
 
 #[test]
 fn shutdown_rejects_new_work_with_a_response() {
-    let engine = Engine::new(tiny_config(1));
+    let router = tiny_router(1);
     let dataset = netflix(120, 1);
-    let ctx = engine.dataset_context(&dataset, "netflix");
-    // Run one job so the engine is warm, then shut down the pool out from under it by
-    // dropping the engine after moving its pool... the public path: shutdown consumes
-    // the engine, so post-shutdown submission is impossible by construction. What we
-    // can observe is that graceful shutdown drains queued work.
-    let handle = engine.submit(&ctx, ExploreRequest::new("netflix", GOALS[2]));
-    engine.shutdown(); // must not drop the queued job
+    let ctx = router.dataset_context(&dataset, "netflix");
+    // Shutdown consumes the router, so post-shutdown submission is impossible by
+    // construction. What we can observe is that graceful shutdown drains queued work.
+    let handle = router.submit(&ctx, ExploreRequest::new("netflix", GOALS[2]));
+    router.shutdown(); // must not drop the queued job
     let response = handle.wait();
     assert!(
         response.outcome.is_ok(),

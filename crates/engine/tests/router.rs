@@ -256,7 +256,7 @@ fn routed_batches_record_their_shard() {
         )
         .with_tenant("batch-tenant"),
     );
-    assert_eq!(outcome.shard, Some(router.route(dataset.fingerprint())));
+    assert_eq!(outcome.shard, router.route(dataset.fingerprint()));
     assert_eq!(outcome.succeeded(), 2);
     assert_eq!(outcome.throttled(), 0);
     router.shutdown();

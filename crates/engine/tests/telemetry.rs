@@ -125,7 +125,7 @@ fn telemetry_merges_across_shards() {
     let stats = router.stats();
     // The batch landed on exactly one shard, but the merged view still counts it.
     assert_eq!(stats.telemetry.total.count, GOALS.len() as u64);
-    let owner = outcome.shard.expect("batch is routed to a shard");
+    let owner = outcome.shard;
     assert_eq!(
         stats.shards[owner].telemetry.total.count,
         GOALS.len() as u64

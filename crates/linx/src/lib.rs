@@ -10,6 +10,12 @@
 //!    derived specifications, and
 //! 3. renders the session as a notebook (`linx-explore`).
 //!
+//! These steps run in [`engine::pipeline::run_exploration`], the same code the
+//! serving engine's workers run for every request: [`Linx`] is a thin,
+//! single-request call into it over a fresh [`engine::DatasetContext`]. To serve many
+//! requests (caching, coalescing, admission control, batches), use
+//! [`engine::Router`].
+//!
 //! # Quickstart
 //!
 //! ```
@@ -36,22 +42,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use linx_cdrl::{CdrlConfig, CdrlTrainer, TrainOutcome};
+use linx_cdrl::{CdrlConfig, TrainOutcome};
 use linx_dataframe::DataFrame;
-use linx_explore::{narrate, Narrative, Notebook, SessionExecutor};
+use linx_engine::pipeline::{run_exploration, DatasetContext, Spec};
+use linx_explore::Notebook;
 use linx_ldx::Ldx;
 use linx_nl2ldx::{DerivationResult, SpecDeriver};
 
 /// The sharded, concurrent, cache-aware exploration service built on this pipeline.
 ///
-/// Serving-layer entry points ([`engine::Engine`], [`engine::Router`],
-/// [`engine::run_batch`]) live in the `linx-engine` crate and are re-exported here so
-/// `linx` remains the single dependency an application needs.
+/// Its front door, [`engine::Router`] (one shard or many, with
+/// [`engine::Router::run_batch`] for many goals over one dataset), lives in the
+/// `linx-engine` crate and is re-exported here so `linx` remains the single
+/// dependency an application needs.
 pub use linx_engine as engine;
 pub use linx_engine::{
-    Engine, EngineConfig, ExploreRequest, ExploreResponse, Router, RouterConfig, TenantId,
-    TenantQuota,
+    EngineConfig, ExploreRequest, ExploreResponse, Router, RouterConfig, TenantId, TenantQuota,
 };
+
+/// The result of one end-to-end exploration request: the derivation (meta-goal,
+/// PyLDX template, LDX), the CDRL training outcome, the rendered notebook and the
+/// narrated insights. This is the pipeline's own outcome type,
+/// [`engine::pipeline::Exploration`].
+pub use linx_engine::pipeline::Exploration as LinxOutcome;
 
 /// Configuration of the end-to-end system.
 #[derive(Debug, Clone, Default)]
@@ -75,21 +88,6 @@ impl LinxConfig {
             sample_rows: 200,
         }
     }
-}
-
-/// The result of one end-to-end exploration request.
-#[derive(Debug, Clone)]
-pub struct LinxOutcome {
-    /// The specification-derivation result (meta-goal, PyLDX template, LDX).
-    pub derivation: DerivationResult,
-    /// The CDRL training outcome (best session, compliance flags, training log).
-    pub training: TrainOutcome,
-    /// The rendered notebook of the best session.
-    pub notebook: Notebook,
-    /// Spelled-out natural-language insights derived from the best session (the paper's
-    /// stated future extension; may be empty when the session surfaces no clear
-    /// contrast).
-    pub narrative: Narrative,
 }
 
 /// The LINX system facade.
@@ -132,26 +130,34 @@ impl Linx {
         ldx: Ldx,
         title: &str,
     ) -> (TrainOutcome, Notebook) {
-        let trainer = CdrlTrainer::new(self.config.cdrl.clone());
-        let outcome = trainer.train(dataset.clone(), ldx);
-        let executor = SessionExecutor::new(dataset.clone());
-        let notebook = Notebook::render(title, &executor, &outcome.best_tree);
-        (outcome, notebook)
+        // A given spec skips derivation and brings its own title: nothing reads the
+        // dataset name, so the title stands in for it.
+        let outcome = self.run(dataset, title, Spec::Ldx { ldx, title });
+        (outcome.training, outcome.notebook)
     }
 
     /// The full pipeline: goal → specifications → compliant exploration session →
     /// notebook.
     pub fn explore(&self, dataset: &DataFrame, dataset_name: &str, goal: &str) -> LinxOutcome {
-        let derivation = self.derive_specs(dataset, dataset_name, goal);
-        let title = format!("{dataset_name} — {goal}");
-        let (training, notebook) = self.explore_with_ldx(dataset, derivation.ldx.clone(), &title);
-        let narrative = narrate(dataset, &training.best_tree);
-        LinxOutcome {
-            derivation,
-            training,
-            notebook,
-            narrative,
-        }
+        self.run(dataset, dataset_name, Spec::Goal(goal))
+    }
+
+    /// Run [`run_exploration`] to completion over a context built for this call.
+    fn run(&self, dataset: &DataFrame, dataset_name: &str, spec: Spec<'_>) -> LinxOutcome {
+        let ctx = DatasetContext::new(
+            dataset,
+            dataset_name,
+            self.config.sample_rows,
+            self.config.cdrl.term_slots,
+        );
+        run_exploration(
+            &ctx,
+            spec,
+            self.config.cdrl.clone(),
+            self.config.sample_rows,
+            &|| false,
+        )
+        .expect("a never-cancelled exploration runs to completion")
     }
 }
 

@@ -24,6 +24,22 @@ pub struct DerivationResult {
     pub ldx: Ldx,
 }
 
+impl DerivationResult {
+    /// The record of a specification written by hand rather than derived from a
+    /// goal: nothing was classified or linked, so the links, parameters and PyLDX
+    /// are empty and the meta-goal is the generic fallback
+    /// [`MetaGoal::ExploreThroughSubset`].
+    pub fn given(ldx: Ldx) -> Self {
+        DerivationResult {
+            meta_goal: MetaGoal::ExploreThroughSubset,
+            linked: LinkedGoal::default(),
+            params: TemplateParams::default(),
+            pyldx: PyLdx::default(),
+            ldx,
+        }
+    }
+}
+
 /// Derives LDX specifications from natural-language goals.
 #[derive(Debug, Clone, Default)]
 pub struct SpecDeriver;
