@@ -11,124 +11,166 @@
 //! This module provides the histogram and divergence primitives those scores are built
 //! from.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::column::Column;
 use crate::data::ColumnData;
-use crate::value::{OwnedGroupKey, Value};
+use crate::value::Value;
 
 /// Smoothing constant used when comparing distributions with disjoint supports.
 const EPS: f64 = 1e-9;
 
 /// A frequency histogram over the distinct non-null values of a column.
 ///
-/// Internally keyed by [`OwnedGroupKey`] — a refcount bump per distinct value, never a
-/// formatted string — so building a histogram allocates only the bucket map.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Stored as one flat vector of `(value, count)` entries sorted by the values' group
+/// keys ([`crate::value::GroupKey`]'s total order: by type, then integers by value,
+/// floats by bit pattern, strings by bytes). Key identity is the group key's, so
+/// `Int(1)` and `Float(1.0)` — equal under [`Value`]'s own order — are distinct
+/// entries, and so are `-0.0` and `0.0`.
+///
+/// The order is a function of the content alone, never of a hash seed or of the
+/// storage's dictionary-code order. [`Histogram::entropy`],
+/// [`Histogram::kl_divergence`] and [`Histogram::total_variation`] sum their terms in
+/// it, so each returns the same bits for the same content in every process, and the
+/// two divergences are merge-joins over the two vectors with no hashing.
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    counts: HashMap<OwnedGroupKey, (Value, usize)>,
+    /// One entry per distinct non-null value, in key order.
+    entries: Vec<(Value, usize)>,
     total: usize,
+}
+
+/// The histogram key order: [`Value::group_key`]'s derived total order. Equal
+/// interned strings settle on one pointer comparison.
+#[inline]
+fn key_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Str(x), Value::Str(y)) if Arc::ptr_eq(x, y) => Ordering::Equal,
+        _ => a.group_key().cmp(&b.group_key()),
+    }
+}
+
+/// Run-length encode a sorted slice into `(value, count)` entries.
+fn runs<T: Copy>(
+    sorted: &[T],
+    same: impl Fn(&T, &T) -> bool,
+    value: impl Fn(T) -> Value,
+) -> Vec<(Value, usize)> {
+    let mut entries: Vec<(Value, usize)> = sorted
+        .chunk_by(same)
+        .map(|run| (value(run[0]), run.len()))
+        .collect();
+    entries.shrink_to_fit();
+    entries
+}
+
+/// Advance `rest` (key-sorted) past every entry whose key is below `key` and return
+/// the count stored under `key`, if any. The probe gallops, so seeking a few keys
+/// through a long vector costs O(k log(n/k)) and seeking about as many keys as it
+/// holds stays linear.
+fn seek(rest: &mut &[(Value, usize)], key: &Value) -> Option<usize> {
+    let below = |e: &(Value, usize)| key_cmp(&e.0, key) == Ordering::Less;
+    let (mut lo, mut probe) = (0, 0);
+    while probe < rest.len() && below(&rest[probe]) {
+        lo = probe + 1;
+        probe = 2 * probe + 1;
+    }
+    let hi = probe.min(rest.len());
+    *rest = &rest[lo + rest[lo..hi].partition_point(below)..];
+    match rest.first() {
+        Some((v, c)) if key_cmp(v, key) == Ordering::Equal => Some(*c),
+        _ => None,
+    }
+}
+
+impl PartialEq for Histogram {
+    /// Equal when the same keys carry the same counts. Keys compare by identity, so
+    /// histograms of `[Int(1)]` and `[Float(1.0)]` differ.
+    fn eq(&self, other: &Self) -> bool {
+        self.total == other.total
+            && self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|((a, ca), (b, cb))| ca == cb && key_cmp(a, b) == Ordering::Equal)
+    }
 }
 
 impl Histogram {
     /// Build a histogram from a column of values (nulls ignored) — any iterator of
     /// cells: a slice, or a selection view's [`crate::Column::cells`].
     pub fn from_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> Histogram {
-        let mut counts: HashMap<OwnedGroupKey, (Value, usize)> = HashMap::new();
-        let mut total = 0usize;
-        for v in values {
-            if v.is_null() {
-                continue;
-            }
-            total += 1;
-            counts
-                .entry(v.owned_group_key())
-                .and_modify(|e| e.1 += 1)
-                .or_insert_with(|| (v.clone(), 1));
+        let mut cells: Vec<&Value> = values.into_iter().filter(|v| !v.is_null()).collect();
+        cells.sort_unstable_by(|a, b| key_cmp(a, b));
+        Histogram {
+            entries: runs(
+                &cells,
+                |a, b| key_cmp(a, b) == Ordering::Equal,
+                Value::clone,
+            ),
+            total: cells.len(),
         }
-        Histogram { counts, total }
     }
 
     /// Build a histogram over a column's visible rows, as a typed kernel (nulls
     /// ignored, same as [`Histogram::from_values`]).
     ///
-    /// Dictionary storage counts by code into a flat `Vec` — no hashing per row —
-    /// and builds map entries only once per distinct value; integer/float storage
-    /// counts through primitive hash maps; `Mixed` falls back to the boxed path.
+    /// Integer and float storage sort the visible primitives (floats by bit pattern)
+    /// and count runs; dictionary storage counts by code into a flat `Vec` — no
+    /// hashing per row — and sorts only the distinct strings; `Mixed` falls back to
+    /// the boxed path. No kernel hashes, and each emits its entries in key order.
     pub fn from_column(col: &Column) -> Histogram {
-        let n = col.len();
+        let visible = (0..col.len())
+            .map(|row| col.storage_index(row))
+            .filter(|&si| !col.is_null_storage(si));
         match col.data() {
             ColumnData::I64(xs) => {
-                let mut by_val: HashMap<i64, usize> = HashMap::new();
-                let mut total = 0usize;
-                for row in 0..n {
-                    let si = col.storage_index(row);
-                    if !col.is_null_storage(si) {
-                        total += 1;
-                        *by_val.entry(xs[si]).or_insert(0) += 1;
-                    }
+                let mut sorted: Vec<i64> = visible.map(|si| xs[si]).collect();
+                sorted.sort_unstable();
+                Histogram {
+                    entries: runs(&sorted, |a, b| a == b, Value::Int),
+                    total: sorted.len(),
                 }
-                let counts = by_val
-                    .into_iter()
-                    .map(|(x, c)| (OwnedGroupKey::Int(x), (Value::Int(x), c)))
-                    .collect();
-                Histogram { counts, total }
             }
             ColumnData::F64(xs) => {
-                let mut by_bits: HashMap<u64, usize> = HashMap::new();
-                let mut total = 0usize;
-                for row in 0..n {
-                    let si = col.storage_index(row);
-                    if !col.is_null_storage(si) {
-                        total += 1;
-                        *by_bits.entry(xs[si].to_bits()).or_insert(0) += 1;
-                    }
+                let mut sorted: Vec<u64> = visible.map(|si| xs[si].to_bits()).collect();
+                sorted.sort_unstable();
+                Histogram {
+                    entries: runs(
+                        &sorted,
+                        |a, b| a == b,
+                        |bits| Value::Float(f64::from_bits(bits)),
+                    ),
+                    total: sorted.len(),
                 }
-                let counts = by_bits
-                    .into_iter()
-                    .map(|(bits, c)| {
-                        (
-                            OwnedGroupKey::Float(bits),
-                            (Value::Float(f64::from_bits(bits)), c),
-                        )
-                    })
-                    .collect();
-                Histogram { counts, total }
             }
             ColumnData::Dict { codes, dict } => {
                 let mut by_code: Vec<usize> = vec![0; dict.len()];
                 let mut total = 0usize;
-                for row in 0..n {
-                    let si = col.storage_index(row);
-                    if !col.is_null_storage(si) {
-                        total += 1;
-                        by_code[codes[si] as usize] += 1;
-                    }
+                for si in visible {
+                    total += 1;
+                    by_code[codes[si] as usize] += 1;
                 }
-                let counts = by_code
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(_, c)| c > 0)
-                    .map(|(code, c)| {
-                        let s = &dict[code];
-                        (
-                            OwnedGroupKey::Str(Arc::clone(s)),
-                            (Value::Str(Arc::clone(s)), c),
-                        )
-                    })
-                    .collect();
-                Histogram { counts, total }
+                let mut entries = Vec::with_capacity(by_code.iter().filter(|&&c| c > 0).count());
+                entries.extend(
+                    by_code
+                        .iter()
+                        .zip(dict)
+                        .filter(|&(&c, _)| c > 0)
+                        .map(|(&c, s)| (Value::Str(Arc::clone(s)), c)),
+                );
+                entries.sort_unstable_by(|a, b| key_cmp(&a.0, &b.0));
+                Histogram { entries, total }
             }
-            ColumnData::Mixed(vs) => {
-                Histogram::from_values((0..n).map(|row| &vs[col.storage_index(row)]))
-            }
+            ColumnData::Mixed(vs) => Histogram::from_values(visible.map(|si| &vs[si])),
         }
     }
 
     /// Number of distinct values.
     pub fn n_distinct(&self) -> usize {
-        self.counts.len()
+        self.entries.len()
     }
 
     /// Total number of counted (non-null) observations.
@@ -136,12 +178,11 @@ impl Histogram {
         self.total
     }
 
-    /// Count for a specific value.
+    /// Count for a specific value (a binary search by key).
     pub fn count(&self, v: &Value) -> usize {
-        self.counts
-            .get(&v.owned_group_key())
-            .map(|e| e.1)
-            .unwrap_or(0)
+        self.entries
+            .binary_search_by(|(k, _)| key_cmp(k, v))
+            .map_or(0, |i| self.entries[i].1)
     }
 
     /// Relative frequency of a value (0 if unseen or histogram empty).
@@ -153,15 +194,15 @@ impl Histogram {
         }
     }
 
-    /// Iterate `(value, count)` pairs in unspecified order.
+    /// Iterate `(value, count)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Value, usize)> {
-        self.counts.values().map(|(v, c)| (v, *c))
+        self.entries.iter().map(|(v, c)| (v, *c))
     }
 
     /// The `(value, count)` pairs sorted by descending count then ascending value
     /// (deterministic ordering for display / insight extraction).
     pub fn sorted(&self) -> Vec<(Value, usize)> {
-        let mut pairs: Vec<(Value, usize)> = self.counts.values().cloned().collect();
+        let mut pairs = self.entries.clone();
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         pairs
     }
@@ -174,16 +215,16 @@ impl Histogram {
             .map(|(v, c)| (v, c as f64 / self.total.max(1) as f64))
     }
 
-    /// Shannon entropy (nats) of the value distribution.
+    /// Shannon entropy (nats) of the value distribution, summed in key order.
     pub fn entropy(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         let n = self.total as f64;
-        self.counts
-            .values()
-            .map(|(_, c)| {
-                let p = *c as f64 / n;
+        self.entries
+            .iter()
+            .map(|&(_, c)| {
+                let p = c as f64 / n;
                 -p * p.ln()
             })
             .sum()
@@ -201,20 +242,21 @@ impl Histogram {
 
     /// KL divergence `KL(self || other)` with epsilon smoothing for values missing from
     /// `other`. Values unseen in `self` contribute nothing. Returns 0 for empty `self`.
+    ///
+    /// One merge-join pass in key order: `other` is walked forward by galloping
+    /// search, so a small filtered view against a wide parent costs little more than
+    /// its own entries.
     pub fn kl_divergence(&self, other: &Histogram) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         let other_total = other.total.max(1) as f64;
+        let mut rest = other.entries.as_slice();
         let mut kl = 0.0;
-        // Look other's counts up by the stored group keys directly (KL runs on every
-        // filter-interestingness reward; the loop performs no allocation).
-        for (k, (_, c)) in &self.counts {
+        for (k, c) in &self.entries {
             let p = *c as f64 / self.total as f64;
-            let q = other
-                .counts
-                .get(k)
-                .map(|(_, oc)| *oc as f64 / other_total)
+            let q = seek(&mut rest, k)
+                .map(|oc| oc as f64 / other_total)
                 .unwrap_or(0.0)
                 .max(EPS);
             kl += p * (p / q).ln();
@@ -224,27 +266,28 @@ impl Histogram {
 
     /// Total-variation distance (half the L1 distance) between the two distributions,
     /// a symmetric, bounded `[0, 1]` measure used for session diversity.
+    ///
+    /// One merge-join pass over the union of both key sets, in key order.
     pub fn total_variation(&self, other: &Histogram) -> f64 {
-        let mut keys: std::collections::HashSet<&OwnedGroupKey> = std::collections::HashSet::new();
-        for k in self.counts.keys() {
-            keys.insert(k);
-        }
-        for k in other.counts.keys() {
-            keys.insert(k);
-        }
+        let p_total = self.total.max(1) as f64;
+        let q_total = other.total.max(1) as f64;
+        let (a, b) = (&self.entries, &other.entries);
+        let (mut i, mut j) = (0, 0);
         let mut dist = 0.0;
-        for k in keys {
-            let p = self
-                .counts
-                .get(k)
-                .map(|e| e.1 as f64 / self.total.max(1) as f64)
-                .unwrap_or(0.0);
-            let q = other
-                .counts
-                .get(k)
-                .map(|e| e.1 as f64 / other.total.max(1) as f64)
-                .unwrap_or(0.0);
+        while i < a.len() || j < b.len() {
+            let ord = match (a.get(i), b.get(j)) {
+                (Some(x), Some(y)) => key_cmp(&x.0, &y.0),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let (p, q) = match ord {
+                Ordering::Less => (a[i].1 as f64 / p_total, 0.0),
+                Ordering::Greater => (0.0, b[j].1 as f64 / q_total),
+                Ordering::Equal => (a[i].1 as f64 / p_total, b[j].1 as f64 / q_total),
+            };
             dist += (p - q).abs();
+            i += usize::from(ord != Ordering::Greater);
+            j += usize::from(ord != Ordering::Less);
         }
         (dist / 2.0).clamp(0.0, 1.0)
     }

@@ -28,6 +28,7 @@ use crate::fingerprint::Fnv1a;
 use crate::frame::DataFrame;
 use crate::sharded::ShardedLru;
 use crate::stats::Histogram;
+use crate::value::Value;
 
 /// Point-in-time cache effectiveness counters — the sharded store's own counters,
 /// re-exported under a statistics-cache name for telemetry consumers (`OpMemoStats`
@@ -64,22 +65,21 @@ pub(crate) enum StatValue {
 
 impl StatValue {
     /// Approximate resident payload bytes: what this entry charges against the
-    /// cache's byte budget. Counts the dominant terms — per-distinct-value entries
-    /// (plus interned-string lengths) for histograms, one `usize` per group for
-    /// group sizes — not exact allocator overhead; the budget is a bound, not an
-    /// audit.
+    /// cache's byte budget. Counts the dominant terms — one flat `(value, count)`
+    /// entry per distinct value (plus interned-string lengths) for histograms, one
+    /// `usize` per group for group sizes — not exact allocator overhead; the budget
+    /// is a bound, not an audit.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        /// Per-cell footprint: the enum itself plus any string payload (interned, so
-        /// shared — counted anyway as the conservative upper bound).
-        fn value_bytes(v: &crate::value::Value) -> u64 {
-            (std::mem::size_of::<crate::value::Value>() + v.as_str().map(str::len).unwrap_or(0))
-                as u64
+        /// One histogram entry: the `(value, count)` pair plus any string payload
+        /// (interned, so shared — counted anyway as the conservative upper bound).
+        fn entry_bytes(v: &Value) -> u64 {
+            (std::mem::size_of::<(Value, usize)>() + v.as_str().map_or(0, str::len)) as u64
         }
-        const ENTRY_OVERHEAD: u64 = 32; // hash-map slot + count fields, roughly
+        const HEADER: u64 = 32; // the payload's own struct and `Arc` header, roughly
         match self {
-            StatValue::Hist(h) => h.iter().map(|(v, _)| ENTRY_OVERHEAD + value_bytes(v)).sum(),
-            StatValue::Sizes(s) => (s.len() * std::mem::size_of::<usize>()) as u64 + ENTRY_OVERHEAD,
-            StatValue::Summary(_) => std::mem::size_of::<ColumnSummary>() as u64 + ENTRY_OVERHEAD,
+            StatValue::Hist(h) => HEADER + h.iter().map(|(v, _)| entry_bytes(v)).sum::<u64>(),
+            StatValue::Sizes(s) => HEADER + (s.len() * std::mem::size_of::<usize>()) as u64,
+            StatValue::Summary(_) => HEADER + std::mem::size_of::<ColumnSummary>() as u64,
         }
     }
 }
@@ -213,13 +213,14 @@ impl StatsCache {
         let key = StatKey::new(StatKind::Summary, frame, column);
         let entry = self.get_or_compute(key, || {
             let col = frame.column(column)?;
-            // Entropy comes from the cached histogram: the reward path usually
-            // requested it already, so this is a pointer bump, not an O(rows) pass.
+            // Everything but the dtype comes from the cached histogram: the reward
+            // path usually requested it already, so this is a pointer bump, not an
+            // O(rows) pass.
             let hist = self.histogram(frame, column)?;
             Ok(StatValue::Summary(Arc::new(ColumnSummary {
                 rows: col.len(),
-                n_distinct: col.n_unique(),
-                null_count: col.null_count(),
+                n_distinct: hist.n_distinct(),
+                null_count: col.len() - hist.total(),
                 normalized_entropy: hist.normalized_entropy(),
                 numeric: col.dtype().is_numeric(),
             })))
@@ -239,7 +240,6 @@ impl StatsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     fn frame() -> DataFrame {
         DataFrame::from_rows(

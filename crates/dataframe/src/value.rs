@@ -119,7 +119,13 @@ pub enum Value {
 /// distinct keys (the enum discriminant participates in `Hash`/`Eq`). Floats key by
 /// their IEEE-754 bit pattern — NaN never occurs ([`Value::float`] normalizes it to
 /// `Null`), and `-0.0`/`0.0` stay distinct exactly as their old `{:?}` renderings did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// The derived `Ord` is a total order on key *identity*: variants rank in declaration
+/// order (`Null < Int < Float < Str < Bool`), integers by value, floats by bit pattern,
+/// strings by bytes. Unlike [`Value`]'s own order it never equates `Int(1)` with
+/// `Float(1.0)`. Histograms keep their entries in this order
+/// ([`crate::stats::Histogram`]), so their statistics sum in an order fixed by content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GroupKey<'a> {
     /// The null group.
     Null,
@@ -152,8 +158,8 @@ impl fmt::Display for GroupKey<'_> {
 ///
 /// Construction from a [`Value`] ([`Value::owned_group_key`]) never allocates: the
 /// `Str` variant clones the cell's interned `Arc<str>` — a refcount bump — so grouping
-/// a column allocates only the output buckets.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// a column allocates only the output buckets. Ordered exactly as [`GroupKey`].
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OwnedGroupKey {
     /// The null group.
     Null,
@@ -474,6 +480,31 @@ mod tests {
             Value::Int(1).owned_group_key(),
             Value::str("1").owned_group_key()
         );
+    }
+
+    #[test]
+    fn group_key_order_is_by_identity_and_shared_by_owned_keys() {
+        let keys = [
+            Value::Int(-1),
+            Value::Int(1),
+            // Floats order by bit pattern: the sign bit sorts `-0.0` last.
+            Value::Float(0.0),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::str("1"),
+            Value::str("a"),
+            Value::Bool(false),
+            Value::Bool(true),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate() {
+                let order = a.group_key().cmp(&b.group_key());
+                assert_eq!(order, i.cmp(&j), "{a:?} vs {b:?}");
+                assert_eq!(a.owned_group_key().cmp(&b.owned_group_key()), order);
+            }
+        }
+        // `Value`'s own order unifies what the key order keeps apart.
+        assert_eq!(Value::Int(1), Value::Float(1.0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use linx_dataframe::filter::{CompareOp, Predicate};
 use linx_dataframe::groupby::AggFunc;
 use linx_dataframe::stats::Histogram;
-use linx_dataframe::{DataFrame, Value};
+use linx_dataframe::{Column, DataFrame, Value};
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -22,6 +22,75 @@ fn frame_strategy() -> impl Strategy<Value = DataFrame> {
         )
         .unwrap()
     })
+}
+
+/// One row of four columns, one per storage kind, each with nulls: integers, floats
+/// (`-0.0` and `0.0` among them), strings, and a mixed column whose `Int(1)`,
+/// `Float(1.0)`, `Str("1")` and `Bool(true)` are four distinct keys. Then a filter
+/// flag and a key that orders a row permutation.
+type TypedRow = ((Value, Value, Value, Value), bool, u64);
+
+fn typed_row_strategy() -> impl Strategy<Value = TypedRow> {
+    let int = prop_oneof![
+        4 => (-4i64..5).prop_map(Value::Int),
+        1 => Just(Value::Null),
+    ];
+    let float = prop_oneof![
+        4 => (-4i64..5).prop_map(|i| Value::float(i as f64 / 2.0)),
+        1 => Just(Value::Float(-0.0)),
+        1 => Just(Value::Null),
+    ];
+    let string = prop_oneof![
+        4 => prop::sample::select(vec!["a", "b", "c", "d", "e", "f"]).prop_map(Value::str),
+        1 => Just(Value::Null),
+    ];
+    let mixed = prop_oneof![
+        2 => (0i64..3).prop_map(Value::Int),
+        2 => (0i64..3).prop_map(|i| Value::Float(i as f64)),
+        1 => Just(Value::Float(-0.0)),
+        1 => prop::sample::select(vec!["0", "1", "x"]).prop_map(Value::str),
+        1 => any::<bool>().prop_map(Value::Bool),
+        1 => Just(Value::Null),
+    ];
+    ((int, float, string, mixed), any::<bool>(), any::<u64>())
+}
+
+/// Column `c` (0–3) of `rows`, only the flagged rows when `flagged_only`.
+fn typed_cells(rows: &[TypedRow], c: usize, flagged_only: bool) -> Vec<Value> {
+    rows.iter()
+        .filter(|r| r.1 || !flagged_only)
+        .map(|((i, f, s, m), _, _)| [i, f, s, m][c].clone())
+        .collect()
+}
+
+/// The bits of every reward statistic of a filtered `child` measured against its
+/// `parent`.
+fn stat_bits(child: &Histogram, parent: &Histogram) -> [u64; 7] {
+    [
+        child.entropy(),
+        child.normalized_entropy(),
+        parent.entropy(),
+        parent.normalized_entropy(),
+        child.kl_divergence(parent),
+        parent.kl_divergence(child),
+        child.total_variation(parent),
+    ]
+    .map(f64::to_bits)
+}
+
+/// Histograms key by identity: `Int(1)` and `Float(1.0)` (equal as `Value`s) and
+/// `-0.0` and `0.0` stay distinct entries, through both construction paths.
+#[test]
+fn histogram_keys_stay_distinct_across_numeric_types() {
+    let of = |v: Value| Histogram::from_values(&[v]);
+    assert_ne!(of(Value::Int(1)), of(Value::Float(1.0)));
+    assert_ne!(of(Value::Float(-0.0)), of(Value::Float(0.0)));
+    assert_eq!(of(Value::Int(1)).count(&Value::Float(1.0)), 0);
+    let col = |v: Value| Histogram::from_column(&Column::new("c", vec![v]));
+    assert_ne!(col(Value::Int(1)), col(Value::Float(1.0)));
+    let mixed = Histogram::from_values(&[Value::Int(1), Value::Float(1.0), Value::str("1")]);
+    assert_eq!(mixed.n_distinct(), 3);
+    assert_eq!(mixed.count(&Value::Int(1)), 1);
 }
 
 proptest! {
@@ -93,6 +162,94 @@ proptest! {
         let d2 = hb.total_variation(&ha);
         prop_assert!((d1 - d2).abs() < 1e-9);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&d1));
+    }
+
+    /// The merge-joined divergences agree with per-key lookups: KL bit for bit (same
+    /// terms, same key order), TV to rounding. The parent is up to 25× wider than the
+    /// child, so the join's galloping seek skips long runs of parent keys.
+    #[test]
+    fn divergences_match_per_key_lookups(
+        child in prop::collection::vec(prop_oneof![
+            4 => (0i64..200).prop_map(Value::Int),
+            1 => Just(Value::Null),
+        ], 0..8),
+        parent in prop::collection::vec((0i64..200).prop_map(Value::Int), 0..200),
+    ) {
+        let (hc, hp) = (Histogram::from_values(&child), Histogram::from_values(&parent));
+        let freq = |h: &Histogram, v: &Value| h.count(v) as f64 / h.total().max(1) as f64;
+        let mut kl = 0.0;
+        for (v, _) in hc.iter() {
+            let p = freq(&hc, v);
+            let q = freq(&hp, v).max(1e-9);
+            kl += p * (p / q).ln();
+        }
+        let kl = if hc.total() == 0 { 0.0 } else { kl.max(0.0) };
+        prop_assert_eq!(hc.kl_divergence(&hp).to_bits(), kl.to_bits());
+
+        let mut l1 = 0.0;
+        for (v, _) in hc.iter() {
+            l1 += (freq(&hc, v) - freq(&hp, v)).abs();
+        }
+        for (v, _) in hp.iter().filter(|(v, _)| hc.count(v) == 0) {
+            l1 += freq(&hp, v);
+        }
+        let tv = (l1 / 2.0).clamp(0.0, 1.0);
+        prop_assert!((hc.total_variation(&hp) - tv).abs() < 1e-12);
+    }
+
+    /// Entropy, normalized entropy, KL and TV are functions of a column's content
+    /// alone: the same bits under any permutation of the rows, for compacted and
+    /// uncompacted storage, and for a filter view, its `materialize()` and a column
+    /// rebuilt from its cells (whose dictionary follows the subset's own order).
+    #[test]
+    fn statistics_depend_on_content_only(
+        rows in prop::collection::vec(typed_row_strategy(), 0..60),
+    ) {
+        let mut permuted = rows.clone();
+        permuted.sort_by_key(|r| r.2);
+        let flags: Vec<Value> = rows.iter().map(|r| Value::Int(i64::from(r.1))).collect();
+        for c in 0..4 {
+            let hist = |values: Vec<Value>| Histogram::from_column(&Column::new("x", values));
+            let reference = stat_bits(
+                &hist(typed_cells(&rows, c, true)),
+                &hist(typed_cells(&rows, c, false)),
+            );
+
+            let shuffled = stat_bits(
+                &hist(typed_cells(&permuted, c, true)),
+                &hist(typed_cells(&permuted, c, false)),
+            );
+            prop_assert!(shuffled == reference, "permuted rows, column {c}: {shuffled:?} != {reference:?}");
+
+            let boxed = |values: Vec<Value>| {
+                Histogram::from_column(&Column::new_uncompacted("x", values))
+            };
+            let uncompacted = stat_bits(
+                &boxed(typed_cells(&rows, c, true)),
+                &boxed(typed_cells(&rows, c, false)),
+            );
+            prop_assert!(
+                uncompacted == reference,
+                "uncompacted, column {c}: {uncompacted:?} != {reference:?}"
+            );
+
+            let frame = DataFrame::new(vec![
+                Column::new("x", typed_cells(&rows, c, false)),
+                Column::new("flag", flags.clone()),
+            ])
+            .unwrap();
+            let view = frame
+                .filter(&Predicate::new("flag", CompareOp::Eq, Value::Int(1)))
+                .unwrap();
+            let parent = frame.histogram("x").unwrap();
+            for (what, child) in [
+                ("filter view", view.histogram("x").unwrap()),
+                ("materialized view", view.materialize().histogram("x").unwrap()),
+            ] {
+                let bits = stat_bits(&child, &parent);
+                prop_assert!(bits == reference, "{what}, column {c}: {bits:?} != {reference:?}");
+            }
+        }
     }
 
     /// CSV serialization round-trips row counts and cell display values.

@@ -52,7 +52,7 @@ proptest! {
             prop_assert_eq!(summary.null_count, column.null_count());
             prop_assert_eq!(summary.numeric, column.dtype().is_numeric());
             let fresh_entropy = fresh_hist.normalized_entropy();
-            prop_assert!((summary.normalized_entropy - fresh_entropy).abs() < 1e-12);
+            prop_assert_eq!(summary.normalized_entropy.to_bits(), fresh_entropy.to_bits());
         }
     }
 

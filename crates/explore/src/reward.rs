@@ -154,8 +154,9 @@ impl ExplorationReward {
                     1.0
                 };
                 // Divergence of the other columns' distributions between subset and
-                // parent — the essence of "this subset behaves differently".
-                let mut divergences = Vec::new();
+                // parent — the essence of "this subset behaves differently". Summed
+                // left to right as the columns come.
+                let (mut div_sum, mut div_count) = (0.0, 0usize);
                 for col in input.columns() {
                     let name = col.name();
                     if name == attr {
@@ -170,12 +171,13 @@ impl ExplorationReward {
                     if hi.n_distinct() == 0 {
                         continue;
                     }
-                    divergences.push(ho.kl_divergence(&hi).min(3.0) / 3.0);
+                    div_sum += ho.kl_divergence(&hi).min(3.0) / 3.0;
+                    div_count += 1;
                 }
-                if divergences.is_empty() {
+                if div_count == 0 {
                     return 0.0;
                 }
-                let mean_div = divergences.iter().sum::<f64>() / divergences.len() as f64;
+                let mean_div = div_sum / div_count as f64;
                 (mean_div * coverage_factor).clamp(0.0, 1.0)
             }
             QueryOp::GroupBy { g_attr, .. } => {

@@ -5,12 +5,10 @@
 //! answers of the deleted one.
 //!
 //! Pinned per goal: the canonical LDX, `best_compliant` and `best_structural`,
-//! `best_score` within 1e-9, `TrainLog::episode_steps`, and the notebook's cell count.
-//! The best tree and the notebook text are deliberately not pinned: sessions with
-//! equal scores are ranked by `best_score`'s last bits, and those bits carry float
-//! noise from `HashMap` iteration order in the reward statistics, which differs from
-//! process to process (ROADMAP item 1). Across recording processes the pinned fields
-//! agreed, `best_score` to within its tolerance.
+//! `best_score` within 1e-9, `TrainLog::episode_steps`, the notebook's cell count,
+//! and the best tree. The trees were recorded once reward statistics summed in key
+//! order (`linx_dataframe::stats::Histogram`), and were identical across 5 recording
+//! processes; every other field kept the value recorded before that change.
 
 use linx::{Linx, LinxConfig};
 use linx_benchgen::generate_benchmark;
@@ -33,6 +31,8 @@ struct Golden {
     episode_steps: &'static [usize],
     /// The notebook's cell count.
     cells: usize,
+    /// The best session, as `ExplorationTree::to_compact_string`.
+    tree: &'static str,
 }
 
 /// `generate_benchmark(101)`: every `len/4`-th instance of each dataset, in
@@ -52,6 +52,7 @@ const GOALS: [Golden; 12] = [
             8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
         ],
         cells: 5,
+        tree: "ROOT([G,rating,count,type],[F,country,neq,United Kingdom]([G,date_added_year,nunique,duration]),[F,country,eq,United Kingdom]([G,genre,avg,date_added_year]))",
     },
     Golden {
         id: "g3-13",
@@ -69,6 +70,7 @@ const GOALS: [Golden; 12] = [
             12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12,
         ],
         cells: 7,
+        tree: "ROOT([F,director,eq,R. Kapoor],[F,director,eq,R. Kapoor]([G,type,max,country]),[F,director,eq,R. Kapoor]([G,type,max,country]),[F,director,eq,R. Kapoor]([G,type,max,country]))",
     },
     Golden {
         id: "g5-16",
@@ -84,6 +86,7 @@ const GOALS: [Golden; 12] = [
             8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
         ],
         cells: 5,
+        tree: "ROOT([G,rating,max,country],[F,genre,neq,Dramas]([G,rating,max,country]),[F,genre,eq,Dramas]([G,rating,max,type]))",
     },
     Golden {
         id: "g7-13",
@@ -98,6 +101,7 @@ const GOALS: [Golden; 12] = [
             6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6,
         ],
         cells: 4,
+        tree: "ROOT([G,director,nunique,director],[F,rating,eq,TV-MA]([G,cast_size,max,country],[G,type,nunique,date_added_year]))",
     },
     Golden {
         id: "g1-2",
@@ -113,6 +117,7 @@ const GOALS: [Golden; 12] = [
             8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
         ],
         cells: 5,
+        tree: "ROOT([G,distance,max,month],[F,airline,eq,AA]([G,arrival_delay,max,scheduled_departure]),[F,airline,eq,EV]([G,delay_reason,nunique,month]))",
     },
     Golden {
         id: "g3-11",
@@ -130,6 +135,7 @@ const GOALS: [Golden; 12] = [
             12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12,
         ],
         cells: 7,
+        tree: "ROOT([G,delay_reason,min,flight_id],[F,month,eq,9]([G,delay_reason,min,distance]),[F,month,eq,9]([G,delay_reason,min,airline]),[F,month,eq,9]([G,delay_reason,min,day_of_week]))",
     },
     Golden {
         id: "g5-11",
@@ -145,6 +151,7 @@ const GOALS: [Golden; 12] = [
             8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
         ],
         cells: 5,
+        tree: "ROOT([G,cancelled,max,day_of_week],[F,origin_airport,eq,ATL]([G,month,max,cancelled]),[F,origin_airport,neq,ATL]([G,airline,nunique,day_of_week]))",
     },
     Golden {
         id: "g7-5",
@@ -159,6 +166,7 @@ const GOALS: [Golden; 12] = [
             5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6,
         ],
         cells: 4,
+        tree: "ROOT([F,month,le,2]([G,airline,max,origin_airport],[G,month,min,arrival_delay]),[G,day_of_week,max,distance])",
     },
     Golden {
         id: "g1-3",
@@ -174,6 +182,7 @@ const GOALS: [Golden; 12] = [
             8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
         ],
         cells: 5,
+        tree: "ROOT([G,installs,max,name],[F,name,le,App 100]([G,app_size_kb,nunique,app_size_kb]),[F,category,eq,SPORTS]([G,content_rating,count,installs]))",
     },
     Golden {
         id: "g3-12",
@@ -191,6 +200,7 @@ const GOALS: [Golden; 12] = [
             12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12,
         ],
         cells: 7,
+        tree: "ROOT([F,android_version,eq,5.0 and up],[F,android_version,eq,6.0 and up]([G,app_type,min,rating]),[F,android_version,eq,7.0 and up]([G,category,min,app_size_kb]),[F,android_version,eq,6.0 and up]([G,content_rating,avg,installs]))",
     },
     Golden {
         id: "g5-12",
@@ -206,6 +216,7 @@ const GOALS: [Golden; 12] = [
             8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
         ],
         cells: 5,
+        tree: "ROOT([F,category,eq,GAME]([G,installs,max,category]),[F,category,eq,GAME]([G,android_version,sum,installs]([G,android_version,nunique,android_version])))",
     },
     Golden {
         id: "g7-6",
@@ -220,6 +231,7 @@ const GOALS: [Golden; 12] = [
             6, 6, 6, 6, 5, 6, 6, 6, 6, 6, 6,
         ],
         cells: 4,
+        tree: "ROOT([G,content_rating,nunique,price],[F,price,eq,0]([G,android_version,max,rating],[G,category,max,app_size_kb]))",
     },
 ];
 
@@ -236,6 +248,7 @@ const MANUAL: Golden = Golden {
         4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
     ],
     cells: 3,
+    tree: "ROOT([G,rating,avg,duration],[F,type,eq,Movie]([G,cast_size,max,title]))",
 };
 
 fn dataset(kind: DatasetKind) -> linx_dataframe::DataFrame {
@@ -275,6 +288,11 @@ fn assert_golden(golden: &Golden, ldx: &str, training: &TrainOutcome, cells: usi
         "{id}: episode steps"
     );
     assert_eq!(cells, golden.cells, "{id}: notebook cells");
+    assert_eq!(
+        training.best_tree.to_compact_string(),
+        golden.tree,
+        "{id}: best tree"
+    );
 }
 
 #[test]
