@@ -7,7 +7,6 @@
 //! (coverage of the view relative to the root dataset, current depth, step progress,
 //! and the kind of the previous operation).
 
-use linx_dataframe::stats::Histogram;
 use linx_dataframe::stats_cache::StatsCache;
 use linx_dataframe::DataFrame;
 use linx_explore::{ExplorationTree, NodeId, OpKind};
@@ -147,12 +146,15 @@ fn column_features(
         }
         None => {
             let col = view.column(name).ok()?;
-            let hist = Histogram::from_column(col);
             let n = view.num_rows().max(1) as f64;
+            let entropy = view
+                .histogram(name)
+                .map(|h| h.normalized_entropy())
+                .unwrap_or(0.0);
             Some([
-                hist.n_distinct() as f64 / n,
-                (col.len() - hist.total()) as f64 / n,
-                hist.normalized_entropy(),
+                col.n_unique() as f64 / n,
+                col.null_count() as f64 / n,
+                entropy,
                 if col.dtype().is_numeric() { 1.0 } else { 0.0 },
             ])
         }

@@ -65,25 +65,6 @@ fn runs<T: Copy>(
     entries
 }
 
-/// Advance `rest` (key-sorted) past every entry whose key is below `key` and return
-/// the count stored under `key`, if any. The probe gallops, so seeking a few keys
-/// through a long vector costs O(k log(n/k)) and seeking about as many keys as it
-/// holds stays linear.
-fn seek(rest: &mut &[(Value, usize)], key: &Value) -> Option<usize> {
-    let below = |e: &(Value, usize)| key_cmp(&e.0, key) == Ordering::Less;
-    let (mut lo, mut probe) = (0, 0);
-    while probe < rest.len() && below(&rest[probe]) {
-        lo = probe + 1;
-        probe = 2 * probe + 1;
-    }
-    let hi = probe.min(rest.len());
-    *rest = &rest[lo + rest[lo..hi].partition_point(below)..];
-    match rest.first() {
-        Some((v, c)) if key_cmp(v, key) == Ordering::Equal => Some(*c),
-        _ => None,
-    }
-}
-
 impl PartialEq for Histogram {
     /// Equal when the same keys carry the same counts. Keys compare by identity, so
     /// histograms of `[Int(1)]` and `[Float(1.0)]` differ.
@@ -243,23 +224,25 @@ impl Histogram {
     /// KL divergence `KL(self || other)` with epsilon smoothing for values missing from
     /// `other`. Values unseen in `self` contribute nothing. Returns 0 for empty `self`.
     ///
-    /// One merge-join pass in key order: `other` is walked forward by galloping
-    /// search, so a small filtered view against a wide parent costs little more than
-    /// its own entries.
+    /// One merge-join pass over both vectors, summing in key order.
     pub fn kl_divergence(&self, other: &Histogram) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         let other_total = other.total.max(1) as f64;
-        let mut rest = other.entries.as_slice();
+        let b = &other.entries;
+        let mut j = 0;
         let mut kl = 0.0;
         for (k, c) in &self.entries {
+            while j < b.len() && key_cmp(&b[j].0, k) == Ordering::Less {
+                j += 1;
+            }
+            let q = match b.get(j) {
+                Some((v, oc)) if key_cmp(v, k) == Ordering::Equal => *oc as f64 / other_total,
+                _ => 0.0,
+            };
             let p = *c as f64 / self.total as f64;
-            let q = seek(&mut rest, k)
-                .map(|oc| oc as f64 / other_total)
-                .unwrap_or(0.0)
-                .max(EPS);
-            kl += p * (p / q).ln();
+            kl += p * (p / q.max(EPS)).ln();
         }
         kl.max(0.0)
     }
