@@ -84,7 +84,7 @@ use crate::faults::{self, FaultKind};
 use crate::http::{
     json_escape, parse_request, HttpParseError, HttpRequest, HttpResponse, ParseLimits,
 };
-use crate::router::{DrainReport, RoutedContext, Router, RouterConfig};
+use crate::router::{DrainReport, RoutedContext, Router, RouterConfig, RouterStats};
 use crate::telemetry::{push_family, push_histogram_series, push_sample};
 
 /// How the daemon binds, parses, and retires.
@@ -1131,7 +1131,139 @@ fn healthz(inner: &Inner) -> HttpResponse {
 }
 
 fn metrics(inner: &Inner) -> HttpResponse {
-    let mut body = inner.router.stats().render_metrics();
-    body.push_str(&inner.http.render());
-    HttpResponse::text(200, body)
+    HttpResponse::text(200, metrics_body(&inner.router.stats(), &inner.http))
+}
+
+/// The `/metrics` body: the router's families, then the HTTP layer's.
+fn metrics_body(stats: &RouterStats, http: &HttpMetrics) -> String {
+    let mut body = stats.render_metrics();
+    body.push_str(&http.render());
+    body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::persist::TierStats;
+    use crate::quota::QuotaStats;
+    use crate::router::ShardStats;
+    use crate::stats::EngineStats;
+    use crate::telemetry::{Stage, TelemetrySnapshot, TierLatency};
+    use linx_metrics::HistogramSnapshot;
+
+    /// A histogram of `n` samples starting at `first` micros, spaced so each
+    /// call with distinct arguments lands in distinct buckets and sums.
+    fn hist(first: u64, n: u64) -> HistogramSnapshot {
+        let h = LatencyHistogram::new();
+        for i in 0..n {
+            h.record(first + i * first / 2 + i);
+        }
+        h.snapshot()
+    }
+
+    /// Two shards and every shared instrument, each sample distinct and nonzero.
+    fn two_shard_stats() -> RouterStats {
+        let shard = |k: u64| {
+            let mut engine = EngineStats {
+                submitted: 100 + k,
+                coalesced: 20 + k,
+                rejected: 5 + k,
+                shed: 7 + k,
+                ..EngineStats::default()
+            };
+            engine.cache.hits = 40 + k;
+            engine.cache.misses = 50 + k;
+            engine.cache.evictions = 9 + k;
+            engine.cache.entries = 11 + k;
+            engine.pool.workers = 2 + k;
+            engine.pool.completed = 60 + k;
+            engine.pool.panicked = 1 + k;
+            engine.pool.queued_now = [13 + k, 17 + k, 19 + k];
+            engine.pool.in_flight_now = [23 + k, 29 + k, 31 + k];
+            engine.deadline_expired[Stage::Admit as usize] = 37 + k;
+            engine.deadline_expired[Stage::QueueWait as usize] = 41 + k;
+            engine.deadline_expired[Stage::Execute as usize] = 43 + k;
+            engine
+        };
+        let telemetry = TelemetrySnapshot {
+            route: hist(3, 4),
+            admit: hist(5, 5),
+            cache_lookup: hist(7, 6),
+            queue_wait: [hist(90, 7), hist(110, 9), hist(130, 10)],
+            execute: [hist(9_000, 11), hist(11_000, 12), hist(13_000, 13)],
+            disk: TierLatency {
+                read: hist(150, 14),
+                write: hist(170, 15),
+                evict: hist(190, 16),
+                sync: hist(210, 17),
+            },
+            total: hist(20_000, 18),
+        };
+        RouterStats {
+            shards: vec![
+                ShardStats {
+                    routed: 1_001,
+                    engine: shard(1_000),
+                    telemetry: TelemetrySnapshot::default(),
+                },
+                ShardStats {
+                    routed: 2_002,
+                    engine: shard(2_000),
+                    telemetry: TelemetrySnapshot::default(),
+                },
+            ],
+            quota: QuotaStats {
+                admitted: 301,
+                throttled: 305,
+                queued: 307,
+                running: 311,
+                tenants: 313,
+                throttled_queue: 302,
+                throttled_in_flight: 303,
+            },
+            tier: TierStats {
+                hits: 401,
+                misses: 402,
+                load_errors: 403,
+                stores: 404,
+                evictions: 405,
+                entries: 406,
+                bytes: 407,
+                breaker_state: 2,
+                breaker_trips: 408,
+                unlink_errors: 409,
+                retries: 410,
+                scrub_scanned: 411,
+                scrub_quarantined: 412,
+                orphans_reclaimed: 413,
+            },
+            telemetry,
+        }
+    }
+
+    fn busy_http() -> HttpMetrics {
+        let http = HttpMetrics::new();
+        http.connections_total.add(501);
+        http.connections_now.set(502);
+        http.responses_2xx.add(503);
+        http.responses_4xx.add(504);
+        http.responses_5xx.add(505);
+        http.parse_errors_total.add(506);
+        http.conn_rejected_total.add(507);
+        http.slow_client_closes_total.add(508);
+        for micros in [250, 4_000, 65_000] {
+            http.request_micros.record(micros);
+        }
+        http
+    }
+
+    /// The `/metrics` body, byte for byte. The golden was recorded from the
+    /// hand-written renderers this exposition replaced; scrapers and dashboards
+    /// read these exact lines, so any change to it must be deliberate.
+    #[test]
+    fn metrics_body_matches_the_golden() {
+        let body = metrics_body(&two_shard_stats(), &busy_http());
+        let golden = include_str!("../tests/golden/metrics.prom");
+        assert_eq!(body, golden, "the /metrics body drifted from its golden");
+    }
 }
