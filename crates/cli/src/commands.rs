@@ -1250,7 +1250,7 @@ mod tests {
         assert!(!out.contains("slow requests"));
         let json = std::fs::read_to_string(&json_path).unwrap();
         assert!(json.trim_start().starts_with('{'));
-        assert!(json.contains("\"request_total\""));
+        assert!(json.contains("\"linx_request_total_micros\""));
         std::fs::remove_file(&json_path).ok();
     }
 

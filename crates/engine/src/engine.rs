@@ -639,7 +639,8 @@ impl Engine {
         false
     }
 
-    /// Counters snapshot across cache and pool.
+    /// This shard's own counters: requests, result cache and pool. The shared
+    /// quota table and disk tier are left zero; the router reads them once.
     pub(crate) fn stats(&self) -> EngineStats {
         let mut pool = self.pool.stats();
         // Engine jobs convert their own panics into responses, bypassing the pool's
@@ -650,32 +651,25 @@ impl Engine {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             rejected: self.failed.load(Ordering::Relaxed),
             cache: self.cache.memory_stats(),
-            tier: self.cache.tier_stats(),
             pool,
-            quota: self.quota.stats(),
             deadline_expired: std::array::from_fn(|i| {
                 self.deadline_expired[i].load(Ordering::Relaxed)
             }),
             shed: self.shed.load(Ordering::Relaxed),
+            ..EngineStats::default()
         }
     }
 
-    /// Every latency distribution this engine can see, assembled from the
-    /// component-owned instruments. The `route` histogram is empty here — only
-    /// a [`crate::Router`] measures placement.
+    /// This shard's own latency distributions. `route`, `admit` and `disk`
+    /// are left empty: the router owns placement and reads the shared quota
+    /// table and disk tier once.
     pub(crate) fn telemetry(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            route: Default::default(),
-            admit: self.quota.admit_latency(),
             cache_lookup: self.metrics.cache_lookup(),
             queue_wait: self.pool.queue_wait_latency(),
             execute: self.pool.execute_latency(),
-            disk: self
-                .cache
-                .disk()
-                .map(|tier| tier.latency())
-                .unwrap_or_default(),
             total: self.metrics.request_total(),
+            ..TelemetrySnapshot::default()
         }
     }
 
@@ -686,14 +680,14 @@ impl Engine {
     }
 
     /// Drain: stop intake (consumes the engine), let queued and in-flight jobs
-    /// finish, join every worker, and return the engine's final counters.
-    /// Result write-through is synchronous inside each job, so when this
-    /// returns every completed result has already reached the disk tier.
+    /// finish, join every worker, and return the engine's final counters
+    /// (its own, as [`Engine::stats`]). Result write-through is synchronous
+    /// inside each job, so when this returns every completed result has
+    /// already reached the disk tier.
     pub(crate) fn drain(self) -> EngineStats {
         let Engine {
             pool,
             cache,
-            quota,
             submitted,
             coalesced,
             failed,
@@ -709,11 +703,10 @@ impl Engine {
             coalesced: coalesced.load(Ordering::Relaxed),
             rejected: failed.load(Ordering::Relaxed),
             cache: cache.memory_stats(),
-            tier: cache.tier_stats(),
             pool: pool_stats,
-            quota: quota.stats(),
             deadline_expired: std::array::from_fn(|i| deadline_expired[i].load(Ordering::Relaxed)),
             shed: shed.load(Ordering::Relaxed),
+            ..EngineStats::default()
         }
     }
 }

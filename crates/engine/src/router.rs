@@ -130,9 +130,9 @@ pub struct ShardStats {
     pub routed: u64,
     /// The shard engine's counters.
     pub engine: EngineStats,
-    /// The shard engine's latency distributions. Shared-instrument caveats
-    /// apply exactly as for `engine.quota`/`engine.tier` — see
-    /// [`TelemetrySnapshot`].
+    /// The shard engine's latency distributions. Like `engine.quota` and
+    /// `engine.tier`, the shared `route`, `admit` and `disk` histograms are
+    /// empty here; they live on [`RouterStats::telemetry`].
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -146,25 +146,25 @@ pub struct RouterStats {
     /// The shared persistent-tier counters (one disk tier serves all shards;
     /// all-zero when no tier is mounted).
     pub tier: TierStats,
-    /// Latency distributions merged across shards, with the shared-instrument
-    /// histograms (`admit`, `disk`) and the router's own `route` histogram
-    /// taken once. [`RouterStats::render_metrics`] exposes this as Prometheus
-    /// text; [`RouterStats::render_json`] as a JSON snapshot.
+    /// Latency distributions: the shards' own merged, plus the shared
+    /// `admit` and `disk` histograms and the router's `route` histogram, each
+    /// read once from its owner. [`RouterStats::render_metrics`] exposes this
+    /// as Prometheus text; [`RouterStats::render_json`] as a JSON snapshot.
     pub telemetry: TelemetrySnapshot,
 }
 
 impl RouterStats {
-    /// Sum of every shard's engine counters, with `quota` and `tier` taken from
-    /// their shared instances once (summing either per shard would multiply-count
-    /// them).
+    /// Sum of every shard's engine counters, with the shared `quota` and
+    /// `tier` counters of this snapshot.
     pub fn aggregate(&self) -> EngineStats {
-        let mut total = self
-            .shards
+        let shared = EngineStats {
+            quota: self.quota,
+            tier: self.tier,
+            ..EngineStats::default()
+        };
+        self.shards
             .iter()
-            .fold(EngineStats::default(), |acc, s| acc.merge(&s.engine));
-        total.quota = self.quota;
-        total.tier = self.tier;
-        total
+            .fold(shared, |acc, s| acc.merge(&s.engine))
     }
 
     /// One-line human-readable summary: routed counts per shard, then the
@@ -394,15 +394,15 @@ impl Router {
                 telemetry: engine.telemetry(),
             })
             .collect();
-        // Merge the per-shard distributions, then overwrite the ones backed by
-        // shared (or router-owned) instruments with a single snapshot — exactly
-        // the `quota`/`tier` rule EngineStats::merge documents.
-        let mut telemetry = shards.iter().fold(TelemetrySnapshot::default(), |acc, s| {
-            acc.merge(&s.telemetry)
-        });
-        telemetry.admit = self.quota.admit_latency();
-        telemetry.disk = self.tier.as_ref().map(|t| t.latency()).unwrap_or_default();
-        telemetry.route = self.route_micros.snapshot();
+        // Shared and router-owned instruments are read once, here; the shards
+        // report only their own.
+        let shared = TelemetrySnapshot {
+            route: self.route_micros.snapshot(),
+            admit: self.quota.admit_latency(),
+            disk: self.tier.as_ref().map(|t| t.latency()).unwrap_or_default(),
+            ..TelemetrySnapshot::default()
+        };
+        let telemetry = shards.iter().fold(shared, |acc, s| acc.merge(&s.telemetry));
         RouterStats {
             shards,
             quota: self.quota.stats(),
@@ -452,16 +452,19 @@ impl Router {
             tier,
             ..
         } = self;
-        let mut stats = shards
+        let drained = shards
             .into_iter()
             .fold(EngineStats::default(), |acc, shard| {
                 acc.merge(&shard.drain())
             });
         let quota_swept = quota.gc();
-        // The quota table and disk tier are shared instruments: overwrite the
-        // multiply-counted merges with one final snapshot of each.
-        stats.quota = quota.stats();
-        stats.tier = tier.as_ref().map(|t| t.stats()).unwrap_or_default();
+        // Every worker has joined, so the shared instruments are final: read
+        // each once.
+        let stats = EngineStats {
+            quota: quota.stats(),
+            tier: tier.as_ref().map(|t| t.stats()).unwrap_or_default(),
+            ..drained
+        };
         DrainReport {
             completed: stats.pool.completed,
             shed: stats.shed,
@@ -487,7 +490,7 @@ pub struct DrainReport {
     pub throttled: u64,
     /// Dead tenant entries swept from the shared quota table at drain time.
     pub quota_swept: usize,
-    /// The final aggregated engine counters (shared quota/tier taken once).
+    /// The final aggregated engine counters (shared quota and tier read once).
     pub stats: EngineStats,
 }
 

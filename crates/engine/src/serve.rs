@@ -85,7 +85,7 @@ use crate::http::{
     json_escape, parse_request, HttpParseError, HttpRequest, HttpResponse, ParseLimits,
 };
 use crate::router::{DrainReport, RoutedContext, Router, RouterConfig, RouterStats};
-use crate::telemetry::{push_family, push_histogram_series, push_sample};
+use crate::telemetry::{render_text, Family};
 
 /// How the daemon binds, parses, and retires.
 #[derive(Clone, Debug)]
@@ -140,8 +140,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// HTTP-layer instruments, appended to the `/metrics` body after the router
-/// families. Built from the PR 6 primitives so exposition format matches.
+/// HTTP-layer instruments. Their families follow the router's in the
+/// `/metrics` body, rendered by the same exposition code.
 struct HttpMetrics {
     connections_total: Counter,
     connections_now: Gauge,
@@ -178,105 +178,51 @@ impl HttpMetrics {
     }
 
     /// The seven `linx_http_*` families, always present (zero-valued when idle).
-    fn render(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        push_family(
-            &mut out,
-            "linx_http_connections_total",
-            "counter",
-            "TCP connections accepted by linx serve.",
-        );
-        push_sample(
-            &mut out,
-            "linx_http_connections_total",
-            "",
-            self.connections_total.get(),
-        );
-        push_family(
-            &mut out,
-            "linx_http_connections_now",
-            "gauge",
-            "TCP connections currently open.",
-        );
-        push_sample(
-            &mut out,
-            "linx_http_connections_now",
-            "",
-            self.connections_now.get(),
-        );
-        push_family(
-            &mut out,
-            "linx_http_responses_total",
-            "counter",
-            "HTTP responses written, by status class.",
-        );
-        push_sample(
-            &mut out,
-            "linx_http_responses_total",
-            "class=\"2xx\"",
-            self.responses_2xx.get(),
-        );
-        push_sample(
-            &mut out,
-            "linx_http_responses_total",
-            "class=\"4xx\"",
-            self.responses_4xx.get(),
-        );
-        push_sample(
-            &mut out,
-            "linx_http_responses_total",
-            "class=\"5xx\"",
-            self.responses_5xx.get(),
-        );
-        push_family(
-            &mut out,
-            "linx_http_parse_errors_total",
-            "counter",
-            "Requests rejected by the HTTP parser (400/431).",
-        );
-        push_sample(
-            &mut out,
-            "linx_http_parse_errors_total",
-            "",
-            self.parse_errors_total.get(),
-        );
-        push_family(
-            &mut out,
-            "linx_http_conn_rejected_total",
-            "counter",
-            "Connections refused with 503 by the --max-connections cap.",
-        );
-        push_sample(
-            &mut out,
-            "linx_http_conn_rejected_total",
-            "",
-            self.conn_rejected_total.get(),
-        );
-        push_family(
-            &mut out,
-            "linx_http_slow_client_closes_total",
-            "counter",
-            "Connections closed for exceeding the request read deadline (408) or a write timeout.",
-        );
-        push_sample(
-            &mut out,
-            "linx_http_slow_client_closes_total",
-            "",
-            self.slow_client_closes_total.get(),
-        );
-        push_family(
-            &mut out,
-            "linx_http_request_micros",
-            "histogram",
-            "Wall-clock time from request parse to response write.",
-        );
-        push_histogram_series(
-            &mut out,
-            "linx_http_request_micros",
-            "",
-            &self.request_micros.snapshot(),
-        );
-        out
+    fn families(&self) -> Vec<Family> {
+        vec![
+            Family::counter(
+                "linx_http_connections_total",
+                "TCP connections accepted by linx serve.",
+            )
+            .one(self.connections_total.get()),
+            Family::gauge(
+                "linx_http_connections_now",
+                "TCP connections currently open.",
+            )
+            .one(self.connections_now.get()),
+            Family::counter(
+                "linx_http_responses_total",
+                "HTTP responses written, by status class.",
+            )
+            .by(
+                "class",
+                [
+                    ("2xx", self.responses_2xx.get()),
+                    ("4xx", self.responses_4xx.get()),
+                    ("5xx", self.responses_5xx.get()),
+                ],
+            ),
+            Family::counter(
+                "linx_http_parse_errors_total",
+                "Requests rejected by the HTTP parser (400/431).",
+            )
+            .one(self.parse_errors_total.get()),
+            Family::counter(
+                "linx_http_conn_rejected_total",
+                "Connections refused with 503 by the --max-connections cap.",
+            )
+            .one(self.conn_rejected_total.get()),
+            Family::counter(
+                "linx_http_slow_client_closes_total",
+                "Connections closed for exceeding the request read deadline (408) or a write timeout.",
+            )
+            .one(self.slow_client_closes_total.get()),
+            Family::histogram(
+                "linx_http_request_micros",
+                "Wall-clock time from request parse to response write.",
+            )
+            .one(self.request_micros.snapshot()),
+        ]
     }
 }
 
@@ -1136,110 +1082,15 @@ fn metrics(inner: &Inner) -> HttpResponse {
 
 /// The `/metrics` body: the router's families, then the HTTP layer's.
 fn metrics_body(stats: &RouterStats, http: &HttpMetrics) -> String {
-    let mut body = stats.render_metrics();
-    body.push_str(&http.render());
-    body
+    let mut families = stats.families();
+    families.extend(http.families());
+    render_text(&families)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::TierStats;
-    use crate::quota::QuotaStats;
-    use crate::router::ShardStats;
-    use crate::stats::EngineStats;
-    use crate::telemetry::{Stage, TelemetrySnapshot, TierLatency};
-    use linx_metrics::HistogramSnapshot;
-
-    /// A histogram of `n` samples starting at `first` micros, spaced so each
-    /// call with distinct arguments lands in distinct buckets and sums.
-    fn hist(first: u64, n: u64) -> HistogramSnapshot {
-        let h = LatencyHistogram::new();
-        for i in 0..n {
-            h.record(first + i * first / 2 + i);
-        }
-        h.snapshot()
-    }
-
-    /// Two shards and every shared instrument, each sample distinct and nonzero.
-    fn two_shard_stats() -> RouterStats {
-        let shard = |k: u64| {
-            let mut engine = EngineStats {
-                submitted: 100 + k,
-                coalesced: 20 + k,
-                rejected: 5 + k,
-                shed: 7 + k,
-                ..EngineStats::default()
-            };
-            engine.cache.hits = 40 + k;
-            engine.cache.misses = 50 + k;
-            engine.cache.evictions = 9 + k;
-            engine.cache.entries = 11 + k;
-            engine.pool.workers = 2 + k;
-            engine.pool.completed = 60 + k;
-            engine.pool.panicked = 1 + k;
-            engine.pool.queued_now = [13 + k, 17 + k, 19 + k];
-            engine.pool.in_flight_now = [23 + k, 29 + k, 31 + k];
-            engine.deadline_expired[Stage::Admit as usize] = 37 + k;
-            engine.deadline_expired[Stage::QueueWait as usize] = 41 + k;
-            engine.deadline_expired[Stage::Execute as usize] = 43 + k;
-            engine
-        };
-        let telemetry = TelemetrySnapshot {
-            route: hist(3, 4),
-            admit: hist(5, 5),
-            cache_lookup: hist(7, 6),
-            queue_wait: [hist(90, 7), hist(110, 9), hist(130, 10)],
-            execute: [hist(9_000, 11), hist(11_000, 12), hist(13_000, 13)],
-            disk: TierLatency {
-                read: hist(150, 14),
-                write: hist(170, 15),
-                evict: hist(190, 16),
-                sync: hist(210, 17),
-            },
-            total: hist(20_000, 18),
-        };
-        RouterStats {
-            shards: vec![
-                ShardStats {
-                    routed: 1_001,
-                    engine: shard(1_000),
-                    telemetry: TelemetrySnapshot::default(),
-                },
-                ShardStats {
-                    routed: 2_002,
-                    engine: shard(2_000),
-                    telemetry: TelemetrySnapshot::default(),
-                },
-            ],
-            quota: QuotaStats {
-                admitted: 301,
-                throttled: 305,
-                queued: 307,
-                running: 311,
-                tenants: 313,
-                throttled_queue: 302,
-                throttled_in_flight: 303,
-            },
-            tier: TierStats {
-                hits: 401,
-                misses: 402,
-                load_errors: 403,
-                stores: 404,
-                evictions: 405,
-                entries: 406,
-                bytes: 407,
-                breaker_state: 2,
-                breaker_trips: 408,
-                unlink_errors: 409,
-                retries: 410,
-                scrub_scanned: 411,
-                scrub_quarantined: 412,
-                orphans_reclaimed: 413,
-            },
-            telemetry,
-        }
-    }
+    use crate::telemetry::tests::two_shard_stats;
 
     fn busy_http() -> HttpMetrics {
         let http = HttpMetrics::new();

@@ -17,13 +17,15 @@ pub struct EngineStats {
     pub rejected: u64,
     /// Result-cache counters (the in-memory tier).
     pub cache: CacheStats,
-    /// Persistent disk-tier counters (all-zero when no tier is mounted). Under a
-    /// [`crate::Router`] the tier is shared across shards, so — like `quota` —
-    /// these are a *global* snapshot, not a per-shard one.
+    /// Persistent disk-tier counters. The tier is shared by every shard, so a
+    /// shard's own snapshot leaves this zero: [`crate::RouterStats::aggregate`]
+    /// and [`crate::Router::drain`] read it once, from the tier itself.
     pub tier: TierStats,
     /// Worker-pool counters.
     pub pool: PoolStats,
     /// Admission-control counters (throttled requests never reach the pool).
+    /// Shared like `tier`: zero in a shard's snapshot, read once from the
+    /// quota table by the router.
     pub quota: QuotaStats,
     /// Requests that ran out of deadline budget, indexed by the
     /// [`crate::telemetry::Stage`] at which the expiry was detected (only the
@@ -66,12 +68,9 @@ impl EngineStats {
         }
     }
 
-    /// Field-wise sum of two snapshots, for aggregating engine shards.
-    ///
-    /// Note: when shards share one quota table or one disk tier (as under
-    /// [`crate::Router`]), summing the `quota`/`tier` counters would multiply-count
-    /// them; [`crate::RouterStats`] therefore overwrites the aggregate's `quota`
-    /// and `tier` with the shared instances' single snapshots.
+    /// Adds `other`'s per-shard counters to this snapshot's, for aggregating
+    /// engine shards. The shared `tier` and `quota` stay this snapshot's: the
+    /// router reads them once from their owners, so there is nothing to sum.
     pub fn merge(mut self, other: &EngineStats) -> EngineStats {
         self.submitted += other.submitted;
         self.coalesced += other.coalesced;
@@ -80,21 +79,8 @@ impl EngineStats {
         self.cache.misses += other.cache.misses;
         self.cache.evictions += other.cache.evictions;
         self.cache.entries += other.cache.entries;
+        self.cache.weight += other.cache.weight;
         self.cache.capacity += other.cache.capacity;
-        self.tier.hits += other.tier.hits;
-        self.tier.misses += other.tier.misses;
-        self.tier.load_errors += other.tier.load_errors;
-        self.tier.stores += other.tier.stores;
-        self.tier.evictions += other.tier.evictions;
-        self.tier.entries += other.tier.entries;
-        self.tier.bytes += other.tier.bytes;
-        self.tier.unlink_errors += other.tier.unlink_errors;
-        self.tier.retries += other.tier.retries;
-        self.tier.breaker_trips += other.tier.breaker_trips;
-        // State is not a counter: keep the most-degraded shard's view (OPEN=1
-        // outranks HALF_OPEN=2 in severity but the shared-tier rule means
-        // merged snapshots are overwritten anyway; max is just a safe default).
-        self.tier.breaker_state = self.tier.breaker_state.max(other.tier.breaker_state);
         self.pool.completed += other.pool.completed;
         self.pool.panicked += other.pool.panicked;
         self.pool.queued += other.pool.queued;
@@ -103,13 +89,6 @@ impl EngineStats {
             self.pool.queued_now[band] += other.pool.queued_now[band];
             self.pool.in_flight_now[band] += other.pool.in_flight_now[band];
         }
-        self.quota.admitted += other.quota.admitted;
-        self.quota.throttled += other.quota.throttled;
-        self.quota.queued += other.quota.queued;
-        self.quota.running += other.quota.running;
-        self.quota.tenants += other.quota.tenants;
-        self.quota.throttled_queue += other.quota.throttled_queue;
-        self.quota.throttled_in_flight += other.quota.throttled_in_flight;
         for stage in 0..STAGE_COUNT {
             self.deadline_expired[stage] += other.deadline_expired[stage];
         }
@@ -188,40 +167,79 @@ mod tests {
     fn merge_sums_every_counter() {
         let mut a = EngineStats {
             submitted: 3,
+            coalesced: 1,
+            rejected: 2,
             ..EngineStats::default()
         };
-        a.cache.hits = 2;
+        a.cache = CacheStats {
+            hits: 2,
+            misses: 4,
+            evictions: 1,
+            entries: 3,
+            weight: 1_513,
+            capacity: 4_096,
+        };
         a.pool.workers = 4;
-        a.quota.throttled = 1;
+        a.pool.completed = 6;
+        a.pool.queued_now = [1, 0, 2];
         let mut b = EngineStats {
             submitted: 5,
+            coalesced: 2,
+            rejected: 1,
             ..EngineStats::default()
         };
-        b.cache.hits = 1;
+        b.cache = CacheStats {
+            hits: 1,
+            misses: 3,
+            evictions: 5,
+            entries: 2,
+            weight: 2_000,
+            capacity: 4_096,
+        };
         b.pool.workers = 2;
-        b.quota.throttled = 2;
+        b.pool.completed = 1;
+        b.pool.in_flight_now = [0, 3, 0];
         a.shed = 1;
         b.shed = 4;
         a.deadline_expired[2] = 2;
         b.deadline_expired[2] = 3;
-        a.tier.retries = 1;
-        b.tier.retries = 2;
-        a.tier.unlink_errors = 5;
-        b.tier.breaker_trips = 7;
-        b.tier.breaker_state = 1;
         let merged = a.merge(&b);
-        assert_eq!(merged.submitted, 8);
-        assert_eq!(merged.cache.hits, 3);
+        assert_eq!(
+            (merged.submitted, merged.coalesced, merged.rejected),
+            (8, 3, 3)
+        );
+        assert_eq!(
+            merged.cache,
+            CacheStats {
+                hits: 3,
+                misses: 7,
+                evictions: 6,
+                entries: 5,
+                weight: 3_513,
+                capacity: 8_192,
+            }
+        );
         assert_eq!(merged.pool.workers, 6);
-        assert_eq!(merged.quota.throttled, 3);
+        assert_eq!(merged.pool.completed, 7);
+        assert_eq!(merged.pool.queued_now, [1, 0, 2]);
+        assert_eq!(merged.pool.in_flight_now, [0, 3, 0]);
         assert_eq!(merged.shed, 5);
         assert_eq!(merged.deadline_expired[2], 5);
         assert_eq!(merged.deadline_expired_total(), 5);
-        assert_eq!(merged.tier.retries, 3);
-        assert_eq!(merged.tier.unlink_errors, 5);
-        assert_eq!(merged.tier.breaker_trips, 7);
-        assert_eq!(merged.tier.breaker_state, 1);
         let line = merged.summary();
         assert!(line.contains("5 shed, 5 expired"), "summary: {line}");
+    }
+
+    #[test]
+    fn merge_keeps_the_shared_instruments_of_its_receiver() {
+        let mut router_view = EngineStats::default();
+        router_view.tier.hits = 9;
+        router_view.quota.admitted = 4;
+        let mut shard = EngineStats::default();
+        shard.tier.hits = 100;
+        shard.quota.admitted = 100;
+        let merged = router_view.merge(&shard).merge(&shard);
+        assert_eq!(merged.tier, router_view.tier);
+        assert_eq!(merged.quota, router_view.quota);
     }
 }

@@ -15,22 +15,24 @@
 //! * [`MetricsRegistry`] holds the engine-owned instruments (cache-lookup and
 //!   end-to-end latency histograms) plus the ring-buffer slow-request log;
 //!   pool-, quota-, disk-, and router-owned histograms live with the component
-//!   they measure and are assembled into a [`TelemetrySnapshot`] per shard.
-//! * [`TelemetrySnapshot`] merges across shards exactly like
-//!   [`EngineStats::merge`](crate::EngineStats::merge) — with the same caveat
-//!   that instruments on *shared* components (the quota table, the disk tier,
-//!   the router's ring) must be overwritten from the shared instance once, not
-//!   summed per shard.
-//! * [`RouterStats::render_metrics`](crate::RouterStats::render_metrics) /
-//!   [`render_json`](crate::RouterStats::render_json) are the exposition
-//!   formats: Prometheus text (the future `linx serve` `/metrics` body) and a
-//!   JSON snapshot.
+//!   they measure.
+//! * [`TelemetrySnapshot`] holds a shard's own distributions; instruments on
+//!   *shared* components (the router's ring, the quota table, the disk tier)
+//!   are read once by [`Router::stats`](crate::Router::stats), never summed
+//!   per shard — the same rule as [`EngineStats::merge`](crate::EngineStats::merge).
+//! * Each exported metric family is declared once, in a private family list
+//!   that [`RouterStats`] builds (and `linx serve` extends with its HTTP
+//!   families). [`RouterStats::render_metrics`](crate::RouterStats::render_metrics)
+//!   renders it as Prometheus text, the start of `linx serve`'s `/metrics`
+//!   body, and [`render_json`](crate::RouterStats::render_json) as a JSON
+//!   snapshot keyed by family name.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use linx_metrics::{Clock, HistogramSnapshot, LatencyHistogram, BUCKETS};
+use serde_json::{json, Value};
 
 use crate::api::{Priority, RequestId};
 use crate::quota::TenantId;
@@ -386,27 +388,14 @@ pub struct TierLatency {
     pub sync: HistogramSnapshot,
 }
 
-impl TierLatency {
-    /// Elementwise merge (see [`HistogramSnapshot::merge`]).
-    pub fn merge(self, other: &TierLatency) -> TierLatency {
-        TierLatency {
-            read: self.read.merge(&other.read),
-            write: self.write.merge(&other.write),
-            evict: self.evict.merge(&other.evict),
-            sync: self.sync.merge(&other.sync),
-        }
-    }
-}
-
 /// Every latency distribution of one engine shard (or, merged, of a whole
 /// router), the histogram-side complement of [`EngineStats`](crate::EngineStats).
 ///
-/// Merging note, mirrored from [`EngineStats::merge`](crate::EngineStats::merge):
-/// `admit`, `disk`, and `route` are measured on components *shared* across
-/// shards (the quota table, the disk tier, the router's ring), so a per-shard
-/// snapshot repeats the shared instrument. [`crate::Router::stats`] folds
-/// shards with [`TelemetrySnapshot::merge`] and then overwrites those three
-/// from the shared instances once.
+/// `route`, `admit` and `disk` are measured on instruments shared by every
+/// shard (the router's ring, the quota table, the disk tier). A shard's
+/// snapshot leaves them empty; [`crate::Router::stats`] reads each once from
+/// its owner and folds the shards' own distributions in with
+/// [`TelemetrySnapshot::merge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     /// Consistent-hash placement latency (router-owned; zero on a bare engine).
@@ -426,634 +415,402 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Elementwise merge for aggregating shards (see the shared-instrument
-    /// caveat on the type docs).
+    /// Adds `other`'s per-shard distributions (cache lookup, queue wait,
+    /// execute, total) to this snapshot's, for aggregating shards. The shared
+    /// `route`, `admit` and `disk` stay this snapshot's (see the type docs).
     pub fn merge(self, other: &TelemetrySnapshot) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            route: self.route.merge(&other.route),
-            admit: self.admit.merge(&other.admit),
             cache_lookup: self.cache_lookup.merge(&other.cache_lookup),
             queue_wait: std::array::from_fn(|i| self.queue_wait[i].merge(&other.queue_wait[i])),
             execute: std::array::from_fn(|i| self.execute[i].merge(&other.execute[i])),
-            disk: self.disk.merge(&other.disk),
             total: self.total.merge(&other.total),
+            ..self
         }
     }
 }
 
 // --- exposition -------------------------------------------------------------------
 
-pub(crate) fn push_family(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+/// One sample of a [`Family`]: a counter or gauge value, or a latency distribution.
+#[derive(Debug)]
+pub(crate) enum Sample {
+    Value(u64),
+    Histogram(Box<HistogramSnapshot>),
 }
 
-pub(crate) fn push_sample(out: &mut String, name: &str, labels: &str, value: u64) {
-    if labels.is_empty() {
-        out.push_str(&format!("{name} {value}\n"));
-    } else {
-        out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+impl From<u64> for Sample {
+    fn from(v: u64) -> Self {
+        Sample::Value(v)
     }
 }
 
-/// Append one histogram series in the Prometheus convention: cumulative
-/// `_bucket{le="..."}` samples, then `_sum` and `_count`.
-pub(crate) fn push_histogram_series(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    h: &HistogramSnapshot,
-) {
-    let mut cumulative = 0u64;
-    for (i, &n) in h.buckets.iter().enumerate() {
-        cumulative += n;
-        let le = if i == BUCKETS - 1 {
-            "+Inf".to_string()
-        } else {
-            (1u64 << i).to_string()
-        };
-        if labels.is_empty() {
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-        } else {
-            out.push_str(&format!(
-                "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
-            ));
+impl From<HistogramSnapshot> for Sample {
+    fn from(h: HistogramSnapshot) -> Self {
+        Sample::Histogram(Box::new(h))
+    }
+}
+
+/// One exported metric family, declared once and rendered by both exposition
+/// formats: its name, Prometheus type, help text, at most one label key, and
+/// its samples, one per label value (a single unlabelled one when `label` is
+/// `None`). A family is present even when idle, so its samples are zero then.
+#[derive(Debug)]
+pub(crate) struct Family {
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    label: Option<&'static str>,
+    samples: Vec<(String, Sample)>,
+}
+
+impl Family {
+    fn new(name: &'static str, kind: &'static str, help: &'static str) -> Family {
+        Family {
+            name,
+            kind,
+            help,
+            label: None,
+            samples: Vec::new(),
         }
     }
-    push_sample(out, &format!("{name}_sum"), labels, h.sum);
-    push_sample(out, &format!("{name}_count"), labels, h.count);
-}
 
-/// Append a whole histogram family: header plus one series per label set.
-fn push_histogram_family(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    series: &[(&str, &HistogramSnapshot)],
-) {
-    push_family(out, name, "histogram", help);
-    for (labels, h) in series {
-        push_histogram_series(out, name, labels, h);
+    pub(crate) fn counter(name: &'static str, help: &'static str) -> Family {
+        Family::new(name, "counter", help)
+    }
+
+    pub(crate) fn gauge(name: &'static str, help: &'static str) -> Family {
+        Family::new(name, "gauge", help)
+    }
+
+    pub(crate) fn histogram(name: &'static str, help: &'static str) -> Family {
+        Family::new(name, "histogram", help)
+    }
+
+    /// The family's single, unlabelled sample.
+    pub(crate) fn one(self, sample: impl Into<Sample>) -> Family {
+        Family {
+            samples: vec![(String::new(), sample.into())],
+            ..self
+        }
+    }
+
+    /// One sample per value of the label `key`, in exposition order.
+    pub(crate) fn by<L: ToString, S: Into<Sample>>(
+        self,
+        key: &'static str,
+        samples: impl IntoIterator<Item = (L, S)>,
+    ) -> Family {
+        Family {
+            label: Some(key),
+            samples: samples
+                .into_iter()
+                .map(|(value, sample)| (value.to_string(), sample.into()))
+                .collect(),
+            ..self
+        }
     }
 }
 
-fn json_histogram(h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"count\":{},\"sum_micros\":{},\"mean_micros\":{:.1},\"p50_micros\":{},\"p95_micros\":{},\"p99_micros\":{},\"max_micros\":{}}}",
-        h.count,
-        h.sum,
-        h.mean(),
-        h.p50(),
-        h.p95(),
-        h.p99(),
-        h.max,
+/// The Prometheus text exposition of `families`: per family its `# HELP` and
+/// `# TYPE` lines, then one line per sample. A histogram sample is a series:
+/// cumulative `_bucket{le="..."}` lines, then `_sum` and `_count`.
+pub(crate) fn render_text(families: &[Family]) -> String {
+    fn line(out: &mut String, name: &str, suffix: &str, labels: &str, value: u64) {
+        out.push_str(&match labels {
+            "" => format!("{name}{suffix} {value}\n"),
+            _ => format!("{name}{suffix}{{{labels}}} {value}\n"),
+        });
+    }
+    let mut out = String::with_capacity(32 * 1024);
+    for f in families {
+        out.push_str(&format!(
+            "# HELP {0} {1}\n# TYPE {0} {2}\n",
+            f.name, f.help, f.kind
+        ));
+        for (value, sample) in &f.samples {
+            let labels = f
+                .label
+                .map_or(String::new(), |key| format!("{key}=\"{value}\""));
+            match sample {
+                Sample::Value(v) => line(&mut out, f.name, "", &labels, *v),
+                Sample::Histogram(h) => {
+                    let sep = if labels.is_empty() { "" } else { "," };
+                    let mut cumulative = 0;
+                    for (i, n) in h.buckets.iter().enumerate() {
+                        cumulative += n;
+                        let le = match i {
+                            _ if i == BUCKETS - 1 => "+Inf".to_string(),
+                            _ => (1u64 << i).to_string(),
+                        };
+                        let bucket = format!("{labels}{sep}le=\"{le}\"");
+                        line(&mut out, f.name, "_bucket", &bucket, cumulative);
+                    }
+                    line(&mut out, f.name, "_sum", &labels, h.sum);
+                    line(&mut out, f.name, "_count", &labels, h.count);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The JSON form of `families`, keyed by family name. An unlabelled family maps
+/// to its sample, a labelled one to an object from label value to sample. A
+/// counter or gauge sample is its value; a histogram sample is its summary in
+/// microseconds: count, sum, mean, p50, p95, p99 and max.
+fn render_json_value(families: &[Family]) -> Value {
+    let sample = |s: &Sample| match s {
+        Sample::Value(v) => json!(v),
+        Sample::Histogram(h) => json!({
+            "count": h.count,
+            "sum_micros": h.sum,
+            "mean_micros": h.mean(),
+            "p50_micros": h.p50(),
+            "p95_micros": h.p95(),
+            "p99_micros": h.p99(),
+            "max_micros": h.max,
+        }),
+    };
+    let family = |f: &Family| match f.label {
+        None => sample(&f.samples[0].1),
+        Some(_) => Value::Object(
+            f.samples
+                .iter()
+                .map(|(l, s)| (l.clone(), sample(s)))
+                .collect(),
+        ),
+    };
+    Value::Object(
+        families
+            .iter()
+            .map(|f| (f.name.to_string(), family(f)))
+            .collect(),
     )
 }
 
-fn json_banded(per_band: &[HistogramSnapshot; 3]) -> String {
-    let entries: Vec<String> = BANDS
-        .iter()
-        .zip(per_band.iter())
-        .map(|(band, h)| format!("{band:?}:{}", json_histogram(h)))
-        .collect();
-    format!("{{{}}}", entries.join(","))
-}
-
 impl RouterStats {
-    /// The Prometheus text exposition of the whole router: every counter and
-    /// gauge from the aggregated [`EngineStats`](crate::EngineStats), per-shard
-    /// routing counters, and every latency histogram with per-priority-band
-    /// labels. This is the exact body the `linx serve` `/metrics` route will
-    /// return; `serve-batch --metrics-out metrics.txt` writes it to a file.
-    ///
-    /// Every metric family is always present (zero-valued when idle), so
-    /// scrapers and the golden-format test see a deterministic name set.
-    pub fn render_metrics(&self) -> String {
+    /// Every exported router family, in exposition order: the aggregated
+    /// counters and gauges, per-shard routing counts, the shared quota table's
+    /// and disk tier's counters, and every latency histogram with
+    /// per-priority-band labels.
+    pub(crate) fn families(&self) -> Vec<Family> {
         let agg = self.aggregate();
-        let t = &self.telemetry;
-        let mut out = String::with_capacity(24 * 1024);
-
-        push_family(
-            &mut out,
-            "linx_requests_submitted_total",
-            "counter",
-            "Requests accepted by submit, including coalesced and cache-served ones.",
-        );
-        push_sample(&mut out, "linx_requests_submitted_total", "", agg.submitted);
-        push_family(
-            &mut out,
-            "linx_requests_coalesced_total",
-            "counter",
-            "Requests attached to an identical in-flight request (single-flight).",
-        );
-        push_sample(&mut out, "linx_requests_coalesced_total", "", agg.coalesced);
-        push_family(
-            &mut out,
-            "linx_requests_rejected_total",
-            "counter",
-            "Requests rejected because the engine was shutting down.",
-        );
-        push_sample(&mut out, "linx_requests_rejected_total", "", agg.rejected);
-
-        push_family(
-            &mut out,
-            "linx_routed_total",
-            "counter",
-            "Requests and batch goals forwarded to each shard.",
-        );
-        for (shard, s) in self.shards.iter().enumerate() {
-            push_sample(
-                &mut out,
+        let (t, tier, quota) = (&self.telemetry, &self.tier, &self.quota);
+        let by_tier = |memory, disk| [("memory", memory), ("disk", disk)];
+        let checkpoints = [Stage::Admit, Stage::QueueWait, Stage::Execute];
+        vec![
+            Family::counter(
+                "linx_requests_submitted_total",
+                "Requests accepted by submit, including coalesced and cache-served ones.",
+            )
+            .one(agg.submitted),
+            Family::counter(
+                "linx_requests_coalesced_total",
+                "Requests attached to an identical in-flight request (single-flight).",
+            )
+            .one(agg.coalesced),
+            Family::counter(
+                "linx_requests_rejected_total",
+                "Requests rejected because the engine was shutting down.",
+            )
+            .one(agg.rejected),
+            Family::counter(
                 "linx_routed_total",
-                &format!("shard=\"{shard}\""),
-                s.routed,
-            );
-        }
-
-        push_family(
-            &mut out,
-            "linx_cache_hits_total",
-            "counter",
-            "Result-cache hits per tier.",
-        );
-        push_sample(
-            &mut out,
-            "linx_cache_hits_total",
-            "tier=\"memory\"",
-            agg.cache.hits,
-        );
-        push_sample(
-            &mut out,
-            "linx_cache_hits_total",
-            "tier=\"disk\"",
-            self.tier.hits,
-        );
-        push_family(
-            &mut out,
-            "linx_cache_misses_total",
-            "counter",
-            "Result-cache misses per tier.",
-        );
-        push_sample(
-            &mut out,
-            "linx_cache_misses_total",
-            "tier=\"memory\"",
-            agg.cache.misses,
-        );
-        push_sample(
-            &mut out,
-            "linx_cache_misses_total",
-            "tier=\"disk\"",
-            self.tier.misses,
-        );
-        push_family(
-            &mut out,
-            "linx_cache_evictions_total",
-            "counter",
-            "Entries evicted per tier (memory: LRU byte budget; disk: size cap).",
-        );
-        push_sample(
-            &mut out,
-            "linx_cache_evictions_total",
-            "tier=\"memory\"",
-            agg.cache.evictions,
-        );
-        push_sample(
-            &mut out,
-            "linx_cache_evictions_total",
-            "tier=\"disk\"",
-            self.tier.evictions,
-        );
-        push_family(
-            &mut out,
-            "linx_cache_entries",
-            "gauge",
-            "Entries resident per tier.",
-        );
-        push_sample(
-            &mut out,
-            "linx_cache_entries",
-            "tier=\"memory\"",
-            agg.cache.entries,
-        );
-        push_sample(
-            &mut out,
-            "linx_cache_entries",
-            "tier=\"disk\"",
-            self.tier.entries,
-        );
-
-        push_family(
-            &mut out,
-            "linx_tier_load_errors_total",
-            "counter",
-            "Disk-tier files that existed but failed to decode (deleted on contact).",
-        );
-        push_sample(
-            &mut out,
-            "linx_tier_load_errors_total",
-            "",
-            self.tier.load_errors,
-        );
-        push_family(
-            &mut out,
-            "linx_tier_stores_total",
-            "counter",
-            "Disk-tier entries written.",
-        );
-        push_sample(&mut out, "linx_tier_stores_total", "", self.tier.stores);
-        push_family(
-            &mut out,
-            "linx_tier_bytes",
-            "gauge",
-            "Disk-tier resident bytes (approximate under external writers).",
-        );
-        push_sample(&mut out, "linx_tier_bytes", "", self.tier.bytes);
-
-        push_family(
-            &mut out,
-            "linx_pool_workers",
-            "gauge",
-            "Worker threads across all shards.",
-        );
-        push_sample(&mut out, "linx_pool_workers", "", agg.pool.workers);
-        push_family(
-            &mut out,
-            "linx_pool_completed_total",
-            "counter",
-            "Jobs run to completion (including caught panics).",
-        );
-        push_sample(
-            &mut out,
-            "linx_pool_completed_total",
-            "",
-            agg.pool.completed,
-        );
-        push_family(
-            &mut out,
-            "linx_pool_panicked_total",
-            "counter",
-            "Jobs whose execution panicked (caught; workers survived).",
-        );
-        push_sample(&mut out, "linx_pool_panicked_total", "", agg.pool.panicked);
-        push_family(
-            &mut out,
-            "linx_pool_queued_now",
-            "gauge",
-            "Jobs waiting in the queue right now, per priority band.",
-        );
-        for (i, band) in BANDS.iter().enumerate() {
-            push_sample(
-                &mut out,
+                "Requests and batch goals forwarded to each shard.",
+            )
+            .by("shard", self.shards.iter().map(|s| s.routed).enumerate()),
+            Family::counter("linx_cache_hits_total", "Result-cache hits per tier.")
+                .by("tier", by_tier(agg.cache.hits, tier.hits)),
+            Family::counter("linx_cache_misses_total", "Result-cache misses per tier.")
+                .by("tier", by_tier(agg.cache.misses, tier.misses)),
+            Family::counter(
+                "linx_cache_evictions_total",
+                "Entries evicted per tier (memory: LRU byte budget; disk: size cap).",
+            )
+            .by("tier", by_tier(agg.cache.evictions, tier.evictions)),
+            Family::gauge("linx_cache_entries", "Entries resident per tier.")
+                .by("tier", by_tier(agg.cache.entries, tier.entries)),
+            Family::counter(
+                "linx_tier_load_errors_total",
+                "Disk-tier files that existed but failed to decode (deleted on contact).",
+            )
+            .one(tier.load_errors),
+            Family::counter("linx_tier_stores_total", "Disk-tier entries written.")
+                .one(tier.stores),
+            Family::gauge(
+                "linx_tier_bytes",
+                "Disk-tier resident bytes (approximate under external writers).",
+            )
+            .one(tier.bytes),
+            Family::gauge("linx_pool_workers", "Worker threads across all shards.")
+                .one(agg.pool.workers),
+            Family::counter(
+                "linx_pool_completed_total",
+                "Jobs run to completion (including caught panics).",
+            )
+            .one(agg.pool.completed),
+            Family::counter(
+                "linx_pool_panicked_total",
+                "Jobs whose execution panicked (caught; workers survived).",
+            )
+            .one(agg.pool.panicked),
+            Family::gauge(
                 "linx_pool_queued_now",
-                &format!("band=\"{band}\""),
-                agg.pool.queued_now[i],
-            );
-        }
-        push_family(
-            &mut out,
-            "linx_pool_in_flight_now",
-            "gauge",
-            "Jobs executing right now, per priority band.",
-        );
-        for (i, band) in BANDS.iter().enumerate() {
-            push_sample(
-                &mut out,
+                "Jobs waiting in the queue right now, per priority band.",
+            )
+            .by("band", BANDS.into_iter().zip(agg.pool.queued_now)),
+            Family::gauge(
                 "linx_pool_in_flight_now",
-                &format!("band=\"{band}\""),
-                agg.pool.in_flight_now[i],
-            );
-        }
-
-        push_family(
-            &mut out,
-            "linx_quota_admitted_total",
-            "counter",
-            "Requests admitted past the quota gate.",
-        );
-        push_sample(
-            &mut out,
-            "linx_quota_admitted_total",
-            "",
-            self.quota.admitted,
-        );
-        push_family(
-            &mut out,
-            "linx_quota_throttled_total",
-            "counter",
-            "Requests refused admission, by exhausted budget.",
-        );
-        push_sample(
-            &mut out,
-            "linx_quota_throttled_total",
-            "reason=\"queue_cap\"",
-            self.quota.throttled_queue,
-        );
-        push_sample(
-            &mut out,
-            "linx_quota_throttled_total",
-            "reason=\"in_flight_cap\"",
-            self.quota.throttled_in_flight,
-        );
-        push_family(
-            &mut out,
-            "linx_quota_queued",
-            "gauge",
-            "Requests admitted and waiting for a worker, across all tenants.",
-        );
-        push_sample(&mut out, "linx_quota_queued", "", self.quota.queued);
-        push_family(
-            &mut out,
-            "linx_quota_running",
-            "gauge",
-            "Requests executing, across all tenants.",
-        );
-        push_sample(&mut out, "linx_quota_running", "", self.quota.running);
-        push_family(
-            &mut out,
-            "linx_quota_tenants",
-            "gauge",
-            "Tenants holding budget or an explicit quota override.",
-        );
-        push_sample(&mut out, "linx_quota_tenants", "", self.quota.tenants);
-
-        push_family(
-            &mut out,
-            "linx_deadline_expired_total",
-            "counter",
-            "Requests that ran out of deadline budget, by the checkpoint stage that noticed.",
-        );
-        for stage in [Stage::Admit, Stage::QueueWait, Stage::Execute] {
-            push_sample(
-                &mut out,
-                "linx_deadline_expired_total",
-                &format!("stage=\"{}\"", stage.name()),
-                agg.deadline_expired[stage as usize],
-            );
-        }
-        push_family(
-            &mut out,
-            "linx_shed_total",
-            "counter",
-            "Low-priority requests rejected by overload protection before queueing.",
-        );
-        push_sample(&mut out, "linx_shed_total", "", agg.shed);
-        push_family(
-            &mut out,
-            "linx_disk_unlink_errors_total",
-            "counter",
-            "Disk-tier entry files that could not be removed (evictor skips them).",
-        );
-        push_sample(
-            &mut out,
-            "linx_disk_unlink_errors_total",
-            "",
-            self.tier.unlink_errors,
-        );
-        push_family(
-            &mut out,
-            "linx_disk_retries_total",
-            "counter",
-            "Disk-tier store attempts retried after a transient write failure.",
-        );
-        push_sample(&mut out, "linx_disk_retries_total", "", self.tier.retries);
-        push_family(
-            &mut out,
-            "linx_breaker_state",
-            "gauge",
-            "Disk-tier circuit breaker state: 0 closed, 1 open, 2 half-open.",
-        );
-        push_sample(
-            &mut out,
-            "linx_breaker_state",
-            "",
-            u64::from(self.tier.breaker_state),
-        );
-        push_family(
-            &mut out,
-            "linx_breaker_trips_total",
-            "counter",
-            "Times the disk-tier circuit breaker opened on consecutive failures.",
-        );
-        push_sample(
-            &mut out,
-            "linx_breaker_trips_total",
-            "",
-            self.tier.breaker_trips,
-        );
-        push_family(
-            &mut out,
-            "linx_scrub_scanned_total",
-            "counter",
-            "Disk-tier entry files examined by the startup scrub.",
-        );
-        push_sample(
-            &mut out,
-            "linx_scrub_scanned_total",
-            "",
-            self.tier.scrub_scanned,
-        );
-        push_family(
-            &mut out,
-            "linx_scrub_quarantined_total",
-            "counter",
-            "Corrupt entry files the startup scrub moved into quarantine/.",
-        );
-        push_sample(
-            &mut out,
-            "linx_scrub_quarantined_total",
-            "",
-            self.tier.scrub_quarantined,
-        );
-
-        push_histogram_family(
-            &mut out,
-            "linx_route_micros",
-            "Consistent-hash placement latency.",
-            &[("", &t.route)],
-        );
-        push_histogram_family(
-            &mut out,
-            "linx_admit_micros",
-            "Admission-control decision latency (admissions and refusals).",
-            &[("", &t.admit)],
-        );
-        push_histogram_family(
-            &mut out,
-            "linx_cache_lookup_micros",
-            "Result-cache lookup latency (memory tier plus disk fallthrough).",
-            &[("", &t.cache_lookup)],
-        );
-        let queue_wait: Vec<(String, &HistogramSnapshot)> = BANDS
-            .iter()
-            .zip(t.queue_wait.iter())
-            .map(|(band, h)| (format!("band=\"{band}\""), h))
-            .collect();
-        let queue_wait: Vec<(&str, &HistogramSnapshot)> =
-            queue_wait.iter().map(|(l, h)| (l.as_str(), *h)).collect();
-        push_histogram_family(
-            &mut out,
-            "linx_queue_wait_micros",
-            "Time from enqueue to a worker picking the job up, per priority band.",
-            &queue_wait,
-        );
-        let execute: Vec<(String, &HistogramSnapshot)> = BANDS
-            .iter()
-            .zip(t.execute.iter())
-            .map(|(band, h)| (format!("band=\"{band}\""), h))
-            .collect();
-        let execute: Vec<(&str, &HistogramSnapshot)> =
-            execute.iter().map(|(l, h)| (l.as_str(), *h)).collect();
-        push_histogram_family(
-            &mut out,
-            "linx_execute_micros",
-            "Job execution latency, per priority band.",
-            &execute,
-        );
-        push_histogram_family(
-            &mut out,
-            "linx_disk_read_micros",
-            "Disk-tier entry load latency (read + decode), hits and misses alike.",
-            &[("", &t.disk.read)],
-        );
-        push_histogram_family(
-            &mut out,
-            "linx_disk_write_micros",
-            "Disk-tier entry store latency (temp write + atomic rename).",
-            &[("", &t.disk.write)],
-        );
-        push_histogram_family(
-            &mut out,
-            "linx_disk_sync_micros",
-            "Durable-mode fsync latency on the disk-tier store path.",
-            &[("", &t.disk.sync)],
-        );
-        push_histogram_family(
-            &mut out,
-            "linx_disk_evict_micros",
-            "Disk-tier size-cap eviction scan latency.",
-            &[("", &t.disk.evict)],
-        );
-        push_histogram_family(
-            &mut out,
-            "linx_request_total_micros",
-            "End-to-end latency from submission to response.",
-            &[("", &t.total)],
-        );
-        out
-    }
-
-    /// The JSON snapshot exposition: the same counters as
-    /// [`RouterStats::render_metrics`] plus per-histogram summaries
-    /// (count, mean, p50/p95/p99, max) instead of raw buckets.
-    /// `serve-batch --metrics-out metrics.json` writes this form.
-    pub fn render_json(&self) -> String {
-        let agg = self.aggregate();
-        let t = &self.telemetry;
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                format!(
-                    "{{\"shard\":{i},\"routed\":{},\"submitted\":{},\"coalesced\":{},\"cache_hits\":{}}}",
-                    s.routed, s.engine.submitted, s.engine.coalesced, s.engine.cache.hits,
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"requests\": {{\"submitted\":{submitted},\"coalesced\":{coalesced},\"rejected\":{rejected},\"coalesce_rate\":{coalesce_rate:.4}}},\n",
-                "  \"cache\": {{\n",
-                "    \"memory\": {{\"hits\":{mhits},\"misses\":{mmisses},\"evictions\":{mevict},\"entries\":{mentries},\"hit_rate\":{mrate:.4}}},\n",
-                "    \"disk\": {{\"hits\":{dhits},\"misses\":{dmisses},\"load_errors\":{derr},\"stores\":{dstores},\"evictions\":{devict},\"entries\":{dentries},\"bytes\":{dbytes},\"hit_rate\":{drate:.4},\"unlink_errors\":{dunlink},\"retries\":{dretries},\"scrub_scanned\":{dscanned},\"scrub_quarantined\":{dquarantined},\"orphans_reclaimed\":{dorphans}}}\n",
-                "  }},\n",
-                "  \"pool\": {{\"workers\":{workers},\"completed\":{completed},\"panicked\":{panicked},\"queued\":{queued},\"queued_now\":{queued_now},\"in_flight_now\":{in_flight_now}}},\n",
-                "  \"quota\": {{\"admitted\":{admitted},\"throttled\":{throttled},\"throttled_queue\":{tq},\"throttled_in_flight\":{tif},\"queued\":{qqueued},\"running\":{qrunning},\"tenants\":{tenants}}},\n",
-                "  \"degraded\": {{\"shed\":{shed},\"deadline_expired\":{{\"admit\":{dl_admit},\"queue_wait\":{dl_queue},\"execute\":{dl_exec}}},\"breaker\":{{\"state\":{br_state},\"trips\":{br_trips}}}}},\n",
-                "  \"shards\": [{shards}],\n",
-                "  \"latency_micros\": {{\n",
-                "    \"route\": {route},\n",
-                "    \"admit\": {admit},\n",
-                "    \"cache_lookup\": {cache_lookup},\n",
-                "    \"queue_wait\": {queue_wait},\n",
-                "    \"execute\": {execute},\n",
-                "    \"disk_read\": {disk_read},\n",
-                "    \"disk_write\": {disk_write},\n",
-                "    \"disk_sync\": {disk_sync},\n",
-                "    \"disk_evict\": {disk_evict},\n",
-                "    \"request_total\": {total}\n",
-                "  }}\n",
-                "}}\n",
+                "Jobs executing right now, per priority band.",
+            )
+            .by("band", BANDS.into_iter().zip(agg.pool.in_flight_now)),
+            Family::counter(
+                "linx_quota_admitted_total",
+                "Requests admitted past the quota gate.",
+            )
+            .one(quota.admitted),
+            Family::counter(
+                "linx_quota_throttled_total",
+                "Requests refused admission, by exhausted budget.",
+            )
+            .by(
+                "reason",
+                [
+                    ("queue_cap", quota.throttled_queue),
+                    ("in_flight_cap", quota.throttled_in_flight),
+                ],
             ),
-            submitted = agg.submitted,
-            coalesced = agg.coalesced,
-            rejected = agg.rejected,
-            coalesce_rate = agg.coalesce_rate(),
-            mhits = agg.cache.hits,
-            mmisses = agg.cache.misses,
-            mevict = agg.cache.evictions,
-            mentries = agg.cache.entries,
-            mrate = agg.cache_hit_rate(),
-            dhits = self.tier.hits,
-            dmisses = self.tier.misses,
-            derr = self.tier.load_errors,
-            dstores = self.tier.stores,
-            devict = self.tier.evictions,
-            dentries = self.tier.entries,
-            dbytes = self.tier.bytes,
-            drate = agg.tier_hit_rate(),
-            dunlink = self.tier.unlink_errors,
-            dretries = self.tier.retries,
-            dscanned = self.tier.scrub_scanned,
-            dquarantined = self.tier.scrub_quarantined,
-            dorphans = self.tier.orphans_reclaimed,
-            shed = agg.shed,
-            dl_admit = agg.deadline_expired[Stage::Admit as usize],
-            dl_queue = agg.deadline_expired[Stage::QueueWait as usize],
-            dl_exec = agg.deadline_expired[Stage::Execute as usize],
-            br_state = self.tier.breaker_state,
-            br_trips = self.tier.breaker_trips,
-            workers = agg.pool.workers,
-            completed = agg.pool.completed,
-            panicked = agg.pool.panicked,
-            queued = agg.pool.queued,
-            queued_now = json_band_gauges(&agg.pool.queued_now),
-            in_flight_now = json_band_gauges(&agg.pool.in_flight_now),
-            admitted = self.quota.admitted,
-            throttled = self.quota.throttled,
-            tq = self.quota.throttled_queue,
-            tif = self.quota.throttled_in_flight,
-            qqueued = self.quota.queued,
-            qrunning = self.quota.running,
-            tenants = self.quota.tenants,
-            shards = shards.join(","),
-            route = json_histogram(&t.route),
-            admit = json_histogram(&t.admit),
-            cache_lookup = json_histogram(&t.cache_lookup),
-            queue_wait = json_banded(&t.queue_wait),
-            execute = json_banded(&t.execute),
-            disk_read = json_histogram(&t.disk.read),
-            disk_write = json_histogram(&t.disk.write),
-            disk_sync = json_histogram(&t.disk.sync),
-            disk_evict = json_histogram(&t.disk.evict),
-            total = json_histogram(&t.total),
-        )
+            Family::gauge(
+                "linx_quota_queued",
+                "Requests admitted and waiting for a worker, across all tenants.",
+            )
+            .one(quota.queued),
+            Family::gauge(
+                "linx_quota_running",
+                "Requests executing, across all tenants.",
+            )
+            .one(quota.running),
+            Family::gauge(
+                "linx_quota_tenants",
+                "Tenants holding budget or an explicit quota override.",
+            )
+            .one(quota.tenants),
+            Family::counter(
+                "linx_deadline_expired_total",
+                "Requests that ran out of deadline budget, by the checkpoint stage that noticed.",
+            )
+            .by(
+                "stage",
+                checkpoints.map(|s| (s.name(), agg.deadline_expired[s as usize])),
+            ),
+            Family::counter(
+                "linx_shed_total",
+                "Low-priority requests rejected by overload protection before queueing.",
+            )
+            .one(agg.shed),
+            Family::counter(
+                "linx_disk_unlink_errors_total",
+                "Disk-tier entry files that could not be removed (evictor skips them).",
+            )
+            .one(tier.unlink_errors),
+            Family::counter(
+                "linx_disk_retries_total",
+                "Disk-tier store attempts retried after a transient write failure.",
+            )
+            .one(tier.retries),
+            Family::gauge(
+                "linx_breaker_state",
+                "Disk-tier circuit breaker state: 0 closed, 1 open, 2 half-open.",
+            )
+            .one(u64::from(tier.breaker_state)),
+            Family::counter(
+                "linx_breaker_trips_total",
+                "Times the disk-tier circuit breaker opened on consecutive failures.",
+            )
+            .one(tier.breaker_trips),
+            Family::counter(
+                "linx_scrub_scanned_total",
+                "Disk-tier entry files examined by the startup scrub.",
+            )
+            .one(tier.scrub_scanned),
+            Family::counter(
+                "linx_scrub_quarantined_total",
+                "Corrupt entry files the startup scrub moved into quarantine/.",
+            )
+            .one(tier.scrub_quarantined),
+            Family::histogram("linx_route_micros", "Consistent-hash placement latency.")
+                .one(t.route),
+            Family::histogram(
+                "linx_admit_micros",
+                "Admission-control decision latency (admissions and refusals).",
+            )
+            .one(t.admit),
+            Family::histogram(
+                "linx_cache_lookup_micros",
+                "Result-cache lookup latency (memory tier plus disk fallthrough).",
+            )
+            .one(t.cache_lookup),
+            Family::histogram(
+                "linx_queue_wait_micros",
+                "Time from enqueue to a worker picking the job up, per priority band.",
+            )
+            .by("band", BANDS.into_iter().zip(t.queue_wait)),
+            Family::histogram(
+                "linx_execute_micros",
+                "Job execution latency, per priority band.",
+            )
+            .by("band", BANDS.into_iter().zip(t.execute)),
+            Family::histogram(
+                "linx_disk_read_micros",
+                "Disk-tier entry load latency (read + decode), hits and misses alike.",
+            )
+            .one(t.disk.read),
+            Family::histogram(
+                "linx_disk_write_micros",
+                "Disk-tier entry store latency (temp write + atomic rename).",
+            )
+            .one(t.disk.write),
+            Family::histogram(
+                "linx_disk_sync_micros",
+                "Durable-mode fsync latency on the disk-tier store path.",
+            )
+            .one(t.disk.sync),
+            Family::histogram(
+                "linx_disk_evict_micros",
+                "Disk-tier size-cap eviction scan latency.",
+            )
+            .one(t.disk.evict),
+            Family::histogram(
+                "linx_request_total_micros",
+                "End-to-end latency from submission to response.",
+            )
+            .one(t.total),
+        ]
     }
-}
 
-fn json_band_gauges(per_band: &[u64; 3]) -> String {
-    let entries: Vec<String> = BANDS
-        .iter()
-        .zip(per_band.iter())
-        .map(|(band, v)| format!("{band:?}:{v}"))
-        .collect();
-    format!("{{{}}}", entries.join(","))
+    /// The Prometheus text exposition of every router family (zero-valued when
+    /// idle, so scrapers see a fixed name set). `linx serve`'s `/metrics` body
+    /// is this text followed by the HTTP layer's families;
+    /// `serve-batch --metrics-out metrics.txt` writes it to a file.
+    pub fn render_metrics(&self) -> String {
+        render_text(&self.families())
+    }
+
+    /// The JSON snapshot of the same families, keyed by family name (see
+    /// [`RouterStats::render_metrics`]): labelled families map each label value
+    /// to its sample, histograms carry count, sum, mean, p50/p95/p99 and max
+    /// instead of raw buckets. `serve-batch --metrics-out metrics.json` writes
+    /// this form.
+    pub fn render_json(&self) -> String {
+        let value = render_json_value(&self.families());
+        serde_json::to_string_pretty(&value).expect("printing a JSON value cannot fail") + "\n"
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::persist::TierStats;
     use crate::quota::QuotaStats;
     use crate::router::ShardStats;
     use crate::stats::EngineStats;
@@ -1243,17 +1000,154 @@ mod tests {
         assert!(text.contains("linx_pool_in_flight_now{band=\"low\"} 0"));
     }
 
+    /// A histogram of `n` samples starting at `first` micros, spaced so each
+    /// call with distinct arguments lands in distinct buckets and sums.
+    fn hist(first: u64, n: u64) -> HistogramSnapshot {
+        let h = LatencyHistogram::new();
+        for i in 0..n {
+            h.record(first + i * first / 2 + i);
+        }
+        h.snapshot()
+    }
+
+    /// Two shards and every shared instrument, each sample distinct and nonzero.
+    pub(crate) fn two_shard_stats() -> RouterStats {
+        let shard = |k: u64| {
+            let mut engine = EngineStats {
+                submitted: 100 + k,
+                coalesced: 20 + k,
+                rejected: 5 + k,
+                shed: 7 + k,
+                ..EngineStats::default()
+            };
+            engine.cache.hits = 40 + k;
+            engine.cache.misses = 50 + k;
+            engine.cache.evictions = 9 + k;
+            engine.cache.entries = 11 + k;
+            engine.pool.workers = 2 + k;
+            engine.pool.completed = 60 + k;
+            engine.pool.panicked = 1 + k;
+            engine.pool.queued_now = [13 + k, 17 + k, 19 + k];
+            engine.pool.in_flight_now = [23 + k, 29 + k, 31 + k];
+            engine.deadline_expired[Stage::Admit as usize] = 37 + k;
+            engine.deadline_expired[Stage::QueueWait as usize] = 41 + k;
+            engine.deadline_expired[Stage::Execute as usize] = 43 + k;
+            engine
+        };
+        let telemetry = TelemetrySnapshot {
+            route: hist(3, 4),
+            admit: hist(5, 5),
+            cache_lookup: hist(7, 6),
+            queue_wait: [hist(90, 7), hist(110, 9), hist(130, 10)],
+            execute: [hist(9_000, 11), hist(11_000, 12), hist(13_000, 13)],
+            disk: TierLatency {
+                read: hist(150, 14),
+                write: hist(170, 15),
+                evict: hist(190, 16),
+                sync: hist(210, 17),
+            },
+            total: hist(20_000, 18),
+        };
+        RouterStats {
+            shards: vec![
+                ShardStats {
+                    routed: 1_001,
+                    engine: shard(1_000),
+                    telemetry: TelemetrySnapshot::default(),
+                },
+                ShardStats {
+                    routed: 2_002,
+                    engine: shard(2_000),
+                    telemetry: TelemetrySnapshot::default(),
+                },
+            ],
+            quota: QuotaStats {
+                admitted: 301,
+                throttled: 305,
+                queued: 307,
+                running: 311,
+                tenants: 313,
+                throttled_queue: 302,
+                throttled_in_flight: 303,
+            },
+            tier: TierStats {
+                hits: 401,
+                misses: 402,
+                load_errors: 403,
+                stores: 404,
+                evictions: 405,
+                entries: 406,
+                bytes: 407,
+                breaker_state: 2,
+                breaker_trips: 408,
+                unlink_errors: 409,
+                retries: 410,
+                scrub_scanned: 411,
+                scrub_quarantined: 412,
+                orphans_reclaimed: 413,
+            },
+            telemetry,
+        }
+    }
+
+    /// Every sample line of the text form, read back from the JSON form:
+    /// counters and gauges by label value, histograms by `count` (also the
+    /// `+Inf` bucket) and `sum_micros`. Both forms also hold the same families
+    /// and label values, and each histogram carries its quantiles.
     #[test]
     fn json_snapshot_carries_quantiles_and_band_breakdowns() {
-        let json = synthetic_stats().render_json();
-        assert!(json.contains("\"submitted\":12"));
-        assert!(json.contains("\"throttled_queue\":2"));
-        assert!(json.contains("\"queue_wait\": {\"high\":"));
-        assert!(json.contains("\"p95_micros\":"));
-        // Brace balance as a cheap well-formedness check (no string values
-        // contain braces).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "unbalanced JSON braces");
+        let stats = two_shard_stats();
+        let json = serde_json::from_str(&stats.render_json()).expect("valid JSON");
+        let mut text_series = Vec::new();
+        let mut family = "";
+        for line in stats.render_metrics().lines() {
+            if let Some(typed) = line.strip_prefix("# TYPE ") {
+                family = typed.split(' ').next().expect("family name");
+                continue;
+            }
+            if line.starts_with('#') {
+                continue;
+            }
+            let (series, value) = line.rsplit_once(' ').expect("sample line");
+            let (name, labels) = series
+                .strip_suffix('}')
+                .and_then(|s| s.split_once('{'))
+                .unwrap_or((series, ""));
+            let label = labels
+                .split(',')
+                .find(|l| !l.is_empty() && !l.starts_with("le="))
+                .map(|l| l.split_once('=').expect("key=value").1.trim_matches('"'));
+            let field = match name.strip_prefix(family).expect("series of its family") {
+                "" => None,
+                "_count" => Some("count"),
+                "_sum" => Some("sum_micros"),
+                "_bucket" if labels.ends_with("le=\"+Inf\"") => Some("count"),
+                "_bucket" => continue,
+                other => panic!("unexpected series suffix {other:?} in {line}"),
+            };
+            let sample = label.map_or(&json[family], |l| &json[family][l]);
+            let got = field.map_or(sample, |f| &sample[f]);
+            assert_eq!(got.as_u64(), value.parse().ok(), "JSON disagrees on {line}");
+            text_series.push((family.to_string(), label.map(String::from)));
+            if let Some("sum_micros") = field {
+                for quantile in ["mean_micros", "p50_micros", "p95_micros", "p99_micros"] {
+                    assert!(sample[quantile].as_f64().unwrap_or(0.0) > 0.0, "{line}");
+                }
+                assert!(sample["max_micros"].as_u64() > Some(0), "{line}");
+            }
+        }
+        text_series.sort();
+        text_series.dedup();
+        let mut json_series = Vec::new();
+        for (name, value) in json.as_object().expect("object keyed by family") {
+            match value.as_object() {
+                Some(labelled) if !labelled.contains_key("count") => {
+                    json_series.extend(labelled.keys().map(|l| (name.clone(), Some(l.clone()))))
+                }
+                _ => json_series.push((name.clone(), None)),
+            }
+        }
+        assert_eq!(json_series, text_series, "the forms hold different series");
+        assert_eq!(json_series.len(), 55, "39 families, 55 series");
     }
 }

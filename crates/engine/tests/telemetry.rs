@@ -138,6 +138,23 @@ fn telemetry_merges_across_shards() {
     for entry in router.slow_entries() {
         assert_eq!(entry.shard, Some(owner));
     }
+
+    // Per-shard counters sum, result-cache bytes included; the shared quota
+    // table is read once, by the router, and never reported per shard.
+    let aggregate = stats.aggregate();
+    let shard_weights: u64 = stats.shards.iter().map(|s| s.engine.cache.weight).sum();
+    assert!(
+        aggregate.cache.weight > 0,
+        "results are resident: {aggregate:?}"
+    );
+    assert_eq!(aggregate.cache.weight, shard_weights);
+    assert_eq!(aggregate.quota, stats.quota);
+    assert_eq!(stats.quota.admitted, GOALS.len() as u64);
+    for shard in &stats.shards {
+        assert_eq!(shard.engine.quota, Default::default());
+        assert_eq!(shard.telemetry.admit.count, 0);
+    }
+    assert_eq!(stats.telemetry.admit.count, GOALS.len() as u64);
     router.shutdown();
 }
 
