@@ -159,11 +159,14 @@ impl LinxAgent {
         forced_op_type: Option<usize>,
     ) -> (AgentAction, Vec<ActionTaken>) {
         let fwd = self.net.forward_inference(obs);
+        // What every mask reads of the current view, looked up once per decision.
         let view = env.current_view();
+        let present: Vec<bool> = self.columns.iter().map(|c| view.has_column(c)).collect();
+        let snip_mask = self.snippet_mask(view);
         let mut taken = Vec::new();
 
         // --- operation type -------------------------------------------------------
-        let op_mask = self.op_type_mask(env, view);
+        let op_mask = self.op_type_mask(env, &present, &snip_mask);
         let op_probs = masked_softmax(&fwd.head_logits[self.h_op], Some(&op_mask));
         let op_choice = match forced_op_type {
             // Forcing a filter or group-by while a matching snippet is available prefers
@@ -193,7 +196,7 @@ impl LinxAgent {
             OP_FILTER => {
                 let op = self.compose_filter(
                     env,
-                    view,
+                    &present,
                     &fwd.head_logits,
                     &mut pick,
                     rng,
@@ -206,7 +209,7 @@ impl LinxAgent {
             }
             OP_GROUPBY => {
                 let op = self.compose_groupby(
-                    view,
+                    &present,
                     &fwd.head_logits,
                     &mut pick,
                     rng,
@@ -219,7 +222,6 @@ impl LinxAgent {
             }
             _ => {
                 // Snippet.
-                let snip_mask = self.snippet_mask(view);
                 let snip_probs = masked_softmax(&fwd.head_logits[self.h_snip], Some(&snip_mask));
                 let snip_choice = pick(&snip_probs, rng);
                 taken.push(ActionTaken {
@@ -240,7 +242,7 @@ impl LinxAgent {
                 });
                 let op = self.instantiate_snippet(
                     env,
-                    view,
+                    &present,
                     &snippet,
                     &fwd.head_logits,
                     &mut pick,
@@ -259,7 +261,7 @@ impl LinxAgent {
     fn compose_filter(
         &self,
         env: &LinxEnv,
-        view: &DataFrame,
+        present: &[bool],
         logits: &[Vec<f64>],
         pick: &mut impl FnMut(&[f64], &mut StdRng) -> usize,
         rng: &mut StdRng,
@@ -272,7 +274,7 @@ impl LinxAgent {
         let attr = match fixed_attr {
             Some(a) => a.to_string(),
             None => {
-                let mask = self.filter_attr_mask(env, view);
+                let mask = self.filter_attr_mask(env, present);
                 let probs = masked_softmax(&logits[self.h_fattr], Some(&mask));
                 let choice = pick(&probs, rng);
                 taken.push(ActionTaken {
@@ -326,7 +328,7 @@ impl LinxAgent {
     #[allow(clippy::too_many_arguments)]
     fn compose_groupby(
         &self,
-        view: &DataFrame,
+        present: &[bool],
         logits: &[Vec<f64>],
         pick: &mut impl FnMut(&[f64], &mut StdRng) -> usize,
         rng: &mut StdRng,
@@ -338,7 +340,7 @@ impl LinxAgent {
         let g_attr = match fixed_attr {
             Some(a) => a.to_string(),
             None => {
-                let mask = self.view_column_mask(view);
+                let mask = present.to_vec();
                 let probs = masked_softmax(&logits[self.h_gattr], Some(&mask));
                 let choice = pick(&probs, rng);
                 taken.push(ActionTaken {
@@ -355,7 +357,7 @@ impl LinxAgent {
         let agg = match fixed_agg {
             Some(a) => a,
             None => {
-                let mask = self.agg_func_mask(view);
+                let mask = self.agg_func_mask(present);
                 let probs = masked_softmax(&logits[self.h_agg], Some(&mask));
                 let choice = pick(&probs, rng);
                 taken.push(ActionTaken {
@@ -369,7 +371,7 @@ impl LinxAgent {
         let agg_attr = match fixed_agg_attr {
             Some(a) => a.to_string(),
             None => {
-                let mask = self.agg_attr_mask(view, agg);
+                let mask = self.agg_attr_mask(present, agg);
                 let probs = masked_softmax(&logits[self.h_aattr], Some(&mask));
                 let choice = pick(&probs, rng);
                 taken.push(ActionTaken {
@@ -391,7 +393,7 @@ impl LinxAgent {
     fn instantiate_snippet(
         &self,
         env: &LinxEnv,
-        view: &DataFrame,
+        present: &[bool],
         snippet: &Snippet,
         logits: &[Vec<f64>],
         pick: &mut impl FnMut(&[f64], &mut StdRng) -> usize,
@@ -402,7 +404,7 @@ impl LinxAgent {
         match snippet.kind {
             OpKind::Filter => self.compose_filter(
                 env,
-                view,
+                present,
                 logits,
                 pick,
                 rng,
@@ -424,7 +426,7 @@ impl LinxAgent {
                 },
             ),
             OpKind::GroupBy => self.compose_groupby(
-                view,
+                present,
                 logits,
                 pick,
                 rng,
@@ -449,17 +451,20 @@ impl LinxAgent {
     }
 
     // ------------------------------------------------------------------------ masks
+    //
+    // `present[i]` says whether the current view has the dataset column
+    // `self.columns[i]`; `decide` looks it up once for every mask.
 
-    fn op_type_mask(&self, env: &LinxEnv, view: &DataFrame) -> Vec<bool> {
+    fn op_type_mask(&self, env: &LinxEnv, present: &[bool], snip_mask: &[bool]) -> Vec<bool> {
         let can_back = env.tree().current() != NodeId::ROOT;
         let can_filter = self
             .columns
             .iter()
-            .any(|c| view.schema().contains(c) && !env.terms().terms_for(c).is_empty());
-        let can_group = self.columns.iter().any(|c| view.schema().contains(c));
-        let can_snippet = self.spec_aware
-            && !self.snippets.is_empty()
-            && self.snippet_mask(view).iter().any(|&b| b);
+            .zip(present)
+            .any(|(c, &p)| p && !env.terms().terms_for(c).is_empty());
+        let can_group = present.iter().any(|&p| p);
+        let can_snippet =
+            self.spec_aware && !self.snippets.is_empty() && snip_mask.iter().any(|&b| b);
         let base = vec![can_back, can_filter, can_group, can_snippet];
         if !self.spec_aware {
             return base;
@@ -489,10 +494,11 @@ impl LinxAgent {
         }
     }
 
-    fn filter_attr_mask(&self, env: &LinxEnv, view: &DataFrame) -> Vec<bool> {
+    fn filter_attr_mask(&self, env: &LinxEnv, present: &[bool]) -> Vec<bool> {
         self.columns
             .iter()
-            .map(|c| view.schema().contains(c) && !env.terms().terms_for(c).is_empty())
+            .zip(present)
+            .map(|(c, &p)| p && !env.terms().terms_for(c).is_empty())
             .collect()
     }
 
@@ -512,46 +518,34 @@ impl LinxAgent {
             .collect()
     }
 
-    fn view_column_mask(&self, view: &DataFrame) -> Vec<bool> {
-        self.columns
+    fn agg_func_mask(&self, present: &[bool]) -> Vec<bool> {
+        let has_numeric = present
             .iter()
-            .map(|c| view.schema().contains(c))
-            .collect()
-    }
-
-    fn agg_func_mask(&self, view: &DataFrame) -> Vec<bool> {
-        let has_numeric = self
-            .columns
-            .iter()
-            .enumerate()
-            .any(|(i, c)| view.schema().contains(c) && self.column_types[i].is_numeric());
+            .zip(&self.column_types)
+            .any(|(&p, t)| p && t.is_numeric());
         AggFunc::ALL
             .iter()
             .map(|f| !f.requires_numeric() || has_numeric)
             .collect()
     }
 
-    fn agg_attr_mask(&self, view: &DataFrame, agg: AggFunc) -> Vec<bool> {
-        self.columns
+    fn agg_attr_mask(&self, present: &[bool], agg: AggFunc) -> Vec<bool> {
+        present
             .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                view.schema().contains(c)
-                    && (!agg.requires_numeric() || self.column_types[i].is_numeric())
-            })
+            .zip(&self.column_types)
+            .map(|(&p, t)| p && (!agg.requires_numeric() || t.is_numeric()))
             .collect()
     }
 
+    /// Per snippet, whether the view has the column it names (a snippet that names
+    /// none is always available).
     fn snippet_mask(&self, view: &DataFrame) -> Vec<bool> {
         if self.snippets.is_empty() {
             return vec![false];
         }
         self.snippets
             .iter()
-            .map(|s| match &s.attr {
-                Some(attr) => view.schema().contains(attr),
-                None => true,
-            })
+            .map(|s| s.attr.as_ref().is_none_or(|attr| view.has_column(attr)))
             .collect()
     }
 }
@@ -665,6 +659,76 @@ mod tests {
         let (a1, _) = agent.greedy_action(&env, &obs);
         let (a2, _) = agent.greedy_action(&env, &obs);
         assert_eq!(a1, a2);
+    }
+
+    /// After a group-by the view holds the grouping column and the aggregate, named
+    /// `count(id)` here so that it is also a dataset column: the view keeps 2 of the 3
+    /// dataset columns and drops the middle one. Every mask the agent records over
+    /// columns marks exactly the view's columns (for `agg_attr`, those the chosen
+    /// aggregation can read), with and without the snippet segment.
+    #[test]
+    fn masks_follow_the_views_columns() {
+        let rows = (0..40)
+            .map(|i| {
+                vec![
+                    Value::str(["India", "US", "UK"][i % 3]),
+                    Value::Int(i as i64),
+                    Value::Int((i % 7) as i64),
+                ]
+            })
+            .collect();
+        let data = DataFrame::from_rows(&["country", "id", "count(id)"], rows).unwrap();
+        let in_view = [true, false, true];
+        let numeric = [false, true, true];
+        // Operations below the group-by keep the specification-aware masks open.
+        let ldx = parse_ldx(
+            "ROOT CHILDREN {A1}\n\
+             A1 LIKE [G,country,count,id] and CHILDREN {B1,B2}\n\
+             B1 LIKE [F,(?<C>.*),.*,.*]\n\
+             B2 LIKE [G,(?<D>.*),(?<AGG>.*),.*]",
+        )
+        .unwrap();
+        for variant in [CdrlVariant::Full, CdrlVariant::NoSpecAwareNet] {
+            let cfg = CdrlConfig::for_variant(variant);
+            let mut env = LinxEnv::new(data.clone(), ldx.clone(), cfg.clone());
+            env.reset();
+            env.step(AgentAction::Apply(QueryOp::GroupBy {
+                g_attr: "country".into(),
+                agg: AggFunc::Count,
+                agg_attr: "id".into(),
+            }));
+            assert_eq!(env.current_view().column_names(), ["country", "count(id)"]);
+            let agent = LinxAgent::new(&data, &ldx, &cfg);
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut checked = [0usize; 3];
+            for _ in 0..200 {
+                let obs = env.observe();
+                let (_, taken) = agent.select_action(&env, &obs, &mut rng);
+                let agg = taken
+                    .iter()
+                    .find(|t| t.head == agent.h_agg)
+                    .map(|t| AggFunc::ALL[t.choice]);
+                for t in &taken {
+                    let mask = t.mask.as_deref().expect("every head is masked");
+                    let slot = [agent.h_fattr, agent.h_gattr, agent.h_aattr]
+                        .iter()
+                        .position(|&h| h == t.head);
+                    let want: Vec<bool> = match slot {
+                        None => continue,
+                        Some(2) => {
+                            let agg = agg.expect("agg_attr follows a sampled agg_func");
+                            (0..3)
+                                .map(|i| in_view[i] && (numeric[i] || !agg.requires_numeric()))
+                                .collect()
+                        }
+                        Some(_) => in_view.to_vec(),
+                    };
+                    assert_eq!(mask, want, "{variant:?}, head {}", t.head);
+                    checked[slot.unwrap()] += 1;
+                }
+            }
+            assert!(checked.iter().all(|&n| n > 0), "{variant:?}: {checked:?}");
+        }
     }
 
     #[test]

@@ -132,9 +132,18 @@ impl DataFrame {
     }
 
     /// The schema (names + dtypes) of this dataframe.
+    ///
+    /// Builds a new [`Schema`] on every call: it clones every field and checks the
+    /// names' uniqueness again. To ask whether one column exists, use
+    /// [`DataFrame::has_column`], which allocates nothing.
     pub fn schema(&self) -> Schema {
         Schema::new(self.columns.iter().map(|c| c.field()).collect())
             .expect("dataframe columns are unique by construction")
+    }
+
+    /// Whether this dataframe has a column named `name`.
+    pub fn has_column(&self, name: &str) -> bool {
+        self.columns.iter().any(|c| c.name() == name)
     }
 
     /// Column names in order.
@@ -525,6 +534,10 @@ mod tests {
         let sel = df.select(&["country", "duration"]).unwrap();
         assert_eq!(sel.num_columns(), 2);
         assert!(df.select(&["missing"]).is_err());
+        for name in ["country", "type", "rating", "duration", "missing"] {
+            assert_eq!(sel.has_column(name), sel.schema().contains(name), "{name}");
+        }
+        assert!(sel.has_column("duration") && !sel.has_column("type"));
 
         let taken = df.take(&[5, 0]);
         assert_eq!(taken.num_rows(), 2);

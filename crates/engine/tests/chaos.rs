@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use linx_data::{generate, DatasetKind, ScaleConfig};
 use linx_dataframe::DataFrame;
-use linx_engine::faults::{self, arm_scoped, FaultKind, FaultPlan};
+use linx_engine::faults::{self, arm_scoped, FaultKind, FaultPlan, ScopedPlan};
 use linx_engine::persist::{BREAKER_CLOSED, BREAKER_OPEN};
 use linx_engine::telemetry::Stage;
 use linx_engine::{
@@ -37,6 +37,12 @@ fn netflix(rows: usize, seed: u64) -> DataFrame {
             seed,
         },
     )
+}
+
+/// Holds the fault scope with nothing armed. Every disk operation of a test runs
+/// under a scope, this one or a storm's, so a parallel test's plan cannot fail it.
+fn calm() -> ScopedPlan {
+    arm_scoped(FaultPlan::new(0))
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -104,9 +110,13 @@ fn wait_with_watchdog(
 fn breaker_trips_on_read_error_storm_and_recovers_after_cooldown() {
     let dir = temp_dir("breaker");
     let config = PersistConfig::new(&dir).with_breaker(2, 10_000); // 10 ms cooldown
-    let tier = DiskTier::open(&config).unwrap();
-    tier.store_result(1, &marked_result(1));
-    assert!(tier.load_result(1).is_some(), "healthy tier serves");
+    let tier = {
+        let _calm = calm();
+        let tier = DiskTier::open(&config).unwrap();
+        tier.store_result(1, &marked_result(1));
+        assert!(tier.load_result(1).is_some(), "healthy tier serves");
+        tier
+    };
     assert_eq!(tier.stats().breaker_state, BREAKER_CLOSED);
 
     {
@@ -134,6 +144,7 @@ fn breaker_trips_on_read_error_storm_and_recovers_after_cooldown() {
     // After the cooldown, one half-open probe succeeds and closes the circuit;
     // the stored entry is intact — the breaker never corrupted anything.
     std::thread::sleep(Duration::from_millis(20));
+    let _calm = calm();
     let recovered = tier
         .load_result(1)
         .expect("half-open probe against a healed disk must hit");
@@ -148,8 +159,12 @@ fn breaker_trips_on_read_error_storm_and_recovers_after_cooldown() {
 fn failed_probe_reopens_the_breaker_and_counts_a_trip() {
     let dir = temp_dir("probe");
     let config = PersistConfig::new(&dir).with_breaker(1, 5_000);
-    let tier = DiskTier::open(&config).unwrap();
-    tier.store_result(2, &marked_result(2));
+    let tier = {
+        let _calm = calm();
+        let tier = DiskTier::open(&config).unwrap();
+        tier.store_result(2, &marked_result(2));
+        tier
+    };
 
     let _scoped = arm_scoped(FaultPlan::new(3).always("disk.read", FaultKind::Error));
     assert!(tier.load_result(2).is_none()); // trips (threshold 1)
@@ -171,7 +186,10 @@ fn write_retries_ride_out_transient_failures_with_deterministic_backoff() {
     let config = PersistConfig::new(&dir)
         .with_breaker(0, 0)
         .with_write_retries(4, 250);
-    let tier = DiskTier::open_with_clock(&config, clock.clone()).unwrap();
+    let tier = {
+        let _calm = calm();
+        DiskTier::open_with_clock(&config, clock.clone()).unwrap()
+    };
 
     let before = clock.now_micros();
     {
@@ -189,6 +207,7 @@ fn write_retries_ride_out_transient_failures_with_deterministic_backoff() {
         "retry backoff must advance the injected clock"
     );
     // Everything the tier claims to have stored reads back intact.
+    let _calm = calm();
     let mut verified = 0;
     for fp in 10..26 {
         if let Some(result) = tier.load_result(fp) {
@@ -208,13 +227,17 @@ fn failing_unlinks_are_counted_and_do_not_loop_the_evictor() {
     let config = PersistConfig::new(&dir)
         .with_max_bytes(1)
         .with_breaker(0, 0);
-    let tier = DiskTier::open(&config).unwrap();
     let bulky = |fp: u64| {
         let mut result = marked_result(fp);
         result.narrative.headline = "x".repeat(2048);
         result
     };
-    tier.store_result(40, &bulky(40));
+    let tier = {
+        let _calm = calm();
+        let tier = DiskTier::open(&config).unwrap();
+        tier.store_result(40, &bulky(40));
+        tier
+    };
     {
         let _scoped = arm_scoped(FaultPlan::new(9).always("disk.unlink", FaultKind::Error));
         // Every eviction attempt fails to unlink; the scan must give up (and
@@ -238,7 +261,10 @@ fn failing_unlinks_are_counted_and_do_not_loop_the_evictor() {
 #[test]
 fn torn_writes_are_published_then_quarantined_at_the_next_open() {
     let dir = temp_dir("torn");
-    let tier = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
+    let tier = {
+        let _calm = calm();
+        DiskTier::open(&PersistConfig::new(&dir)).unwrap()
+    };
     {
         // Keep exactly 20 bytes of the temp file and rename it anyway — the
         // shape a power cut leaves behind when the rename reached the journal
@@ -246,6 +272,7 @@ fn torn_writes_are_published_then_quarantined_at_the_next_open() {
         let _scoped = arm_scoped(FaultPlan::parse("seed=1;disk.write.torn=delay:20@100").unwrap());
         tier.store_result(70, &marked_result(70));
     }
+    let _calm = calm();
     tier.store_result(71, &marked_result(71));
     let torn = tier.dir().join(format!("res-{:016x}.lnx", 70u64));
     assert_eq!(
@@ -276,11 +303,15 @@ fn failed_renames_drop_the_store_and_leave_no_temp_files() {
     let config = PersistConfig::new(&dir)
         .with_breaker(0, 0)
         .with_write_retries(0, 0);
-    let tier = DiskTier::open(&config).unwrap();
+    let tier = {
+        let _calm = calm();
+        DiskTier::open(&config).unwrap()
+    };
     {
         let _scoped = arm_scoped(FaultPlan::new(2).always("disk.rename", FaultKind::Error));
         tier.store_result(80, &marked_result(80));
     }
+    let _calm = calm();
     assert!(tier.load_result(80).is_none(), "dropped store is a miss");
     assert_eq!(tier.stats().stores, 0);
     // The failed store cleaned up after itself: nothing for the orphan sweep.
@@ -644,10 +675,11 @@ proptest! {
         let dir = temp_dir(&format!("prop-{seed}-{read_pct}-{write_pct}-{unlink_pct}"));
         // Tiny caps on both tiers so stores, evictions, and unlinks all run
         // under fire; breaker disabled so every operation reaches its seam.
-        let tier = DiskTier::open(
-            &PersistConfig::new(&dir).with_max_bytes(512).with_breaker(0, 0),
-        )
-        .unwrap();
+        let tier = {
+            let _calm = calm();
+            DiskTier::open(&PersistConfig::new(&dir).with_max_bytes(512).with_breaker(0, 0))
+                .unwrap()
+        };
         let cache = TieredCache::with_disk(4096, 2, tier);
 
         let fps: Vec<u64> = (100..108).collect();
@@ -671,6 +703,7 @@ proptest! {
         }
         // Storm over: the memory tier was never poisoned, and whatever the
         // disk tier kept decodes to exactly what was stored.
+        let _calm = calm();
         for &fp in &fps {
             if let Some(result) = cache.get(&fp) {
                 prop_assert_eq!(result.ldx_canonical, format!("fp={}", fp));

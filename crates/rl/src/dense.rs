@@ -1,9 +1,11 @@
 //! Fully connected layers with manual backpropagation.
 //!
-//! The forward/backward passes are explicit index-based matrix loops (row-major weight
-//! layout `w[o * in_dim + i]`); the range indices are the natural expression here, so the
-//! `needless_range_loop` lint is silenced for the module.
-#![allow(clippy::needless_range_loop)]
+//! Weights are row-major (`w[o * in_dim + i]`). Every output `o` of
+//! [`Dense::forward`] is computed as `b[o]`, then `+ w[o][i] * x[i]` for `i` in index
+//! order, as separate multiplies and adds (no fused multiply-add, which rounds
+//! differently). The kernel advances four rows' sums together so the adds of one row
+//! do not wait on each other, but each row's own additions keep that order, so an
+//! output's bits do not depend on how many rows are computed at once.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -22,9 +24,9 @@ pub enum Activation {
 
 /// A dense (fully connected) layer `y = act(W x + b)`.
 ///
-/// The layer caches the last input and pre-activation so that [`Dense::backward`] can be
-/// called after [`Dense::forward`]; gradients accumulate into `grad_w` / `grad_b` until
-/// [`Dense::zero_grad`] is called.
+/// The layer keeps no activations: [`Dense::backward`] takes the input and output of
+/// the forward pass it differentiates. Gradients accumulate into `grad_w` / `grad_b`
+/// until [`Dense::zero_grad`] is called.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
     /// Weight matrix, row-major: `out_dim` rows of `in_dim` weights.
@@ -38,10 +40,6 @@ pub struct Dense {
     in_dim: usize,
     out_dim: usize,
     activation: Activation,
-    #[serde(skip)]
-    last_input: Vec<f64>,
-    #[serde(skip)]
-    last_pre: Vec<f64>,
 }
 
 impl Dense {
@@ -62,8 +60,6 @@ impl Dense {
             in_dim,
             out_dim,
             activation,
-            last_input: Vec::new(),
-            last_pre: Vec::new(),
         }
     }
 
@@ -82,99 +78,101 @@ impl Dense {
         self.w.len() + self.b.len()
     }
 
-    /// Forward pass, caching input and pre-activation for the subsequent backward pass.
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.in_dim);
-        let mut pre = vec![0.0; self.out_dim];
-        for o in 0..self.out_dim {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc = self.b[o];
-            for (wi, xi) in row.iter().zip(x) {
-                acc += wi * xi;
+    /// Forward pass `act(W x + b)`, summing each output in the order the module doc
+    /// states.
+    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+        let n = self.in_dim;
+        let x = &x[..n];
+        let mut y = self.b.clone();
+        if n > 0 {
+            let mut rows = self.w.chunks_exact(4 * n);
+            let mut sums = y.chunks_exact_mut(4);
+            for (w4, s) in (&mut rows).zip(&mut sums) {
+                let (w0, rest) = w4.split_at(n);
+                let (w1, rest) = rest.split_at(n);
+                let (w2, w3) = rest.split_at(n);
+                let (mut s0, mut s1, mut s2, mut s3) = (s[0], s[1], s[2], s[3]);
+                for ((((&xi, &a), &b), &c), &d) in x.iter().zip(w0).zip(w1).zip(w2).zip(w3) {
+                    s0 += a * xi;
+                    s1 += b * xi;
+                    s2 += c * xi;
+                    s3 += d * xi;
+                }
+                s.copy_from_slice(&[s0, s1, s2, s3]);
             }
-            pre[o] = acc;
-        }
-        self.last_input = x.to_vec();
-        self.last_pre = pre.clone();
-        match self.activation {
-            Activation::Linear => pre,
-            Activation::Relu => pre.iter().map(|v| v.max(0.0)).collect(),
-            Activation::Tanh => pre.iter().map(|v| v.tanh()).collect(),
-        }
-    }
-
-    /// Forward pass without caching (inference only).
-    pub fn forward_inference(&self, x: &[f64]) -> Vec<f64> {
-        let mut pre = vec![0.0; self.out_dim];
-        for o in 0..self.out_dim {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc = self.b[o];
-            for (wi, xi) in row.iter().zip(x) {
-                acc += wi * xi;
+            for (row, s) in rows.remainder().chunks_exact(n).zip(sums.into_remainder()) {
+                for (&wi, &xi) in row.iter().zip(x) {
+                    *s += wi * xi;
+                }
             }
-            pre[o] = acc;
         }
         match self.activation {
-            Activation::Linear => pre,
-            Activation::Relu => pre.iter().map(|v| v.max(0.0)).collect(),
-            Activation::Tanh => pre.iter().map(|v| v.tanh()).collect(),
+            Activation::Linear => {}
+            Activation::Relu => y.iter_mut().for_each(|v| *v = v.max(0.0)),
+            Activation::Tanh => y.iter_mut().for_each(|v| *v = v.tanh()),
         }
+        y
     }
 
-    /// Backward pass: given `dL/dy`, accumulate parameter gradients and return `dL/dx`.
+    /// Backward pass for one input: `x` is the input and `y` the output of
+    /// [`Dense::forward`] on it (the activation's derivative is read off the output),
+    /// and `grad_out` is `dL/dy`. Accumulates the parameter gradients and, when `dx` is
+    /// given, adds `dL/dx` into it, row by row in output order.
     ///
-    /// Must be called after [`Dense::forward`] on the same input.
-    pub fn backward(&mut self, grad_out: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(grad_out.len(), self.out_dim);
-        debug_assert_eq!(
-            self.last_input.len(),
-            self.in_dim,
-            "backward without forward"
-        );
-        // Through the activation.
-        let mut dpre = vec![0.0; self.out_dim];
+    /// A row whose gradient `dL/d(W x + b)` is exactly zero is skipped: a ReLU unit that
+    /// did not fire, or a logit masked to probability `0.0`. Its products are all zeros,
+    /// so skipping them can only change the sign of a gradient that is zero.
+    pub fn backward(&mut self, x: &[f64], y: &[f64], grad_out: &[f64], mut dx: Option<&mut [f64]>) {
+        let n = self.in_dim;
+        let x = &x[..n];
         for o in 0..self.out_dim {
             let d = match self.activation {
                 Activation::Linear => 1.0,
                 Activation::Relu => {
-                    if self.last_pre[o] > 0.0 {
+                    if y[o] > 0.0 {
                         1.0
                     } else {
                         0.0
                     }
                 }
-                Activation::Tanh => {
-                    let t = self.last_pre[o].tanh();
-                    1.0 - t * t
-                }
+                Activation::Tanh => 1.0 - y[o] * y[o],
             };
-            dpre[o] = grad_out[o] * d;
-        }
-        // Parameter gradients and input gradient.
-        let mut dx = vec![0.0; self.in_dim];
-        for o in 0..self.out_dim {
-            self.grad_b[o] += dpre[o];
-            for i in 0..self.in_dim {
-                self.grad_w[o * self.in_dim + i] += dpre[o] * self.last_input[i];
-                dx[i] += dpre[o] * self.w[o * self.in_dim + i];
+            let dpre = grad_out[o] * d;
+            if dpre == 0.0 {
+                continue;
+            }
+            self.grad_b[o] += dpre;
+            let row = o * n..(o + 1) * n;
+            for (g, &xi) in self.grad_w[row.clone()].iter_mut().zip(x) {
+                *g += dpre * xi;
+            }
+            if let Some(dx) = dx.as_deref_mut() {
+                for (d, &wi) in dx.iter_mut().zip(&self.w[row]) {
+                    *d += dpre * wi;
+                }
             }
         }
-        dx
     }
 
     /// Reset accumulated gradients to zero.
     pub fn zero_grad(&mut self) {
-        self.grad_w.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_b.iter_mut().for_each(|g| *g = 0.0);
+        self.grad_w.fill(0.0);
+        self.grad_b.fill(0.0);
     }
 
-    /// Visit `(param, grad)` pairs mutably in a fixed order (used by the optimizer).
+    /// The `(weights, weight gradients)` and `(biases, bias gradients)` slices, in the
+    /// order [`Dense::visit_params`] visits them.
+    pub fn param_slices(&mut self) -> [(&mut [f64], &[f64]); 2] {
+        [(&mut self.w, &self.grad_w), (&mut self.b, &self.grad_b)]
+    }
+
+    /// Visit `(param, grad)` pairs mutably in a fixed order: every weight, then every
+    /// bias.
     pub fn visit_params(&mut self, mut f: impl FnMut(&mut f64, f64)) {
-        for (p, g) in self.w.iter_mut().zip(self.grad_w.iter()) {
-            f(p, *g);
-        }
-        for (p, g) in self.b.iter_mut().zip(self.grad_b.iter()) {
-            f(p, *g);
+        for (params, grads) in self.param_slices() {
+            for (p, g) in params.iter_mut().zip(grads) {
+                f(p, *g);
+            }
         }
     }
 }
@@ -191,12 +189,22 @@ mod tests {
     #[test]
     fn forward_shapes_and_determinism() {
         let mut r = rng();
-        let mut layer = Dense::new(3, 2, Activation::Linear, &mut r);
+        let layer = Dense::new(3, 2, Activation::Linear, &mut r);
         let y1 = layer.forward(&[1.0, 2.0, 3.0]);
-        let y2 = layer.forward_inference(&[1.0, 2.0, 3.0]);
+        let y2 = layer.forward(&[1.0, 2.0, 3.0]);
         assert_eq!(y1.len(), 2);
         assert_eq!(y1, y2);
         assert_eq!(layer.num_params(), 8);
+        // A block of four rows plus a remainder of two: each output is its bias plus
+        // the products in input order, to the bit.
+        let mut layer = Dense::new(3, 6, Activation::Linear, &mut r);
+        layer.b = vec![0.5, -0.25, 1.0, 0.0, -2.0, 3.0];
+        let x = [0.3, -1.7, 2.9];
+        let y = layer.forward(&x);
+        for (o, (w, b)) in layer.w.chunks(3).zip(&layer.b).enumerate() {
+            let want = b + w[0] * x[0] + w[1] * x[1] + w[2] * x[2];
+            assert_eq!(y[o].to_bits(), want.to_bits(), "output {o}");
+        }
     }
 
     #[test]
@@ -226,7 +234,7 @@ mod tests {
         let coeff = [0.5, -1.0, 2.0];
         let loss = |layer: &Dense, x: &[f64]| -> f64 {
             layer
-                .forward_inference(x)
+                .forward(x)
                 .iter()
                 .zip(coeff.iter())
                 .map(|(y, c)| y * c)
@@ -234,8 +242,9 @@ mod tests {
         };
 
         layer.zero_grad();
-        let _y = layer.forward(&x);
-        let dx = layer.backward(&coeff);
+        let y = layer.forward(&x);
+        let mut dx = vec![0.0; x.len()];
+        layer.backward(&x, &y, &coeff, Some(&mut dx));
 
         let eps = 1e-6;
         // Check a sample of weight gradients.
@@ -269,11 +278,11 @@ mod tests {
     fn gradients_accumulate_until_zeroed() {
         let mut r = rng();
         let mut layer = Dense::new(2, 1, Activation::Linear, &mut r);
-        layer.forward(&[1.0, 1.0]);
-        layer.backward(&[1.0]);
+        let x = [1.0, 1.0];
+        let y = layer.forward(&x);
+        layer.backward(&x, &y, &[1.0], None);
         let g1 = layer.grad_b[0];
-        layer.forward(&[1.0, 1.0]);
-        layer.backward(&[1.0]);
+        layer.backward(&x, &y, &[1.0], None);
         assert!((layer.grad_b[0] - 2.0 * g1).abs() < 1e-12);
         layer.zero_grad();
         assert_eq!(layer.grad_b[0], 0.0);

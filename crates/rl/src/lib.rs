@@ -4,7 +4,7 @@
 //! (paper §7); no equivalent mature crate is available offline, so this crate implements
 //! the required substrate from scratch:
 //!
-//! * [`dense`] — fully connected layers with cached activations and backpropagation,
+//! * [`dense`] — fully connected layers and their backpropagation,
 //! * [`network`] — [`MultiHeadNet`], the ATENA/LINX policy architecture: a shared MLP
 //!   trunk feeding several independent softmax *segments* (operation type, one segment
 //!   per operation parameter, and — in LINX — the snippet segment) plus a scalar value
@@ -14,9 +14,11 @@
 //! * [`trainer`] — an advantage actor-critic (policy-gradient with learned baseline and
 //!   entropy regularization) trainer operating on recorded episodes.
 //!
-//! The crate is deliberately small and dependency-free: networks here have a few
-//! thousand parameters and episodes a handful of steps, so clarity and determinism
-//! (seeded RNG everywhere) matter more than throughput.
+//! The crate is small and dependency-free, and seeds every RNG. The network is a large
+//! share of CDRL training time, so its kernels are written for speed under one order
+//! rule: each output of a layer is its bias, then `w[o][i] * x[i]` added for `i` in
+//! index order, with no fused multiply-add, so every answer keeps its bits whatever
+//! the kernel's blocking (see [`dense`] and `tests/kernels.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

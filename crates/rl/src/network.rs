@@ -41,6 +41,9 @@ pub struct ForwardResult {
     pub head_logits: Vec<Vec<f64>>,
     /// State-value estimate.
     pub value: f64,
+    /// The observation, then each trunk layer's output: what [`MultiHeadNet::backward`]
+    /// differentiates.
+    trunk: Vec<Vec<f64>>,
 }
 
 /// The multi-softmax-head policy/value network.
@@ -110,80 +113,98 @@ impl MultiHeadNet {
             + self.value_head.num_params()
     }
 
-    /// Forward pass with caching (required before [`MultiHeadNet::backward`]).
-    pub fn forward(&mut self, obs: &[f64]) -> ForwardResult {
-        let mut x = obs.to_vec();
-        for layer in &mut self.trunk {
-            x = layer.forward(&x);
-        }
-        let head_logits: Vec<Vec<f64>> = self.heads.iter_mut().map(|h| h.forward(&x)).collect();
-        let value = self.value_head.forward(&x)[0];
-        ForwardResult { head_logits, value }
-    }
-
-    /// Forward pass without caching (inference only).
-    pub fn forward_inference(&self, obs: &[f64]) -> ForwardResult {
-        let mut x = obs.to_vec();
+    /// Forward pass. The result keeps the trunk's activations, so
+    /// [`MultiHeadNet::backward`] can differentiate this pass without running it again.
+    pub fn forward(&self, obs: &[f64]) -> ForwardResult {
+        let mut trunk = Vec::with_capacity(self.trunk.len() + 1);
+        trunk.push(obs.to_vec());
         for layer in &self.trunk {
-            x = layer.forward_inference(&x);
+            let y = layer.forward(trunk.last().expect("holds the observation"));
+            trunk.push(y);
         }
-        let head_logits: Vec<Vec<f64>> =
-            self.heads.iter().map(|h| h.forward_inference(&x)).collect();
-        let value = self.value_head.forward_inference(&x)[0];
-        ForwardResult { head_logits, value }
+        let features = trunk.last().expect("holds the observation");
+        let head_logits = self.heads.iter().map(|h| h.forward(features)).collect();
+        let value = self.value_head.forward(features)[0];
+        ForwardResult {
+            head_logits,
+            value,
+            trunk,
+        }
     }
 
-    /// Backward pass. `head_grads[i]` is `dL/dlogits` for head `i` (None if the head was
-    /// not used at this step); `value_grad` is `dL/dvalue`. Gradients accumulate in the
-    /// layers until [`MultiHeadNet::zero_grad`].
-    pub fn backward(&mut self, head_grads: &[Option<Vec<f64>>], value_grad: f64) {
+    /// Forward pass for acting on the result: the same pass as [`MultiHeadNet::forward`].
+    pub fn forward_inference(&self, obs: &[f64]) -> ForwardResult {
+        self.forward(obs)
+    }
+
+    /// Backward pass over `fwd`, a [`MultiHeadNet::forward`] of this network with its
+    /// current weights. `head_grads[i]` is `dL/dlogits` for head `i` (None if the head
+    /// was not used at this step); `value_grad` is `dL/dvalue`. Gradients accumulate in
+    /// the layers until [`MultiHeadNet::zero_grad`].
+    ///
+    /// The trunk's gradient is the sum of each used head's input gradient in head order,
+    /// then the value head's; each of those is computed on its own from zero first.
+    pub fn backward(
+        &mut self,
+        fwd: &ForwardResult,
+        head_grads: &[Option<Vec<f64>>],
+        value_grad: f64,
+    ) {
         debug_assert_eq!(head_grads.len(), self.heads.len());
-        let trunk_out_dim = self
-            .trunk
-            .last()
-            .map(Dense::out_dim)
-            .unwrap_or(self.input_dim);
-        let mut dtrunk = vec![0.0; trunk_out_dim];
-        for (head, grad) in self.heads.iter_mut().zip(head_grads) {
+        let features = fwd.trunk.last().expect("holds the observation");
+        let mut dtrunk = vec![0.0; features.len()];
+        let mut dx = vec![0.0; features.len()];
+        let mut add_input_grad = |layer: &mut Dense, y: &[f64], grad: &[f64]| {
+            dx.fill(0.0);
+            layer.backward(features, y, grad, Some(&mut dx));
+            for (a, b) in dtrunk.iter_mut().zip(&dx) {
+                *a += b;
+            }
+        };
+        for ((head, grad), logits) in self.heads.iter_mut().zip(head_grads).zip(&fwd.head_logits) {
             if let Some(g) = grad {
-                let dx = head.backward(g);
-                for (a, b) in dtrunk.iter_mut().zip(dx) {
-                    *a += b;
-                }
+                add_input_grad(head, logits, g);
             }
         }
         if value_grad != 0.0 {
-            let dx = self.value_head.backward(&[value_grad]);
-            for (a, b) in dtrunk.iter_mut().zip(dx) {
-                *a += b;
-            }
+            add_input_grad(&mut self.value_head, &[fwd.value], &[value_grad]);
         }
         let mut grad = dtrunk;
-        for layer in self.trunk.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        for (k, layer) in self.trunk.iter_mut().enumerate().rev() {
+            let (x, y) = (&fwd.trunk[k], &fwd.trunk[k + 1]);
+            if k == 0 {
+                // Nothing reads the observation's gradient.
+                layer.backward(x, y, &grad, None);
+            } else {
+                let mut dx = vec![0.0; x.len()];
+                layer.backward(x, y, &grad, Some(&mut dx));
+                grad = dx;
+            }
         }
+    }
+
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut Dense> {
+        self.trunk
+            .iter_mut()
+            .chain(self.heads.iter_mut())
+            .chain(std::iter::once(&mut self.value_head))
     }
 
     /// Zero all accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for layer in self
-            .trunk
-            .iter_mut()
-            .chain(self.heads.iter_mut())
-            .chain(std::iter::once(&mut self.value_head))
-        {
-            layer.zero_grad();
-        }
+        self.layers_mut().for_each(Dense::zero_grad);
     }
 
-    /// Visit every `(param, grad)` pair in a stable order (for the optimizer).
+    /// Every layer's parameter and gradient slices (see [`Dense::param_slices`]): trunk
+    /// layers, then heads, then the value head. Flattened, this is the order of
+    /// [`MultiHeadNet::visit_params`].
+    pub fn param_slices(&mut self) -> impl Iterator<Item = (&mut [f64], &[f64])> {
+        self.layers_mut().flat_map(Dense::param_slices)
+    }
+
+    /// Visit every `(param, grad)` pair in a stable order.
     pub fn visit_params(&mut self, mut f: impl FnMut(&mut f64, f64)) {
-        for layer in self
-            .trunk
-            .iter_mut()
-            .chain(self.heads.iter_mut())
-            .chain(std::iter::once(&mut self.value_head))
-        {
+        for layer in self.layers_mut() {
             layer.visit_params(&mut f);
         }
     }
@@ -216,7 +237,7 @@ mod tests {
 
     #[test]
     fn forward_and_inference_agree() {
-        let mut net = small_net();
+        let net = small_net();
         let obs = vec![0.1, -0.2, 0.3, 0.4];
         let a = net.forward(&obs);
         let b = net.forward_inference(&obs);
@@ -229,8 +250,8 @@ mod tests {
     #[test]
     fn same_seed_same_network() {
         let cfg = NetworkConfig::with_default_trunk(3, vec![("h".into(), 2)]);
-        let mut a = MultiHeadNet::new(&cfg, 7);
-        let mut b = MultiHeadNet::new(&cfg, 7);
+        let a = MultiHeadNet::new(&cfg, 7);
+        let b = MultiHeadNet::new(&cfg, 7);
         let obs = vec![1.0, 2.0, 3.0];
         assert_eq!(a.forward(&obs).value, b.forward(&obs).value);
         let c = MultiHeadNet::new(&cfg, 8);
@@ -257,8 +278,8 @@ mod tests {
                 + 2.0 * f.value
         };
         net.zero_grad();
-        net.forward(&obs);
-        net.backward(&[Some(c0.to_vec()), None], 2.0);
+        let fwd = net.forward(&obs);
+        net.backward(&fwd, &[Some(c0.to_vec()), None], 2.0);
 
         // Numeric check on a few parameters, using visit_params order.
         let analytic: Vec<f64> = {

@@ -14,8 +14,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::adam::Adam;
-use crate::network::MultiHeadNet;
-use crate::policy::{entropy, log_prob, masked_softmax, policy_loss_grad};
+use crate::network::{ForwardResult, MultiHeadNet};
+use crate::policy::{entropy, masked_softmax, policy_loss_grad};
 
 /// One head selection made at a step.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -126,12 +126,17 @@ impl PolicyGradientTrainer {
             acc = step.reward + self.config.gamma * acc;
             returns[i] = acc;
         }
-        // Baselines and advantages.
-        let values: Vec<f64> = episode
+        // One forward pass per step: its value is the baseline, and backward reads the
+        // activations it keeps (the weights do not change before the Adam step).
+        let passes: Vec<ForwardResult> = episode
             .iter()
-            .map(|s| net.forward_inference(&s.observation).value)
+            .map(|s| net.forward(&s.observation))
             .collect();
-        let mut advantages: Vec<f64> = returns.iter().zip(&values).map(|(g, v)| g - v).collect();
+        let mut advantages: Vec<f64> = returns
+            .iter()
+            .zip(&passes)
+            .map(|(g, f)| g - f.value)
+            .collect();
         if self.config.normalize_advantages && advantages.len() > 1 {
             let mean = advantages.iter().sum::<f64>() / advantages.len() as f64;
             let var = advantages
@@ -149,8 +154,7 @@ impl PolicyGradientTrainer {
         let mut entropy_sum = 0.0;
         let mut entropy_count = 0usize;
         let mut value_loss_sum = 0.0;
-        for (i, step) in episode.iter().enumerate() {
-            let fwd = net.forward(&step.observation);
+        for (i, (step, fwd)) in episode.iter().zip(&passes).enumerate() {
             let mut head_grads: Vec<Option<Vec<f64>>> = vec![None; net.num_heads()];
             for action in &step.actions {
                 let probs = masked_softmax(&fwd.head_logits[action.head], action.mask.as_deref());
@@ -171,20 +175,15 @@ impl PolicyGradientTrainer {
                     }
                     slot => *slot = Some(grad),
                 }
-                // Track log-prob only for diagnostics via entropy; loss handled by grad.
-                let _ = log_prob(&probs, action.choice);
             }
             let value_err = fwd.value - returns[i];
             value_loss_sum += value_err * value_err;
             let value_grad = self.config.value_coef * value_err;
-            net.backward(&head_grads, value_grad);
+            net.backward(fwd, &head_grads, value_grad);
         }
         // Average gradients over the episode length for scale stability.
-        let scale = 1.0 / episode.len() as f64;
-        self.adam.step(|f| {
-            net.visit_params(&mut |p: &mut f64, g: f64| f(p, g * scale));
-        });
-        net.zero_grad();
+        self.adam
+            .step(net.param_slices(), 1.0 / episode.len() as f64);
 
         UpdateStats {
             episode_return: episode.iter().map(|s| s.reward).sum(),
