@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::adam::Adam;
-use crate::network::{ForwardResult, MultiHeadNet};
+use crate::network::MultiHeadNet;
 use crate::policy::{entropy, masked_softmax, policy_loss_grad};
 
 /// One head selection made at a step.
@@ -128,7 +128,7 @@ impl PolicyGradientTrainer {
         }
         // One forward pass per step: its value is the baseline, and backward reads the
         // activations it keeps (the weights do not change before the Adam step).
-        let passes: Vec<ForwardResult> = episode
+        let passes: Vec<_> = episode
             .iter()
             .map(|s| net.forward(&s.observation))
             .collect();
