@@ -4,10 +4,10 @@
 //! parameters after each update, so a faster kernel must perform the same floating-point
 //! operations in the same order. Two checks hold the network to that:
 //!
-//! * goldens: the `to_bits` of `forward_inference` at fixed observations, and a digest of
-//!   every parameter's bits after 30 `update` calls, on the production shape (72→64→64,
-//!   eight heads and the value head) and on a ragged shape where no layer's output width
-//!   is a multiple of 4;
+//! * goldens: the `to_bits` of `forward_inference` at fixed observations, of a fresh
+//!   network and after 30 `update` calls, and a digest of every parameter's bits after
+//!   those updates, on the production shape (72→64→64, eight heads and the value head)
+//!   and on a ragged shape where no layer's output width is a multiple of 4;
 //! * a property: `update` and `forward_inference` agree to the bit with a naive
 //!   reference written here, which computes one output at a time (bias first, then the
 //!   inputs in index order), runs two forward passes per step (values, then gradients)
@@ -149,9 +149,9 @@ fn forward_digest(net: &MultiHeadNet) -> u64 {
     digest(bits)
 }
 
-/// Digest of every parameter after 30 updates on seeded episodes of 1 to 7 steps,
-/// with the entropy coefficient and learning rate annealed as CDRL's trainer does.
-fn trained_digest(cfg: &NetworkConfig, normalize_advantages: bool) -> u64 {
+/// The network after 30 updates on seeded episodes of 1 to 7 steps, with the entropy
+/// coefficient and learning rate annealed as CDRL's trainer does.
+fn trained(cfg: &NetworkConfig, normalize_advantages: bool) -> MultiHeadNet {
     let mut net = MultiHeadNet::new(cfg, 5);
     let mut trainer = PolicyGradientTrainer::new(TrainerConfig {
         entropy_coef: 0.02,
@@ -166,7 +166,12 @@ fn trained_digest(cfg: &NetworkConfig, normalize_advantages: bool) -> u64 {
         let ep = episode(&mut rng, cfg, 1 + k % 7);
         trainer.update(&mut net, &ep);
     }
-    digest(params(&mut net))
+    net
+}
+
+/// Digest of every parameter of [`trained`].
+fn trained_digest(cfg: &NetworkConfig, normalize_advantages: bool) -> u64 {
+    digest(params(&mut trained(cfg, normalize_advantages)))
 }
 
 #[test]
@@ -178,6 +183,32 @@ fn forward_inference_keeps_its_bits() {
         forward_digest(&MultiHeadNet::new(&ragged(), 7)),
         0xc290_ac46_b4f0_5d95,
         "ragged"
+    );
+}
+
+/// A fresh network's biases are all 0.0, so only a trained one shows in which order a
+/// forward kernel adds each output's bias.
+#[test]
+fn trained_forward_inference_keeps_its_bits() {
+    assert_eq!(
+        forward_digest(&trained(&production(), true)),
+        0xacf1_39df_ae64_6bf4,
+        "production, normalized"
+    );
+    assert_eq!(
+        forward_digest(&trained(&production(), false)),
+        0x021f_0816_5dc0_5f04,
+        "production, raw"
+    );
+    assert_eq!(
+        forward_digest(&trained(&ragged(), true)),
+        0x1ecf_a087_5f49_7ce7,
+        "ragged, normalized"
+    );
+    assert_eq!(
+        forward_digest(&trained(&ragged(), false)),
+        0xe496_cfa8_fa5c_f637,
+        "ragged, raw"
     );
 }
 
