@@ -30,7 +30,7 @@ use linx_engine::faults::{self, arm_scoped, FaultKind, FaultPlan};
 use linx_engine::{DiskTier, ExploreResult, PersistConfig, BREAKER_OPEN};
 use linx_metrics::Clock;
 
-/// Number of query operations in the per-request chain (mirrors `view_exec`).
+/// Number of query operations in the per-request chain (the chain `telemetry_overhead` runs).
 const TREE_OPS: usize = 20;
 /// Dataset size: large enough that real query work dominates fixed op overhead.
 const ROWS: usize = 6_000;

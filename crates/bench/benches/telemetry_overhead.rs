@@ -1,5 +1,5 @@
-//! Telemetry-overhead benchmark: the 20-op view-chain workload (the `view_exec`
-//! request stand-in) executed bare vs. wrapped in the engine's full per-request
+//! Telemetry-overhead benchmark: a 20-op filter/group view chain over a 6k-row
+//! frame (a request stand-in) executed bare vs. wrapped in the engine's full per-request
 //! telemetry sequence — trace activation, one clock read and `Stage` add per
 //! lifecycle stage, the component histograms (cache lookup, queue wait,
 //! execution), the in-flight gauge, and `observe_response` with the slow log
@@ -23,7 +23,7 @@ use linx_engine::{
 };
 use linx_metrics::{Clock, Gauge, LatencyHistogram};
 
-/// Number of query operations in the per-request chain (mirrors `view_exec`).
+/// Number of query operations in the per-request chain (the chain `chaos_recovery` runs).
 const TREE_OPS: usize = 20;
 /// Dataset size: large enough that real query work dominates fixed op overhead.
 const ROWS: usize = 6_000;

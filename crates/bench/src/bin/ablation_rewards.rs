@@ -1,7 +1,7 @@
-//! Reward-design ablation (the design choices DESIGN.md calls out for the compliance
-//! reward scheme, §5.2): sweep the α/β weighting of generic-vs-compliance reward and the
-//! structure-guided warm-up, reporting how reliably each configuration reaches full
-//! compliance on the running-example LDX query.
+//! Reward-design ablation (the design choices `docs/DESIGN.md` calls out for the
+//! compliance reward scheme, §5.2): sweep the α/β weighting of generic-vs-compliance
+//! reward and the structure-guided warm-up, reporting how reliably each configuration
+//! reaches full compliance on the running-example LDX query.
 //!
 //! Run with: `cargo run -p linx-bench --bin ablation_rewards`
 

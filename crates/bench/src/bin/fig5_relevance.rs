@@ -1,5 +1,5 @@
 //! Figure 5 — User-study relevance ratings (1–7) of exploration notebooks per dataset
-//! and system (simulated reviewer panel; see DESIGN.md for the substitution).
+//! and system (simulated reviewer panel; see `docs/DESIGN.md` for the substitution).
 
 use linx_study::{run_study, StudyConfig};
 

@@ -1,5 +1,5 @@
 //! Figure 6 — Average number of goal-relevant insights users can derive per notebook
-//! (insight-extraction oracle; see DESIGN.md for the substitution).
+//! (insight-extraction oracle; see `docs/DESIGN.md` for the substitution).
 
 use linx_study::{run_study, StudyConfig};
 

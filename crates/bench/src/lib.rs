@@ -1,10 +1,11 @@
-//! `linx-bench` — experiment harnesses and micro-benchmarks for the LINX reproduction.
+//! `linx-bench` — experiment harnesses for the LINX reproduction.
 //!
 //! Each table and figure of the paper's evaluation (§7) has a dedicated binary in
-//! `src/bin/` that regenerates it (see DESIGN.md's per-experiment index); Criterion
-//! micro-benchmarks in `benches/` cover the performance claims of §7.4 (the LDX
-//! verification engine and the compliance reward add negligible overhead to session
-//! generation).
+//! `src/bin/` that regenerates it (see the per-experiment index in `docs/DESIGN.md`).
+//! `benches/` holds two overhead guards, `telemetry_overhead` and `chaos_recovery`.
+//! Request speed, including §7.4's claim that the compliance reward adds little to
+//! session generation (`cdrl.compliance_ms` against `cdrl.step_ms`), is measured end
+//! to end by e2ebench (`BENCHMARK.json` at the repository root).
 
 #![forbid(unsafe_code)]
 

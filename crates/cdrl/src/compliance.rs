@@ -71,7 +71,7 @@ impl ComplianceReward {
             // penalty is graded by how far the session is from the required structure
             // (operation-kind and parent-edge coverage), which preserves the paper's
             // "learn the structure first" pressure while giving the smaller budget a
-            // usable gradient. See DESIGN.md.
+            // usable gradient. See `docs/DESIGN.md`.
             let credit = self.structural_partial_credit(tree);
             return self.config.neg_reward * (1.0 - 0.8 * credit);
         }

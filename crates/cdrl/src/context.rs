@@ -42,7 +42,7 @@ impl DatasetStats {
         term_slots: usize,
         stats: Arc<StatsCache>,
     ) -> Self {
-        let terms = TermInventory::build_with(dataset, term_slots, Some(&stats));
+        let terms = TermInventory::build(dataset, term_slots, &stats);
         DatasetStats {
             featurizer: Arc::new(Featurizer::new(dataset)),
             terms: Arc::new(terms),
@@ -78,7 +78,7 @@ mod tests {
         assert_eq!(shared.terms.slots(), 6);
         assert_eq!(
             shared.terms.terms_for("country"),
-            TermInventory::build(&df, 6).terms_for("country")
+            TermInventory::build(&df, 6, &StatsCache::default()).terms_for("country")
         );
         assert_eq!(shared.featurizer.obs_dim(), Featurizer::new(&df).obs_dim());
         // The categorical inventory routed its histogram through the shared cache.

@@ -207,13 +207,13 @@ impl LinxEnv {
                 self.tree.current(),
                 remaining,
             ));
-        self.shared.featurizer.featurize_with(
+        self.shared.featurizer.featurize(
             self.current_view(),
             &self.tree,
             self.steps_taken,
             self.max_steps,
             completable,
-            Some(&self.shared.stats),
+            &self.shared.stats,
         )
     }
 

@@ -56,7 +56,10 @@ impl Featurizer {
     /// * `tree` — the ongoing session tree,
     /// * `step` / `max_steps` — episode progress,
     /// * `completable` — whether the structural specification can still be satisfied
-    ///   (the immediate-verification signal; always `true` for goal-agnostic variants).
+    ///   (the immediate-verification signal; always `true` for goal-agnostic variants),
+    /// * `stats` — the shared cache the per-column summaries are read through: the CDRL
+    ///   environment observes the same views over and over (and re-observes them across
+    ///   episodes), so the per-step column scans become lookups.
     pub fn featurize(
         &self,
         view: &DataFrame,
@@ -64,22 +67,7 @@ impl Featurizer {
         step: usize,
         max_steps: usize,
         completable: bool,
-    ) -> Vec<f64> {
-        self.featurize_with(view, tree, step, max_steps, completable, None)
-    }
-
-    /// Like [`Featurizer::featurize`], but pulling the per-column summaries through a
-    /// shared [`StatsCache`] when one is given: the CDRL environment observes the same
-    /// views over and over (and re-observes them across episodes), so the cached path
-    /// turns the per-step column scans into lookups.
-    pub fn featurize_with(
-        &self,
-        view: &DataFrame,
-        tree: &ExplorationTree,
-        step: usize,
-        max_steps: usize,
-        completable: bool,
-        stats: Option<&StatsCache>,
+        stats: &StatsCache,
     ) -> Vec<f64> {
         let mut obs = Vec::with_capacity(OBS_DIM);
         // Per-column features, aligned to the ROOT schema so columns keep stable slots
@@ -126,39 +114,21 @@ impl Featurizer {
 }
 
 /// The four per-column features (distinct ratio, null rate, normalized entropy,
-/// numeric flag), from the stats cache when one is given. `None` when the view lacks
-/// the column (the caller zero-pads).
+/// numeric flag), from the stats cache. `None` when the view lacks the column (the
+/// caller zero-pads).
 fn column_features(
     view: &DataFrame,
     name: &str,
-    stats: Option<&StatsCache>,
+    stats: &StatsCache,
 ) -> Option<[f64; COL_FEATURES]> {
-    match stats {
-        Some(cache) => {
-            let s = cache.summary(view, name).ok()?;
-            let n = s.rows.max(1) as f64;
-            Some([
-                s.n_distinct as f64 / n,
-                s.null_count as f64 / n,
-                s.normalized_entropy,
-                if s.numeric { 1.0 } else { 0.0 },
-            ])
-        }
-        None => {
-            let col = view.column(name).ok()?;
-            let n = view.num_rows().max(1) as f64;
-            let entropy = view
-                .histogram(name)
-                .map(|h| h.normalized_entropy())
-                .unwrap_or(0.0);
-            Some([
-                col.n_unique() as f64 / n,
-                col.null_count() as f64 / n,
-                entropy,
-                if col.dtype().is_numeric() { 1.0 } else { 0.0 },
-            ])
-        }
-    }
+    let s = stats.summary(view, name).ok()?;
+    let n = s.rows.max(1) as f64;
+    Some([
+        s.n_distinct as f64 / n,
+        s.null_count as f64 / n,
+        s.normalized_entropy,
+        if s.numeric { 1.0 } else { 0.0 },
+    ])
 }
 
 #[cfg(test)]
@@ -186,7 +156,7 @@ mod tests {
         let root = df();
         let f = Featurizer::new(&root);
         let tree = ExplorationTree::new();
-        let obs = f.featurize(&root, &tree, 0, 5, true);
+        let obs = f.featurize(&root, &tree, 0, 5, true, &StatsCache::default());
         assert_eq!(obs.len(), OBS_DIM);
         assert_eq!(obs.len(), f.obs_dim());
         assert!(obs.iter().all(|v| v.is_finite()));
@@ -196,8 +166,9 @@ mod tests {
     fn coverage_and_root_flags_respond_to_state() {
         let root = df();
         let f = Featurizer::new(&root);
+        let cache = StatsCache::default();
         let mut tree = ExplorationTree::new();
-        let obs_root = f.featurize(&root, &tree, 0, 4, true);
+        let obs_root = f.featurize(&root, &tree, 0, 4, true, &cache);
         // coverage = 1, at-root flag = 1
         assert_eq!(obs_root[OBS_DIM - 8], 1.0);
         assert_eq!(obs_root[OBS_DIM - 2], 1.0);
@@ -210,7 +181,7 @@ mod tests {
                 Value::str("US"),
             ))
             .unwrap();
-        let obs = f.featurize(&view, &tree, 1, 4, false);
+        let obs = f.featurize(&view, &tree, 1, 4, false, &cache);
         assert!(
             (obs[OBS_DIM - 8] - 0.5).abs() < 1e-9,
             "coverage should be 1/2"
@@ -235,14 +206,29 @@ mod tests {
             ))
             .unwrap();
         for v in [&root, &view] {
-            let plain = f.featurize(v, &tree, 1, 4, true);
-            let cached = f.featurize_with(v, &tree, 1, 4, true, Some(&cache));
-            assert_eq!(plain, cached);
+            let cached = f.featurize(v, &tree, 1, 4, true, &cache);
+            // The reference: each root column's features computed from the view's
+            // column directly, then zero-padded to `MAX_COLS` slots.
+            let mut direct = Vec::new();
+            for name in ["country", "duration"] {
+                let col = v.column(name).unwrap();
+                let n = v.num_rows().max(1) as f64;
+                let entropy = v.histogram(name).unwrap().normalized_entropy();
+                let numeric = if col.dtype().is_numeric() { 1.0 } else { 0.0 };
+                direct.extend([
+                    col.n_unique() as f64 / n,
+                    col.null_count() as f64 / n,
+                    entropy,
+                    numeric,
+                ]);
+            }
+            direct.resize(MAX_COLS * COL_FEATURES, 0.0);
+            assert_eq!(cached[..MAX_COLS * COL_FEATURES], direct[..]);
         }
         let s = cache.stats();
         assert!(s.misses > 0);
         // Re-observing the same views is pure lookups.
-        f.featurize_with(&view, &tree, 2, 4, true, Some(&cache));
+        f.featurize(&view, &tree, 2, 4, true, &cache);
         let s2 = cache.stats();
         assert_eq!(s2.misses, s.misses);
         assert!(s2.hits > s.hits);
@@ -261,7 +247,7 @@ mod tests {
             )
             .unwrap();
         let tree = ExplorationTree::new();
-        let obs = f.featurize(&agg, &tree, 1, 4, true);
+        let obs = f.featurize(&agg, &tree, 1, 4, true, &StatsCache::default());
         // Column 1 ("duration") slot should be zero-padded since the view lacks it.
         let dur_slot = &obs[COL_FEATURES..2 * COL_FEATURES];
         assert!(dur_slot.iter().all(|&v| v == 0.0));

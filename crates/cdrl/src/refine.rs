@@ -14,7 +14,8 @@
 //! generic exploration score. It is only ever applied to an already-compliant tree, so it
 //! cannot turn a compliant session non-compliant, and it only *raises* the exploration
 //! utility. This preserves the paper's semantics ("maximal-utility session in accordance
-//! with the specifications") at a budget a laptop can afford. Documented in DESIGN.md.
+//! with the specifications") at a budget a laptop can afford. Documented in
+//! `docs/DESIGN.md`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -229,6 +230,7 @@ fn map_group_aggregations(tree: &ExplorationTree, agg: AggFunc, agg_attr: &str) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linx_dataframe::StatsCache;
     use linx_ldx::parse_ldx;
 
     /// Netflix-like table where India's `type` distribution diverges sharply from the
@@ -291,7 +293,7 @@ mod tests {
     fn refinement_raises_utility_and_stays_compliant() {
         let data = dataset();
         let engine = VerifyEngine::new(gold());
-        let terms = TermInventory::build(&data, 12);
+        let terms = TermInventory::build(&data, 12, &StatsCache::default());
         let reward = ExplorationReward::default();
         // Start from a deliberately low-utility (but compliant) choice: both group-bys on
         // an identifier-like column (duration) under a bland filter. Refinement should
@@ -336,7 +338,7 @@ mod tests {
     fn refinement_leaves_non_compliant_sessions_untouched() {
         let data = dataset();
         let engine = VerifyEngine::new(gold());
-        let terms = TermInventory::build(&data, 12);
+        let terms = TermInventory::build(&data, 12, &StatsCache::default());
         let reward = ExplorationReward::default();
         // A lone group-by is not compliant with the two-filter structure.
         let mut t = ExplorationTree::new();
@@ -352,7 +354,7 @@ mod tests {
     fn refinement_preserves_eq_neq_continuity() {
         let data = dataset();
         let engine = VerifyEngine::new(gold());
-        let terms = TermInventory::build(&data, 12);
+        let terms = TermInventory::build(&data, 12, &StatsCache::default());
         let reward = ExplorationReward::default();
         let refined = refine_session(&bland_session(), &data, &engine, &terms, &reward);
         // Both filters must use the SAME term (the X continuity variable).
@@ -372,7 +374,7 @@ mod tests {
     fn empty_session_is_returned_unchanged() {
         let data = dataset();
         let engine = VerifyEngine::new(gold());
-        let terms = TermInventory::build(&data, 12);
+        let terms = TermInventory::build(&data, 12, &StatsCache::default());
         let reward = ExplorationReward::default();
         let refined = refine_session(&ExplorationTree::new(), &data, &engine, &terms, &reward);
         assert_eq!(refined.num_ops(), 0);

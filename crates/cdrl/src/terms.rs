@@ -18,33 +18,27 @@ pub struct TermInventory {
 
 impl TermInventory {
     /// Build the inventory from the root dataset, keeping at most `slots` terms per
-    /// column.
-    pub fn build(df: &DataFrame, slots: usize) -> Self {
-        Self::build_with(df, slots, None)
-    }
-
-    /// Like [`TermInventory::build`], but routing categorical histograms through a
-    /// shared [`StatsCache`] so the root-column distributions the inventory ranks by
-    /// are memoized for (and possibly already memoized by) the reward computations.
-    pub fn build_with(df: &DataFrame, slots: usize, stats: Option<&StatsCache>) -> Self {
+    /// column. Categorical histograms are read through the shared `stats` cache, so the
+    /// root-column distributions the inventory ranks by are memoized for (and possibly
+    /// already memoized by) the reward computations.
+    pub fn build(df: &DataFrame, slots: usize, stats: &StatsCache) -> Self {
         let mut columns = Vec::new();
         let mut terms = Vec::new();
         for field in df.schema().fields() {
             let col_terms = match field.dtype {
                 DataType::Str | DataType::Bool => {
                     // Most frequent values first.
-                    let hist = match stats {
-                        Some(cache) => cache.histogram(df, &field.name).ok(),
-                        None => df.histogram(&field.name).ok().map(std::sync::Arc::new),
-                    };
-                    hist.map(|h| {
-                        h.sorted()
-                            .into_iter()
-                            .take(slots)
-                            .map(|(v, _)| v)
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default()
+                    stats
+                        .histogram(df, &field.name)
+                        .ok()
+                        .map(|h| {
+                            h.sorted()
+                                .into_iter()
+                                .take(slots)
+                                .map(|(v, _)| v)
+                                .collect::<Vec<_>>()
+                        })
+                        .unwrap_or_default()
                 }
                 DataType::Int | DataType::Float => numeric_terms(df, &field.name, slots),
             };
@@ -180,7 +174,7 @@ mod tests {
 
     #[test]
     fn categorical_terms_ordered_by_frequency() {
-        let inv = TermInventory::build(&df(), 8);
+        let inv = TermInventory::build(&df(), 8, &StatsCache::default());
         let terms = inv.terms_for("country");
         assert_eq!(terms[0], Value::str("US"));
         assert_eq!(terms[1], Value::str("India"));
@@ -191,7 +185,7 @@ mod tests {
 
     #[test]
     fn numeric_terms_cover_the_range() {
-        let inv = TermInventory::build(&df(), 6);
+        let inv = TermInventory::build(&df(), 6, &StatsCache::default());
         let terms = inv.terms_for("num");
         assert!(terms.len() <= 6 && terms.len() >= 2);
         assert_eq!(terms.first().unwrap(), &Value::Int(0));
@@ -200,7 +194,7 @@ mod tests {
 
     #[test]
     fn masks_reflect_available_terms() {
-        let inv = TermInventory::build(&df(), 8);
+        let inv = TermInventory::build(&df(), 8, &StatsCache::default());
         let mask = inv.mask_for("country");
         assert_eq!(mask.len(), 8);
         assert_eq!(mask.iter().filter(|&&b| b).count(), 3);
@@ -211,7 +205,7 @@ mod tests {
 
     #[test]
     fn bool_columns_get_both_values() {
-        let inv = TermInventory::build(&df(), 4);
+        let inv = TermInventory::build(&df(), 4, &StatsCache::default());
         assert_eq!(inv.terms_for("flag").len(), 2);
     }
 }

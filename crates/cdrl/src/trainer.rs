@@ -172,7 +172,7 @@ impl CdrlTrainer {
         // same "compliant operations become likely" effect with its snippet segment over
         // ~0.36M training steps; with this reproduction's much smaller default budget
         // the warm-up supplies the structural demonstrations the policy would otherwise
-        // only stumble upon. Documented in DESIGN.md.
+        // only stumble upon. Documented in `docs/DESIGN.md`.
         let plan = if self.config.variant.spec_aware_network() {
             structure_plan(&ldx)
         } else {

@@ -165,7 +165,7 @@ const ROUTER_FLAGS_HELP: &str = "\
       --cache-mem-cap <BYTES>  In-memory cache budget in bytes (per shard) [default: 64 MiB]
       --shards <N>       Engine shards behind the router [default: 1]
       --cache-dir <PATH> Persistent cache directory (results survive the process)
-      --cache-disk-cap <BYTES>  Size cap for the cache directory [default: 256 MiB]
+      --cache-disk-cap <BYTES>  Size cap for the cache directory (needs --cache-dir) [default: 256 MiB]
       --slow-ms <N>      Log requests slower than N ms with per-stage breakdowns
       --fault-plan <SPEC>  Arm a fault-injection plan (seed=N;point=err|panic|delay:<us>@<pct>;..)
       --deadline-ms <N>  Per-request deadline; an expired request is rejected at the next checkpoint (504 over HTTP)
@@ -231,6 +231,17 @@ impl RouterFlags {
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// Reject `flag` (when `given`) without a `--cache-dir`: it only shapes the
+    /// persistent cache directory, so without one it would silently do nothing.
+    fn require_cache_dir(&self, flag: &str, given: bool) -> ParseResult<()> {
+        if given && self.cache_dir.is_none() {
+            return Err(invalid(format!(
+                "{flag} needs --cache-dir: it only applies to the persistent cache directory"
+            )));
+        }
+        Ok(())
     }
 
     /// The router configuration these flags select; unset flags keep the defaults.
@@ -761,6 +772,7 @@ impl ServeBatchArgs {
                 "serve-batch requires at least one goal (--goals or --goals-file)",
             ));
         }
+        router.require_cache_dir("--cache-disk-cap", router.cache_disk_cap.is_some())?;
         Ok(ServeBatchArgs {
             data,
             router,
@@ -932,7 +944,7 @@ impl ServeArgs {
                 "      --addr <HOST:PORT> Bind address [default: 127.0.0.1:7878]
       --max-in-flight <N>  Per-tenant admission quota; exceeding it answers 429
       --max-body-bytes <N>  Request body cap; larger bodies answer 400 [default: 1 MiB]
-      --durable          fsync cache entries before rename so they survive a power cut
+      --durable          fsync cache entries before rename so they survive a power cut (needs --cache-dir)
       --max-connections <N>  Open-connection cap; connections over it answer 503 [default: 1024, 0 = off]
       --request-read-timeout-ms <N>  Cumulative read deadline per request; slowloris clients answer 408 [default: 10000, 0 = off]
 {ROUTER_FLAGS_HELP}"
@@ -971,6 +983,8 @@ impl ServeArgs {
                 other => return Err(invalid(format!("unknown flag '{other}' for serve"))),
             }
         }
+        router.require_cache_dir("--cache-disk-cap", router.cache_disk_cap.is_some())?;
+        router.require_cache_dir("--durable", durable.is_some())?;
         Ok(ServeArgs {
             data: data.finish()?,
             router,

@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn serve_and_serve_batch_map_each_router_flag_onto_the_same_field() {
         for (flag, value, field) in ROUTER_FLAGS {
-            // `--cache-disk-cap` only shapes a mounted tier.
+            // `--cache-disk-cap` is a usage error without a `--cache-dir`.
             let mut extra = vec![flag, value];
             if flag == "--cache-disk-cap" {
                 extra.extend(["--cache-dir", "cache-dir"]);
@@ -516,6 +516,26 @@ mod tests {
                 landed[0], landed[1],
                 "{flag} lands alike under both commands"
             );
+        }
+    }
+
+    #[test]
+    fn disk_tier_flags_without_a_cache_dir_are_usage_errors() {
+        let cases: [(&str, &[&str]); 3] = [
+            ("serve", &["--cache-disk-cap", "1234"]),
+            ("serve-batch", &["--cache-disk-cap", "1234"]),
+            ("serve", &["--durable"]),
+        ];
+        for (command, flags) in cases {
+            let err = router_flags(command, flags).unwrap_err();
+            assert!(!err.is_help());
+            assert!(
+                err.message().contains(flags[0]) && err.message().contains("--cache-dir"),
+                "{command} {flags:?}: {}",
+                err.message()
+            );
+            let mounted = [flags, &["--cache-dir", "cache-dir"]].concat();
+            router_flags(command, &mounted).unwrap();
         }
     }
 

@@ -284,10 +284,11 @@ pub struct EngineConfig {
     /// Deterministic fault-injection plan (`--fault-plan` on the CLI). When
     /// set, the engine arms the process-wide failpoint registry
     /// ([`crate::faults::arm`]) with this plan before serving; named seams
-    /// (`disk.read`, `disk.write`, `disk.unlink`, `pool.execute`,
-    /// `route.place`) then inject errors, latency, or panics according to the
-    /// plan's seeded schedule. `None` (the default) leaves every failpoint as
-    /// a single relaxed atomic load.
+    /// (`disk.read`, `disk.write`, `disk.write.torn`, `disk.rename`,
+    /// `disk.unlink`, `pool.execute`, `route.place`, `http.accept`) then inject
+    /// errors, latency, or panics according to the plan's seeded schedule.
+    /// `None` (the default) leaves every failpoint as a single relaxed atomic
+    /// load.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Default request deadline, **relative** microseconds (`--deadline-ms` on
     /// the CLI). Applied at submission as `now + default` to requests that

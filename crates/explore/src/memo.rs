@@ -8,8 +8,10 @@
 //! from the root, so each distinct computation happens once per dataset.
 //!
 //! The memo is keyed by op path, which identifies a view only relative to one root
-//! dataset: never share an `OpMemo` between executors over different datasets. The
-//! engine creates one memo per (batch, dataset) pairing.
+//! dataset: never share an `OpMemo` between executors over different datasets. Each
+//! `linx-engine` dataset context owns one memo, so it lives as long as its context:
+//! one batch for `Router::run_batch`, which builds a context per batch, and the whole
+//! daemon for `linx serve`, which builds one context per dataset when it starts.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

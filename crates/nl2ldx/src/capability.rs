@@ -8,7 +8,7 @@
 //! model-dependent error behaviour the paper attributes to few-shot divergence: with
 //! calibrated probabilities the derived specification is corrupted along the same axes
 //! the paper discusses (wrong structure, wrong attribute, wrong operator, broken
-//! continuity, dropped operations). DESIGN.md documents this substitution.
+//! continuity, dropped operations). `docs/DESIGN.md` documents this substitution.
 
 use linx_dataframe::Schema;
 use linx_ldx::{Ldx, TokenPattern};

@@ -6,6 +6,7 @@
 use linx::{Linx, LinxConfig};
 use linx_cdrl::{refine_session, CdrlConfig, TermInventory};
 use linx_data::{generate, DatasetKind, ScaleConfig};
+use linx_dataframe::StatsCache;
 use linx_explore::{narrate, to_ipynb, to_ipynb_string, ExplorationReward};
 use linx_ldx::VerifyEngine;
 use linx_viz::{recommend_session, to_vega_lite, Mark};
@@ -86,7 +87,7 @@ fn refinement_keeps_compliance_and_does_not_lower_utility() {
     // compliant and the utility does not drop.
     let engine = VerifyEngine::new(outcome.derivation.ldx.clone());
     if engine.verify(&outcome.training.best_tree) {
-        let terms = TermInventory::build(&dataset, 12);
+        let terms = TermInventory::build(&dataset, 12, &StatsCache::default());
         let reward = ExplorationReward::default();
         let refined = refine_session(
             &outcome.training.best_tree,
