@@ -11,7 +11,7 @@
 //! 3. **Healthy-path overhead**: the per-request resilience sequence — armed
 //!    failpoint checks at `route.place` and `pool.execute`, the deadline
 //!    checkpoints, and the shed-threshold check — costs ≤ 2% on the 20-op
-//!    view-chain request stand-in.
+//!    view-chain request stand-in ([`linx_bench::chain`]).
 //!
 //! Besides the criterion-style timings (CI smoke under `--test`), a full run
 //! writes a machine-readable `BENCH_chaos.json` baseline. Set `LINX_BENCH_OUT`
@@ -22,100 +22,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use linx_data::{generate, DatasetKind, ScaleConfig};
-use linx_dataframe::filter::{CompareOp, Predicate};
-use linx_dataframe::groupby::AggFunc;
-use linx_dataframe::{DataFrame, Value};
+use linx_bench::chain::{chain, dataset, median_micros, run_chain, Step, ROWS, TREE_OPS};
+use linx_dataframe::DataFrame;
 use linx_engine::faults::{self, arm_scoped, FaultKind, FaultPlan};
 use linx_engine::{DiskTier, ExploreResult, PersistConfig, BREAKER_OPEN};
 use linx_metrics::Clock;
 
-/// Number of query operations in the per-request chain (the chain `telemetry_overhead` runs).
-const TREE_OPS: usize = 20;
-/// Dataset size: large enough that real query work dominates fixed op overhead.
-const ROWS: usize = 6_000;
 /// Breaker cooldown used for the recovery measurement.
 const COOLDOWN_MICROS: u64 = 5_000;
-
-/// One step of the chain: a row-subsetting filter or a group-and-aggregate leaf.
-enum Step {
-    Filter(Predicate),
-    Group(&'static str, AggFunc, &'static str),
-}
-
-/// 16 gently narrowing filters with a group-by after every fourth — 20 ops total.
-fn chain() -> Vec<Step> {
-    let filters = [
-        Predicate::new("release_year", CompareOp::Ge, Value::Int(1999)),
-        Predicate::new("duration", CompareOp::Ge, Value::Int(1)),
-        Predicate::new("country", CompareOp::Neq, Value::str("Japan")),
-        Predicate::new("rating", CompareOp::Neq, Value::str("NC-17")),
-        Predicate::new("release_year", CompareOp::Le, Value::Int(2021)),
-        Predicate::new("cast_size", CompareOp::Ge, Value::Int(3)),
-        Predicate::new("date_added_year", CompareOp::Ge, Value::Int(1999)),
-        Predicate::new("genre", CompareOp::Neq, Value::str("Stand-Up")),
-        Predicate::new("type", CompareOp::Neq, Value::str("Documentary")),
-        Predicate::new("duration", CompareOp::Le, Value::Int(200)),
-        Predicate::new("country", CompareOp::Neq, Value::str("Mexico")),
-        Predicate::new("rating", CompareOp::Neq, Value::str("G")),
-        Predicate::new("release_year", CompareOp::Ge, Value::Int(2000)),
-        Predicate::new("cast_size", CompareOp::Le, Value::Int(24)),
-        Predicate::new("date_added_year", CompareOp::Le, Value::Int(2021)),
-        Predicate::new("title", CompareOp::Neq, Value::str("Title 0")),
-    ];
-    let groups = [
-        ("country", AggFunc::Count, "show_id"),
-        ("rating", AggFunc::Count, "show_id"),
-        ("type", AggFunc::Avg, "duration"),
-        ("genre", AggFunc::Count, "show_id"),
-    ];
-    let mut steps = Vec::with_capacity(TREE_OPS);
-    let mut g = groups.iter();
-    for (i, pred) in filters.iter().enumerate() {
-        steps.push(Step::Filter(pred.clone()));
-        if (i + 1) % 4 == 0 {
-            let (ga, agg, aa) = g.next().expect("four group steps");
-            steps.push(Step::Group(ga, *agg, aa));
-        }
-    }
-    assert_eq!(steps.len(), TREE_OPS);
-    steps
-}
-
-fn dataset() -> DataFrame {
-    generate(
-        DatasetKind::Netflix,
-        ScaleConfig {
-            rows: Some(ROWS),
-            seed: 11,
-        },
-    )
-}
-
-/// The raw request payload: execute the chain, return a shape checksum.
-fn run_chain(df: &DataFrame, steps: &[Step]) -> u64 {
-    let mut view = df.clone();
-    let mut checksum = 0u64;
-    for step in steps {
-        match step {
-            Step::Filter(pred) => {
-                view = view.filter(pred).expect("benchmark filters are valid");
-                checksum = checksum
-                    .wrapping_mul(31)
-                    .wrapping_add(view.num_rows() as u64);
-            }
-            Step::Group(g_attr, agg, agg_attr) => {
-                let out = view
-                    .group_by(g_attr, *agg, agg_attr)
-                    .expect("benchmark group-bys are valid");
-                checksum = checksum
-                    .wrapping_mul(31)
-                    .wrapping_add(out.num_rows() as u64);
-            }
-        }
-    }
-    checksum
-}
 
 /// The shared per-process state a request's resilience checks read.
 struct Resilience {
@@ -240,19 +154,6 @@ fn bench_chaos(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_chaos);
-
-/// Median wall-clock microseconds of `runs` invocations of `f`.
-fn median_micros(runs: usize, mut f: impl FnMut() -> u64) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            criterion::black_box(f());
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
 
 /// Trip the breaker, heal the disk, and measure microseconds from the trip to
 /// the first successful read (cooldown wait + half-open probe).

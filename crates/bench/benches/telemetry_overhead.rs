@@ -1,5 +1,5 @@
-//! Telemetry-overhead benchmark: a 20-op filter/group view chain over a 6k-row
-//! frame (a request stand-in) executed bare vs. wrapped in the engine's full per-request
+//! Telemetry-overhead benchmark: the 20-op view-chain request stand-in
+//! ([`linx_bench::chain`]) executed bare vs. wrapped in the engine's full per-request
 //! telemetry sequence — trace activation, one clock read and `Stage` add per
 //! lifecycle stage, the component histograms (cache lookup, queue wait,
 //! execution), the in-flight gauge, and `observe_response` with the slow log
@@ -11,102 +11,13 @@
 //! writes a machine-readable `BENCH_telemetry.json` baseline. Set
 //! `LINX_BENCH_OUT` to redirect the baseline file.
 
-use std::time::Instant;
-
 use criterion::{criterion_group, Criterion};
-use linx_data::{generate, DatasetKind, ScaleConfig};
-use linx_dataframe::filter::{CompareOp, Predicate};
-use linx_dataframe::groupby::AggFunc;
-use linx_dataframe::{DataFrame, Value};
+use linx_bench::chain::{chain, dataset, median_micros, run_chain, Step, ROWS, TREE_OPS};
+use linx_dataframe::DataFrame;
 use linx_engine::{
     MetricsRegistry, Priority, RequestId, ResponseMeta, Stage, TenantId, TraceHandle,
 };
 use linx_metrics::{Clock, Gauge, LatencyHistogram};
-
-/// Number of query operations in the per-request chain (the chain `chaos_recovery` runs).
-const TREE_OPS: usize = 20;
-/// Dataset size: large enough that real query work dominates fixed op overhead.
-const ROWS: usize = 6_000;
-
-/// One step of the chain: a row-subsetting filter or a group-and-aggregate leaf.
-enum Step {
-    Filter(Predicate),
-    Group(&'static str, AggFunc, &'static str),
-}
-
-/// 16 gently narrowing filters with a group-by after every fourth — 20 ops total.
-fn chain() -> Vec<Step> {
-    let filters = [
-        Predicate::new("release_year", CompareOp::Ge, Value::Int(1999)),
-        Predicate::new("duration", CompareOp::Ge, Value::Int(1)),
-        Predicate::new("country", CompareOp::Neq, Value::str("Japan")),
-        Predicate::new("rating", CompareOp::Neq, Value::str("NC-17")),
-        Predicate::new("release_year", CompareOp::Le, Value::Int(2021)),
-        Predicate::new("cast_size", CompareOp::Ge, Value::Int(3)),
-        Predicate::new("date_added_year", CompareOp::Ge, Value::Int(1999)),
-        Predicate::new("genre", CompareOp::Neq, Value::str("Stand-Up")),
-        Predicate::new("type", CompareOp::Neq, Value::str("Documentary")),
-        Predicate::new("duration", CompareOp::Le, Value::Int(200)),
-        Predicate::new("country", CompareOp::Neq, Value::str("Mexico")),
-        Predicate::new("rating", CompareOp::Neq, Value::str("G")),
-        Predicate::new("release_year", CompareOp::Ge, Value::Int(2000)),
-        Predicate::new("cast_size", CompareOp::Le, Value::Int(24)),
-        Predicate::new("date_added_year", CompareOp::Le, Value::Int(2021)),
-        Predicate::new("title", CompareOp::Neq, Value::str("Title 0")),
-    ];
-    let groups = [
-        ("country", AggFunc::Count, "show_id"),
-        ("rating", AggFunc::Count, "show_id"),
-        ("type", AggFunc::Avg, "duration"),
-        ("genre", AggFunc::Count, "show_id"),
-    ];
-    let mut steps = Vec::with_capacity(TREE_OPS);
-    let mut g = groups.iter();
-    for (i, pred) in filters.iter().enumerate() {
-        steps.push(Step::Filter(pred.clone()));
-        if (i + 1) % 4 == 0 {
-            let (ga, agg, aa) = g.next().expect("four group steps");
-            steps.push(Step::Group(ga, *agg, aa));
-        }
-    }
-    assert_eq!(steps.len(), TREE_OPS);
-    steps
-}
-
-fn dataset() -> DataFrame {
-    generate(
-        DatasetKind::Netflix,
-        ScaleConfig {
-            rows: Some(ROWS),
-            seed: 11,
-        },
-    )
-}
-
-/// The raw request payload: execute the chain, return a shape checksum.
-fn run_chain(df: &DataFrame, steps: &[Step]) -> u64 {
-    let mut view = df.clone();
-    let mut checksum = 0u64;
-    for step in steps {
-        match step {
-            Step::Filter(pred) => {
-                view = view.filter(pred).expect("benchmark filters are valid");
-                checksum = checksum
-                    .wrapping_mul(31)
-                    .wrapping_add(view.num_rows() as u64);
-            }
-            Step::Group(g_attr, agg, agg_attr) => {
-                let out = view
-                    .group_by(g_attr, *agg, agg_attr)
-                    .expect("benchmark group-bys are valid");
-                checksum = checksum
-                    .wrapping_mul(31)
-                    .wrapping_add(out.num_rows() as u64);
-            }
-        }
-    }
-    checksum
-}
 
 /// Every instrument one request touches on the engine's fresh-compute path.
 struct Instruments {
@@ -206,19 +117,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_telemetry_overhead);
-
-/// Median wall-clock microseconds of `runs` invocations of `f`.
-fn median_micros(runs: usize, mut f: impl FnMut() -> u64) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            criterion::black_box(f());
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
 
 /// Measure both variants and write the machine-readable baseline.
 fn write_baseline() -> std::io::Result<()> {

@@ -9,6 +9,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod chain;
+
 use linx_cdrl::CdrlConfig;
 
 /// Read an experiment scale parameter from the environment with a default, so every
