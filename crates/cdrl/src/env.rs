@@ -65,7 +65,7 @@ pub struct LinxEnv {
     tree: ExplorationTree,
     views: HashMap<NodeId, DataFrame>,
     /// Canonical op path per node (see [`SessionExecutor::child_path`]), so op results
-    /// route through the executor's shared memo when it has one.
+    /// route through the executor's shared memo.
     paths: HashMap<NodeId, String>,
     /// Incremental diversity tracker: each node's primary histogram is stored once,
     /// and a step updates only the new node's minimum distance (O(n) per step, never
@@ -77,26 +77,21 @@ pub struct LinxEnv {
 }
 
 impl LinxEnv {
-    /// Create an environment.
+    /// Create an environment over fresh [`DatasetStats`] and an executor with a fresh
+    /// [`linx_explore::OpMemo`] that shares the statistics' cache.
     pub fn new(dataset: DataFrame, ldx: Ldx, config: CdrlConfig) -> Self {
-        let executor = SessionExecutor::new(dataset);
-        Self::with_executor(executor, ldx, config)
-    }
-
-    /// Create an environment around an existing executor (and thereby its shared
-    /// [`linx_explore::OpMemo`], when it has one): repeated op executions across
-    /// episodes — and across goals served over the same dataset — hit the memo instead
-    /// of recomputing views. Builds fresh [`DatasetStats`]; serving layers that hold
-    /// per-dataset statistics should use [`LinxEnv::with_shared`].
-    pub fn with_executor(executor: SessionExecutor, ldx: Ldx, config: CdrlConfig) -> Self {
-        let shared = DatasetStats::build(executor.dataset(), config.term_slots);
+        let shared = DatasetStats::build(&dataset, config.term_slots);
+        let executor = SessionExecutor::new(dataset).with_stats(Arc::clone(&shared.stats));
         Self::with_shared(executor, ldx, config, shared)
     }
 
-    /// Create an environment reusing prebuilt per-dataset statistics: the featurizer,
-    /// the term inventory, and the view-statistics cache are shared (by `Arc`) with
-    /// every other environment handed the same [`DatasetStats`], so batch serving and
-    /// CDRL training over one dataset compute each per-dataset statistic once.
+    /// Create an environment around an existing executor, and thereby its shared
+    /// [`linx_explore::OpMemo`], reusing prebuilt per-dataset statistics: repeated op
+    /// executions across episodes — and across goals served over the same dataset —
+    /// hit the memo, and the featurizer, the term inventory, and the view-statistics
+    /// cache are shared (by `Arc`) with every other environment handed the same
+    /// [`DatasetStats`], so batch serving and CDRL training over one dataset compute
+    /// each per-dataset statistic once.
     pub fn with_shared(
         executor: SessionExecutor,
         ldx: Ldx,
@@ -236,7 +231,7 @@ impl LinxEnv {
                 let parent = self.tree.current();
                 let parent_view = self.views[&parent].clone();
                 let path = SessionExecutor::child_path(&self.paths[&parent], &op);
-                match self.executor.execute_op_at(Some(&path), &parent_view, &op) {
+                match self.executor.execute_op_at(&path, &parent_view, &op) {
                     Err(_) => self.config.invalid_penalty,
                     Ok(view) => {
                         let node = self.tree.push_op(op.clone());
@@ -565,7 +560,7 @@ mod tests {
 
         let cfg = CdrlConfig::default();
         let executor = SessionExecutor::new(dataset());
-        let mut env = LinxEnv::with_executor(executor.clone(), ldx(), cfg.clone());
+        let mut env = LinxEnv::new(dataset(), ldx(), cfg.clone());
         let agent = LinxAgent::new(&dataset(), &ldx(), &cfg);
         let full = ExplorationReward::default();
         let mut rng = StdRng::seed_from_u64(7);

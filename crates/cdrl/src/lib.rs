@@ -40,9 +40,9 @@
 //! * **The session score.** [`LinxEnv::session_score`] is
 //!   `(μ·Σinterest + λ·Σdiversity) / n` over the terms each applied step already
 //!   computed, summed in the same order as
-//!   [`linx_explore::ExplorationReward::session_score`], which re-executes a tree
-//!   from scratch and remains the scorer for trees the environment did not build
-//!   (refinement, reporting).
+//!   [`linx_explore::ExplorationReward::session_score`], which executes a whole
+//!   tree through its executor's memo and remains the scorer for trees the
+//!   environment did not build (refinement, reporting).
 //!
 //! Invariant: everything derivable from the dataset alone — the term inventory, the
 //! featurizer, and the view-statistics cache bundled in [`DatasetStats`]

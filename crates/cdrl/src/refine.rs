@@ -23,7 +23,7 @@ use std::sync::Arc;
 use linx_dataframe::filter::CompareOp;
 use linx_dataframe::groupby::AggFunc;
 use linx_dataframe::{DataFrame, Value};
-use linx_explore::{ExplorationReward, ExplorationTree, NodeId, OpMemo, QueryOp, SessionExecutor};
+use linx_explore::{ExplorationReward, ExplorationTree, NodeId, QueryOp, SessionExecutor};
 use linx_ldx::VerifyEngine;
 
 use crate::terms::TermInventory;
@@ -34,7 +34,7 @@ use crate::terms::TermInventory;
 ///
 /// Candidates are scored through an op memo that lives for this call only, so the
 /// views they share (every candidate of a round keeps most of the best tree's
-/// operations) are computed once.
+/// operations) are computed once, and through `reward`'s statistics cache.
 pub fn refine_session(
     tree: &ExplorationTree,
     dataset: &DataFrame,
@@ -45,7 +45,8 @@ pub fn refine_session(
     if tree.num_ops() == 0 || !engine.verify(tree) {
         return tree.clone();
     }
-    let executor = SessionExecutor::with_memo(dataset.clone(), Arc::new(OpMemo::new()));
+    let executor =
+        SessionExecutor::new(dataset.clone()).with_stats(Arc::clone(reward.stats_cache()));
     let score = |t: &ExplorationTree| reward.session_score(&executor, t);
 
     let mut best = tree.clone();

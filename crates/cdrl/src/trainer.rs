@@ -4,6 +4,8 @@
 //! compliant sessions, then structurally compliant ones, then the generic exploration
 //! score — mirroring how the paper extracts the output notebook after convergence).
 
+use std::sync::Arc;
+
 use linx_dataframe::DataFrame;
 use linx_explore::{ExplorationReward, ExplorationTree, SessionExecutor};
 use linx_ldx::Ldx;
@@ -127,15 +129,19 @@ impl CdrlTrainer {
         &self.config
     }
 
-    /// Train and return the best session found plus the training log.
+    /// Train and return the best session found plus the training log. Builds fresh
+    /// [`crate::context::DatasetStats`] and an executor with a fresh
+    /// [`linx_explore::OpMemo`] that shares the statistics' cache, so the run executes
+    /// and scores through the same memoized path serving does.
     pub fn train(&self, dataset: DataFrame, ldx: Ldx) -> TrainOutcome {
         let shared = crate::context::DatasetStats::build(&dataset, self.config.term_slots);
-        self.train_with_shared(SessionExecutor::new(dataset), ldx, shared)
+        let executor = SessionExecutor::new(dataset).with_stats(Arc::clone(&shared.stats));
+        self.train_with_shared(executor, ldx, shared)
     }
 
     /// Like [`Self::train`], but executing query operations through an existing
-    /// executor — and thereby its shared [`linx_explore::OpMemo`], when it has one —
-    /// and reusing prebuilt per-dataset statistics ([`crate::context::DatasetStats`]):
+    /// executor, and thereby its shared [`linx_explore::OpMemo`], and reusing
+    /// prebuilt per-dataset statistics ([`crate::context::DatasetStats`]):
     /// the term inventory, featurizer, and view-statistics cache are shared across
     /// every goal trained over the same dataset instead of being rebuilt per training
     /// run. The exploration pipeline (`linx-engine`) trains every request this way.
@@ -146,7 +152,6 @@ impl CdrlTrainer {
         shared: crate::context::DatasetStats,
     ) -> TrainOutcome {
         let dataset = executor.dataset().clone();
-        let stats = std::sync::Arc::clone(&shared.stats);
         let mut env =
             LinxEnv::with_shared(executor.clone(), ldx.clone(), self.config.clone(), shared);
         let agent_proto = LinxAgent::new(&dataset, &ldx, &self.config);
@@ -251,6 +256,7 @@ impl CdrlTrainer {
         // the "red" parameters the paper says the CDRL engine discovers. Only applied to
         // an already-compliant session, so compliance is preserved.
         if best_compliant && self.config.refine {
+            let stats = Arc::clone(executor.stats_cache());
             let reward =
                 ExplorationReward::with_cache(linx_explore::RewardWeights::default(), stats);
             let refined = crate::refine::refine_session(

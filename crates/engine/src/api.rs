@@ -201,9 +201,9 @@ pub enum JobError {
     /// dropped and its quota budget released), or [`Stage::Execute`] (cancelled
     /// cooperatively between executor phases).
     DeadlineExceeded(Stage),
-    /// The engine is in load-shed mode (queue depth or queue-wait p95 over the
-    /// configured threshold) and rejected this Low-priority request before
-    /// queueing it. Retry later or resubmit at a higher priority.
+    /// The engine is in load-shed mode (queue depth at the configured
+    /// threshold) and rejected this Low-priority request before queueing it.
+    /// Retry later or resubmit at a higher priority.
     Overloaded,
 }
 
@@ -257,8 +257,6 @@ pub struct EngineConfig {
     /// per dataset). 0 disables in-memory caching
     /// (`--cache-mem-cap` on the CLI).
     pub cache_mem_bytes: usize,
-    /// Number of cache shards (reduces lock contention). Rounded up to at least 1.
-    pub cache_shards: usize,
     /// The CDRL engine configuration used for jobs (per-request budgets cap
     /// `cdrl.episodes`).
     pub cdrl: CdrlConfig,
@@ -301,11 +299,6 @@ pub struct EngineConfig {
     /// before admission, keeping interactive bands responsive. `None` disables
     /// depth-based shedding.
     pub shed_queue_depth: Option<usize>,
-    /// Load-shed threshold on the all-time p95 queue wait, in microseconds.
-    /// When the merged queue-wait p95 meets or exceeds this value, Low-priority
-    /// cache-missing requests are shed exactly as with
-    /// [`EngineConfig::shed_queue_depth`]. `None` disables p95-based shedding.
-    pub shed_p95_wait_micros: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -317,7 +310,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers,
             cache_mem_bytes: 64 * 1024 * 1024,
-            cache_shards: 8,
             cdrl: CdrlConfig::default(),
             sample_rows: 200,
             default_quota: TenantQuota::default(),
@@ -327,7 +319,6 @@ impl Default for EngineConfig {
             fault_plan: None,
             default_deadline_micros: None,
             shed_queue_depth: None,
-            shed_p95_wait_micros: None,
         }
     }
 }

@@ -7,7 +7,6 @@ use std::sync::{mpsc, Arc, Mutex};
 
 use linx_cdrl::CdrlConfig;
 use linx_dataframe::{DataFrame, StatsCache};
-use linx_metrics::HistogramSnapshot;
 
 use crate::api::{
     EngineConfig, ExploreRequest, ExploreResponse, ExploreResult, JobError, Priority, RequestId,
@@ -27,6 +26,9 @@ use crate::telemetry::{
 /// a long-running intake path cannot grow the table unboundedly between the
 /// idle/shutdown sweeps.
 const QUOTA_GC_INTERVAL: u64 = 256;
+
+/// Shards of each engine's result cache (spreads lock contention).
+const RESULT_CACHE_SHARDS: usize = 8;
 
 /// A handle on one submitted request; resolves to the response.
 pub struct JobHandle {
@@ -212,8 +214,8 @@ impl Engine {
         let stats_budget = config.cache_mem_bytes - result_budget;
         let stats = Arc::new(StatsCache::new(stats_budget, StatsCache::DEFAULT_SHARDS));
         let cache = Arc::new(match disk {
-            Some(tier) => TieredCache::with_disk(result_budget, config.cache_shards, tier),
-            None => TieredCache::new(result_budget, config.cache_shards),
+            Some(tier) => TieredCache::with_disk(result_budget, RESULT_CACHE_SHARDS, tier),
+            None => TieredCache::new(result_budget, RESULT_CACHE_SHARDS),
         });
         Engine {
             config,
@@ -357,8 +359,8 @@ impl Engine {
             }
         }
 
-        // Load shed: when the pool is saturated (queue depth or queue-wait p95
-        // over the configured thresholds), Low-priority work that missed both
+        // Load shed: when the pool is saturated (queue depth at the configured
+        // threshold), Low-priority work that missed both
         // the cache and the coalescing map is rejected before it can consume a
         // quota slot or a queue position. Cache hits and coalesced attachments
         // above still serve — shedding protects workers, not reads.
@@ -616,27 +618,13 @@ impl Engine {
         handle
     }
 
-    /// Whether load-shed mode is active right now: queue depth or merged
-    /// queue-wait p95 at/over the configured thresholds. With neither
-    /// threshold configured this is always `false` (and costs two `Option`
-    /// checks on the submit path).
+    /// Whether load-shed mode is active right now: queue depth at/over the
+    /// configured threshold. Without a threshold this is always `false` (and
+    /// costs one `Option` check on the submit path).
     fn should_shed(&self) -> bool {
-        if let Some(depth) = self.config.shed_queue_depth {
-            if self.pool.queued_total() >= depth {
-                return true;
-            }
-        }
-        if let Some(threshold) = self.config.shed_p95_wait_micros {
-            let merged = self
-                .pool
-                .queue_wait_latency()
-                .iter()
-                .fold(HistogramSnapshot::default(), |acc, s| acc.merge(s));
-            if merged.count > 0 && merged.p95() >= threshold {
-                return true;
-            }
-        }
-        false
+        self.config
+            .shed_queue_depth
+            .is_some_and(|depth| self.pool.queued_total() >= depth)
     }
 
     /// This shard's own counters: requests, result cache and pool. The shared

@@ -188,19 +188,15 @@ pub fn run_exploration(
     // shared per-dataset statistics: repeated op sequences — within a training run and
     // across the batch's goals — materialize once per dataset, and reward histograms /
     // term inventories / featurizers are computed once per dataset rather than per
-    // goal. (A request whose config asks for a different term-slot count than the
-    // precomputed inventory rebuilds its own; budgets only vary episodes, so in
-    // practice the shared inventory is always used.)
-    let shared = if trainer.config().term_slots == ctx.shared.terms.slots() {
-        ctx.shared.clone()
-    } else {
-        DatasetStats::build_with_cache(
-            &ctx.dataset,
-            trainer.config().term_slots,
-            Arc::clone(&ctx.shared.stats),
-        )
-    };
-    let training = trainer.train_with_shared(executor.clone(), derivation.ldx.clone(), shared);
+    // goal. Both callers build the context's inventory and the request's config from
+    // one configuration (budgets only vary episodes), so the slot counts agree.
+    debug_assert_eq!(
+        trainer.config().term_slots,
+        ctx.shared.terms.slots(),
+        "the request's term slots must match the context's inventory"
+    );
+    let training =
+        trainer.train_with_shared(executor.clone(), derivation.ldx.clone(), ctx.shared.clone());
     if cancelled() {
         return Err(Cancelled);
     }

@@ -20,9 +20,15 @@
 //!
 //! Invariant: a node's result view is a pure function of the dataset and the path of
 //! operations from the root, so materialized views ([`memo::OpMemo`]) and view
-//! statistics (`linx_dataframe::StatsCache`, threaded via
-//! [`session::SessionExecutor::with_stats`]) are shared freely across episodes,
+//! statistics (`linx_dataframe::StatsCache`) are shared freely across episodes,
 //! goals, and requests without invalidation logic.
+//!
+//! Both caches are always there: every [`session::SessionExecutor`] executes through
+//! an `OpMemo` and holds a `StatsCache`, and every [`reward::ExplorationReward`]
+//! reads its statistics through one. The plain constructors build fresh ones;
+//! [`session::SessionExecutor::with_memo`], [`session::SessionExecutor::with_stats`]
+//! and [`reward::ExplorationReward::with_cache`] share existing ones. There is no
+//! cache-less path to keep equivalent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

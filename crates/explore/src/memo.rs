@@ -11,7 +11,8 @@
 //! dataset: never share an `OpMemo` between executors over different datasets. Each
 //! `linx-engine` dataset context owns one memo, so it lives as long as its context:
 //! one batch for `Router::run_batch`, which builds a context per batch, and the whole
-//! daemon for `linx serve`, which builds one context per dataset when it starts.
+//! daemon for `linx serve`, which builds one context per dataset when it starts. It is
+//! capped at 16k views, not by bytes, and sits outside the engine's byte budget.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,21 +20,17 @@ use std::sync::Mutex;
 
 use linx_dataframe::DataFrame;
 
+/// The most views one memo stores. It bounds memory when a memo is shared with a whole
+/// training run (tens of thousands of op executions over one dataset); once full,
+/// further distinct views are computed but not retained (counted as misses).
+const MAX_VIEWS: usize = 16 * 1024;
+
 /// Thread-safe cache of op-path → materialized view, with hit/miss counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct OpMemo {
     views: Mutex<HashMap<String, DataFrame>>,
-    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-impl Default for OpMemo {
-    /// The default capacity bounds memory when a memo is shared with a whole training
-    /// run (tens of thousands of op executions over one dataset).
-    fn default() -> Self {
-        OpMemo::with_capacity(16 * 1024)
-    }
 }
 
 /// A point-in-time snapshot of memo effectiveness.
@@ -48,20 +45,9 @@ pub struct OpMemoStats {
 }
 
 impl OpMemo {
-    /// An empty memo with the default capacity.
+    /// An empty memo.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty memo storing at most `capacity` views; once full, further distinct
-    /// views are computed but not retained (counted as misses).
-    pub fn with_capacity(capacity: usize) -> Self {
-        OpMemo {
-            views: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
     }
 
     /// Look up the view for an op path, or compute and store it.
@@ -81,7 +67,7 @@ impl OpMemo {
         let computed = compute()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut views = self.views.lock().expect("memo lock");
-        if views.len() >= self.capacity && !views.contains_key(path) {
+        if views.len() >= MAX_VIEWS && !views.contains_key(path) {
             return Ok(computed);
         }
         Ok(views.entry(path.to_string()).or_insert(computed).clone())

@@ -16,9 +16,14 @@
 //! Reward computation is the hot path of CDRL training (op execution itself is memoized
 //! by [`crate::memo::OpMemo`]). Two mechanisms keep it cheap:
 //!
-//! * an optional shared [`StatsCache`] — histograms and groupings are keyed by
-//!   `(view fingerprint, column)` and computed once per distinct view content across
-//!   every reward consumer (steps, episodes, goals over one dataset);
+//! * a [`StatsCache`] that every statistic goes through — histograms and group sizes
+//!   are keyed by `(view fingerprint, column)` and computed once per distinct view
+//!   content across every reward consumer handed the same cache (steps, episodes,
+//!   goals over one dataset). A reward built with [`ExplorationReward::new`] or
+//!   `default` owns a fresh cache; training and serving share one with
+//!   [`ExplorationReward::with_cache`], and [`ExplorationReward::session_score`]
+//!   reads the one its [`SessionExecutor`] holds. There is no cache-less path;
+//!   `StatsCache::new(0, 1)` stores nothing and so recomputes every statistic;
 //! * the [`SessionDiversity`] tracker — each node's primary histogram is stored once
 //!   per node, and per-step diversity updates only the new node's minimum distance
 //!   (O(n) distance computations per step instead of an O(n²) all-pairs rescan).
@@ -60,7 +65,7 @@ impl Default for RewardWeights {
 #[derive(Debug, Clone)]
 pub struct ExplorationReward {
     weights: RewardWeights,
-    stats: Option<Arc<StatsCache>>,
+    stats: Arc<StatsCache>,
 }
 
 impl Default for ExplorationReward {
@@ -69,50 +74,36 @@ impl Default for ExplorationReward {
     }
 }
 
-/// A column histogram, through the cache when one is attached. `None` when the column
-/// is missing from the frame.
-fn histogram_via(
-    cache: Option<&StatsCache>,
-    frame: &DataFrame,
-    column: &str,
-) -> Option<Arc<Histogram>> {
-    match cache {
-        Some(cache) => cache.histogram(frame, column).ok(),
-        None => frame.histogram(column).ok().map(Arc::new),
-    }
-}
-
-/// The node's "primary" column in its result view: the operation's primary attribute if
-/// still present, otherwise the first column. Borrows from the tree / the view — no
-/// allocation on the hot path.
-fn primary_column<'a>(
-    tree: &'a ExplorationTree,
-    view: &'a DataFrame,
+/// The histogram of the node's "primary" column in its result view: the operation's
+/// primary attribute if still present, otherwise the first column; empty when the view
+/// has no columns. Borrows the column name from the tree / the view — no allocation on
+/// the hot path.
+fn primary_histogram_in(
+    stats: &StatsCache,
+    tree: &ExplorationTree,
+    view: &DataFrame,
     node: NodeId,
-) -> Option<&'a str> {
+) -> Arc<Histogram> {
     tree.op(node)
         .map(|op| op.primary_attr())
         .filter(|c| view.column(c).is_ok())
         .or_else(|| view.column_names().first().copied())
+        .and_then(|c| stats.histogram(view, c).ok())
+        .unwrap_or_default()
 }
 
 impl ExplorationReward {
-    /// Create a reward calculator with explicit weights (no statistics cache).
+    /// Create a reward calculator with explicit weights over a fresh statistics cache
+    /// of its own.
     pub fn new(weights: RewardWeights) -> Self {
-        ExplorationReward {
-            weights,
-            stats: None,
-        }
+        ExplorationReward::with_cache(weights, Arc::default())
     }
 
-    /// Create a reward calculator whose histograms and groupings are shared through a
-    /// [`StatsCache`]. Every consumer handed the same cache — step rewards, session
-    /// scoring, featurization — computes each distinct `(view, column)` statistic once.
+    /// Create a reward calculator whose histograms and group sizes are shared through
+    /// `stats`. Every consumer handed the same cache — step rewards, session scoring,
+    /// featurization — computes each distinct `(view, column)` statistic once.
     pub fn with_cache(weights: RewardWeights, stats: Arc<StatsCache>) -> Self {
-        ExplorationReward {
-            weights,
-            stats: Some(stats),
-        }
+        ExplorationReward { weights, stats }
     }
 
     /// The configured weights.
@@ -120,20 +111,21 @@ impl ExplorationReward {
         self.weights
     }
 
-    /// The attached statistics cache, if any.
-    pub fn stats_cache(&self) -> Option<&Arc<StatsCache>> {
-        self.stats.as_ref()
+    /// The statistics cache [`Self::interestingness`], [`Self::primary_histogram`] and
+    /// [`Self::diversity`] read through.
+    pub fn stats_cache(&self) -> &Arc<StatsCache> {
+        &self.stats
     }
 
     /// Interestingness of a single operation given its input (parent) view and output
     /// view, in `[0, 1]`-ish range (KL is clipped).
     pub fn interestingness(&self, op: &QueryOp, input: &DataFrame, output: &DataFrame) -> f64 {
-        self.interestingness_via(self.stats.as_deref(), op, input, output)
+        self.interestingness_in(&self.stats, op, input, output)
     }
 
-    fn interestingness_via(
+    fn interestingness_in(
         &self,
-        cache: Option<&StatsCache>,
+        stats: &StatsCache,
         op: &QueryOp,
         input: &DataFrame,
         output: &DataFrame,
@@ -162,10 +154,9 @@ impl ExplorationReward {
                     if name == attr {
                         continue;
                     }
-                    let (Some(hi), Some(ho)) = (
-                        histogram_via(cache, input, name),
-                        histogram_via(cache, output, name),
-                    ) else {
+                    let (Ok(hi), Ok(ho)) =
+                        (stats.histogram(input, name), stats.histogram(output, name))
+                    else {
                         continue;
                     };
                     if hi.n_distinct() == 0 {
@@ -184,43 +175,25 @@ impl ExplorationReward {
                 if input.num_rows() == 0 {
                     return 0.0;
                 }
-                // Cached path memoizes just the group *sizes* — one usize per group —
+                // The cache memoizes just the group *sizes* — one usize per group —
                 // rather than the full per-row `Groups` index structure.
-                match cache {
-                    Some(cache) => match cache.group_sizes(input, g_attr) {
-                        Ok(sizes) => conciseness(&sizes, self.weights.max_groups),
-                        Err(_) => 0.0,
-                    },
-                    None => match input.groups(g_attr) {
-                        Ok(groups) => conciseness(&groups.sizes(), self.weights.max_groups),
-                        Err(_) => 0.0,
-                    },
+                match stats.group_sizes(input, g_attr) {
+                    Ok(sizes) => conciseness(&sizes, self.weights.max_groups),
+                    Err(_) => 0.0,
                 }
             }
         }
     }
 
     /// Histogram of the node's primary column in its result view, pulled through the
-    /// stats cache when one is attached. This is the per-node quantity
-    /// [`SessionDiversity`] accumulates.
+    /// stats cache. This is the per-node quantity [`SessionDiversity`] accumulates.
     pub fn primary_histogram(
         &self,
         tree: &ExplorationTree,
         view: &DataFrame,
         node: NodeId,
     ) -> Arc<Histogram> {
-        Self::primary_histogram_via(self.stats.as_deref(), tree, view, node)
-    }
-
-    fn primary_histogram_via(
-        cache: Option<&StatsCache>,
-        tree: &ExplorationTree,
-        view: &DataFrame,
-        node: NodeId,
-    ) -> Arc<Histogram> {
-        primary_column(tree, view, node)
-            .and_then(|c| histogram_via(cache, view, c))
-            .unwrap_or_default()
+        primary_histogram_in(&self.stats, tree, view, node)
     }
 
     /// Diversity contribution of a node: the minimum total-variation distance between
@@ -241,15 +214,14 @@ impl ExplorationReward {
         let Some(view) = views.get(&node) else {
             return 0.0;
         };
-        let cache = self.stats.as_deref();
-        let this_hist = Self::primary_histogram_via(cache, tree, view, node);
+        let this_hist = self.primary_histogram(tree, view, node);
         let mut min_dist: Option<f64> = None;
         for idx in 1..node.index() {
             let id = NodeId(idx);
             let Some(other) = views.get(&id) else {
                 continue;
             };
-            let other_hist = Self::primary_histogram_via(cache, tree, other, id);
+            let other_hist = self.primary_histogram(tree, other, id);
             let d = this_hist.total_variation(&other_hist);
             min_dist = Some(min_dist.map_or(d, |m: f64| m.min(d)));
         }
@@ -260,28 +232,25 @@ impl ExplorationReward {
     /// (weighted by μ) plus mean per-op diversity (weighted by λ). Invalid operations
     /// contribute zero. Returns 0 for an empty session.
     ///
-    /// Diversity is accumulated incrementally through a [`SessionDiversity`] tracker:
-    /// each node's primary histogram is built exactly once (O(n) histogram builds for
-    /// an n-op session, not O(n²)), and when a [`StatsCache`] is attached — on this
-    /// reward or on the executor — repeated scorings of overlapping sessions reuse
-    /// every histogram.
+    /// The session's views come from `executor`, and their statistics from the
+    /// executor's [`StatsCache`], so repeated scorings of overlapping sessions reuse
+    /// every view and every histogram. Diversity is accumulated incrementally through
+    /// a [`SessionDiversity`] tracker: each node's primary histogram is built exactly
+    /// once (O(n) histogram builds for an n-op session, not O(n²)).
     pub fn session_score(&self, executor: &SessionExecutor, tree: &ExplorationTree) -> f64 {
         if tree.num_ops() == 0 {
             return 0.0;
         }
         let views = executor.execute_tree_lenient(tree);
-        let cache = self
-            .stats
-            .as_deref()
-            .or_else(|| executor.stats_cache().map(Arc::as_ref));
+        let stats = executor.stats_cache();
         let mut interest_sum = 0.0;
         let mut diversity = SessionDiversity::new();
         let n = tree.num_ops() as f64;
         for (id, op) in tree.ops_in_order() {
             let parent = tree.parent(id).unwrap_or(NodeId::ROOT);
             if let (Some(input), Some(output)) = (views.get(&parent), views.get(&id)) {
-                interest_sum += self.interestingness_via(cache, op, input, output);
-                diversity.observe(id, Self::primary_histogram_via(cache, tree, output, id));
+                interest_sum += self.interestingness_in(stats, op, input, output);
+                diversity.observe(id, primary_histogram_in(stats, tree, output, id));
             }
         }
         (self.weights.mu * interest_sum + self.weights.lambda * diversity.total()) / n
@@ -407,37 +376,6 @@ mod tests {
             score_b > score_all,
             "divergent subset {score_b} vs trivial {score_all}"
         );
-    }
-
-    #[test]
-    fn cached_scores_match_uncached() {
-        let df = dataset();
-        let exec = SessionExecutor::new(df.clone());
-        let plain = ExplorationReward::default();
-        let cached = ExplorationReward::with_cache(RewardWeights::default(), Arc::default());
-
-        let op = QueryOp::filter("country", CompareOp::Eq, Value::str("B"));
-        let out = exec.execute_op(&df, &op).unwrap();
-        assert_eq!(
-            plain.interestingness(&op, &df, &out),
-            cached.interestingness(&op, &df, &out),
-        );
-        let g = QueryOp::group_by("type", AggFunc::Count, "id");
-        assert_eq!(
-            plain.interestingness(&g, &df, &df),
-            cached.interestingness(&g, &df, &df),
-        );
-
-        let mut tree = ExplorationTree::new();
-        let f = tree.add_child(NodeId::ROOT, op);
-        tree.add_child(f, g);
-        // Scoring twice: the second pass must be identical and all-hits.
-        let s1 = cached.session_score(&exec, &tree);
-        let s2 = cached.session_score(&exec, &tree);
-        assert_eq!(s1, s2);
-        assert_eq!(s1, plain.session_score(&exec, &tree));
-        let stats = cached.stats_cache().unwrap().stats();
-        assert!(stats.hits > 0, "warm scoring hits the cache: {stats:?}");
     }
 
     #[test]

@@ -10,59 +10,60 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use linx_dataframe::stats_cache::StatsCache;
-use linx_dataframe::{DataFrame, DataFrameError, Result};
+use linx_dataframe::{DataFrame, Result};
 
 use crate::memo::OpMemo;
 use crate::op::QueryOp;
 use crate::tree::{ExplorationTree, NodeId};
 
-/// Executes exploration trees against a dataset, caching node result views.
+/// Executes exploration trees against a dataset through an [`OpMemo`], and holds the
+/// [`StatsCache`] that scoring its sessions reads.
 ///
-/// With [`SessionExecutor::with_memo`], materialized views are additionally shared
-/// through an [`OpMemo`] keyed by the operation path from the root, so re-executions of
-/// the same session (notebook rendering, narratives, reward scoring) and sessions with
-/// common prefixes (batched goals over one dataset) compute each distinct view once.
+/// The memo keys materialized views by the operation path from the root, so
+/// re-executions of the same session (notebook rendering, narratives, reward scoring)
+/// and sessions with common prefixes (batched goals over one dataset) compute each
+/// distinct view once. [`SessionExecutor::new`] builds a fresh memo and cache;
+/// [`SessionExecutor::with_memo`] and [`SessionExecutor::with_stats`] share existing
+/// ones.
 #[derive(Debug, Clone)]
 pub struct SessionExecutor {
     dataset: DataFrame,
-    memo: Option<Arc<OpMemo>>,
-    stats: Option<Arc<StatsCache>>,
+    memo: Arc<OpMemo>,
+    stats: Arc<StatsCache>,
 }
 
 impl SessionExecutor {
-    /// Create an executor over a dataset (the tree's root view).
+    /// Create an executor over a dataset (the tree's root view), with a fresh op memo
+    /// and statistics cache of its own.
     pub fn new(dataset: DataFrame) -> Self {
-        SessionExecutor {
-            dataset,
-            memo: None,
-            stats: None,
-        }
+        SessionExecutor::with_memo(dataset, Arc::default())
     }
 
-    /// Create an executor whose materialized views are shared through `memo`.
+    /// Create an executor whose materialized views are shared through `memo`, with a
+    /// fresh statistics cache of its own.
     ///
     /// The memo keys views by operation path relative to the root dataset, so a memo
     /// must only ever be shared between executors over the same dataset.
     pub fn with_memo(dataset: DataFrame, memo: Arc<OpMemo>) -> Self {
         SessionExecutor {
             dataset,
-            memo: Some(memo),
-            stats: None,
+            memo,
+            stats: Arc::default(),
         }
     }
 
-    /// Attach a shared [`StatsCache`]: reward computations scoring sessions through
-    /// this executor ([`crate::reward::ExplorationReward::session_score`]) memoize
-    /// their histograms and groupings in it. Unlike the op memo, the stats cache is
-    /// keyed by view *content*, so it may be shared across datasets.
+    /// Share `stats` instead: reward computations scoring sessions through this
+    /// executor ([`crate::reward::ExplorationReward::session_score`]) memoize their
+    /// histograms and group sizes in it. Unlike the op memo, the stats cache is keyed
+    /// by view *content*, so it may be shared across datasets.
     pub fn with_stats(mut self, stats: Arc<StatsCache>) -> Self {
-        self.stats = Some(stats);
+        self.stats = stats;
         self
     }
 
-    /// The attached statistics cache, if any.
-    pub fn stats_cache(&self) -> Option<&Arc<StatsCache>> {
-        self.stats.as_ref()
+    /// The statistics cache scoring this executor's sessions reads.
+    pub fn stats_cache(&self) -> &Arc<StatsCache> {
+        &self.stats
     }
 
     /// The root dataset.
@@ -111,22 +112,14 @@ impl SessionExecutor {
         path
     }
 
-    /// Execute `op` on `input`, going through the shared memo when one is attached and
-    /// the node's operation path is known.
+    /// Execute `op` on `input` through the memo, under the node's operation path.
     ///
     /// `path` must be the [`Self::child_path`] of `input`'s own path — i.e. `input`
     /// must be the view the path's prefix denotes over this executor's dataset;
     /// handing in a mismatched pair poisons the memo for everyone sharing it.
-    pub fn execute_op_at(
-        &self,
-        path: Option<&str>,
-        input: &DataFrame,
-        op: &QueryOp,
-    ) -> Result<DataFrame> {
-        match (path, &self.memo) {
-            (Some(path), Some(memo)) => memo.get_or_compute(path, || self.execute_op(input, op)),
-            _ => self.execute_op(input, op),
-        }
+    pub fn execute_op_at(&self, path: &str, input: &DataFrame, op: &QueryOp) -> Result<DataFrame> {
+        self.memo
+            .get_or_compute(path, || self.execute_op(input, op))
     }
 
     /// Execute a single operation against an input view.
@@ -142,38 +135,6 @@ impl SessionExecutor {
                 agg_attr,
             } => input.group_by(g_attr, *agg, agg_attr),
         }
-    }
-
-    /// Execute every node of the tree, returning a map from node id to its result view.
-    /// The root maps to the raw dataset.
-    ///
-    /// Nodes whose parent failed (e.g. filter on a column that no longer exists after a
-    /// group-by) propagate the error.
-    pub fn execute_tree(&self, tree: &ExplorationTree) -> Result<HashMap<NodeId, DataFrame>> {
-        let mut views: HashMap<NodeId, DataFrame> = HashMap::new();
-        let mut paths: HashMap<NodeId, String> = HashMap::new();
-        views.insert(NodeId::ROOT, self.dataset.clone());
-        paths.insert(NodeId::ROOT, String::new());
-        for id in tree.pre_order() {
-            if id == NodeId::ROOT {
-                continue;
-            }
-            let parent = tree
-                .parent(id)
-                .ok_or_else(|| DataFrameError::Invalid("non-root node without parent".into()))?;
-            let parent_view = views
-                .get(&parent)
-                .ok_or_else(|| DataFrameError::Invalid("parent view missing".into()))?
-                .clone();
-            let op = tree
-                .op(id)
-                .ok_or_else(|| DataFrameError::Invalid("non-root node without op".into()))?;
-            let path = Self::child_path(&paths[&parent], op);
-            let view = self.execute_op_at(Some(&path), &parent_view, op)?;
-            paths.insert(id, path);
-            views.insert(id, view);
-        }
-        Ok(views)
     }
 
     /// Execute the tree but tolerate per-node failures: failed nodes (and their
@@ -196,18 +157,12 @@ impl SessionExecutor {
             };
             let Some(op) = tree.op(id) else { continue };
             let path = Self::child_path(&paths[&parent], op);
-            if let Ok(view) = self.execute_op_at(Some(&path), &parent_view, op) {
+            if let Ok(view) = self.execute_op_at(&path, &parent_view, op) {
                 views.insert(id, view);
             }
             paths.insert(id, path);
         }
         views
-    }
-
-    /// Whether an operation is valid to apply to the given view (column exists, correct
-    /// typing). Used by the CDRL environment to mask invalid actions.
-    pub fn op_is_valid(&self, input: &DataFrame, op: &QueryOp) -> bool {
-        self.execute_op(input, op).is_ok()
     }
 }
 
@@ -242,7 +197,7 @@ mod tests {
         ));
         let g = tree.push_op(QueryOp::group_by("type", AggFunc::Count, "duration"));
         let exec = SessionExecutor::new(dataset());
-        let views = exec.execute_tree(&tree).unwrap();
+        let views = exec.execute_tree_lenient(&tree);
         assert_eq!(views.len(), 3);
         assert_eq!(views[&NodeId::ROOT].num_rows(), 5);
         assert_eq!(views[&f].num_rows(), 3);
@@ -260,24 +215,15 @@ mod tests {
             Value::Int(3),
         ));
         let exec = SessionExecutor::new(dataset());
-        let views = exec.execute_tree(&tree).unwrap();
+        let views = exec.execute_tree_lenient(&tree);
         assert_eq!(views[&NodeId(2)].num_rows(), 1); // only India has >= 3 titles
-    }
-
-    #[test]
-    fn strict_execution_propagates_errors() {
-        let mut tree = ExplorationTree::new();
-        tree.push_op(QueryOp::group_by("country", AggFunc::Count, "duration"));
-        // 'type' no longer exists after the group-by.
-        tree.push_op(QueryOp::filter("type", CompareOp::Eq, Value::str("Movie")));
-        let exec = SessionExecutor::new(dataset());
-        assert!(exec.execute_tree(&tree).is_err());
     }
 
     #[test]
     fn lenient_execution_skips_failed_subtrees() {
         let mut tree = ExplorationTree::new();
         tree.push_op(QueryOp::group_by("country", AggFunc::Count, "duration"));
+        // 'type' no longer exists after the group-by.
         tree.push_op(QueryOp::filter("type", CompareOp::Eq, Value::str("Movie")));
         tree.push_op(QueryOp::group_by("type", AggFunc::Count, "duration"));
         let exec = SessionExecutor::new(dataset());
@@ -317,15 +263,11 @@ mod tests {
     fn op_validity_checks() {
         let exec = SessionExecutor::new(dataset());
         let df = dataset();
-        assert!(exec.op_is_valid(
-            &df,
-            &QueryOp::filter("country", CompareOp::Eq, Value::str("x"))
-        ));
-        assert!(!exec.op_is_valid(
-            &df,
-            &QueryOp::filter("bogus", CompareOp::Eq, Value::str("x"))
-        ));
-        assert!(exec.op_is_valid(&df, &QueryOp::group_by("type", AggFunc::Avg, "duration")));
-        assert!(!exec.op_is_valid(&df, &QueryOp::group_by("type", AggFunc::Sum, "country")));
+        let valid = |op: QueryOp| exec.execute_op(&df, &op).is_ok();
+        let eq_x = |attr: &str| QueryOp::filter(attr, CompareOp::Eq, Value::str("x"));
+        assert!(valid(eq_x("country")));
+        assert!(!valid(eq_x("bogus")));
+        assert!(valid(QueryOp::group_by("type", AggFunc::Avg, "duration")));
+        assert!(!valid(QueryOp::group_by("type", AggFunc::Sum, "country")));
     }
 }
