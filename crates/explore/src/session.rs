@@ -220,6 +220,29 @@ mod tests {
     }
 
     #[test]
+    fn strict_execution_propagates_errors() {
+        // Executing one op through the memo is strict: the error comes back to the
+        // caller, and the memo keeps no view for the failed path.
+        let memo = Arc::new(OpMemo::default());
+        let exec = SessionExecutor::with_memo(dataset(), Arc::clone(&memo));
+        let group = QueryOp::group_by("country", AggFunc::Count, "duration");
+        let group_path = SessionExecutor::child_path("", &group);
+        let grouped = exec
+            .execute_op_at(&group_path, exec.dataset(), &group)
+            .unwrap();
+        // 'type' no longer exists after the group-by.
+        let filter = QueryOp::filter("type", CompareOp::Eq, Value::str("Movie"));
+        let filter_path = SessionExecutor::child_path(&group_path, &filter);
+        assert!(exec.execute_op_at(&filter_path, &grouped, &filter).is_err());
+        assert!(exec.execute_op_at(&filter_path, &grouped, &filter).is_err());
+        assert_eq!(
+            memo.stats().entries,
+            1,
+            "only the group-by view is memoized"
+        );
+    }
+
+    #[test]
     fn lenient_execution_skips_failed_subtrees() {
         let mut tree = ExplorationTree::new();
         tree.push_op(QueryOp::group_by("country", AggFunc::Count, "duration"));
