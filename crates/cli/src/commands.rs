@@ -706,7 +706,7 @@ pub struct ServeBatchArgs {
     pub goals: Vec<String>,
     /// How many times to submit the whole batch (> 1 demonstrates the result cache).
     pub repeat: usize,
-    /// Tenant the batch is billed to (admission control + weighted-fair scheduling).
+    /// Tenant the batch is billed to (admission control + tenant-fair scheduling).
     pub tenant: Option<String>,
     /// Write a metrics snapshot here after the run (`.json` → JSON snapshot,
     /// anything else → Prometheus text exposition).

@@ -77,7 +77,8 @@ pub struct ExploreRequest {
     /// Per-request budget caps.
     pub budget: Budget,
     /// The tenant this request is billed to: admission control
-    /// ([`crate::QuotaTable`]) and weighted-fair scheduling key off it.
+    /// ([`crate::QuotaTable`]) and the worker pool's turn-taking across tenants
+    /// key off it.
     pub tenant: TenantId,
     /// Per-request stage trace. Defaults to disabled; the engine activates it on
     /// submission (and [`crate::Router::submit`] activates it earlier so the
@@ -188,8 +189,6 @@ impl ExploreResult {
 pub enum JobError {
     /// The job panicked; the worker survived and the panic message is preserved.
     Panicked(String),
-    /// The engine is shutting down and did not accept the job.
-    ShuttingDown,
     /// The tenant's admission quota was exhausted; retry after earlier requests
     /// respond. Carries the refused tenant id.
     QuotaExceeded(TenantId),
@@ -211,7 +210,6 @@ impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::Panicked(msg) => write!(f, "exploration job panicked: {msg}"),
-            JobError::ShuttingDown => write!(f, "engine is shutting down"),
             JobError::QuotaExceeded(tenant) => {
                 write!(f, "tenant '{tenant}' exceeded its admission quota")
             }
@@ -262,9 +260,9 @@ pub struct EngineConfig {
     pub cdrl: CdrlConfig,
     /// Default number of dataset rows sampled for schema/value linking.
     pub sample_rows: usize,
-    /// Admission budget applied to tenants without an explicit
-    /// [`crate::QuotaTable`] override. Defaults to unlimited (the single-tenant
-    /// behavior); per-tenant overrides are set on the engine's quota table.
+    /// The admission cap every tenant gets (`--max-in-flight` on the CLI),
+    /// enforced by the [`crate::QuotaTable`] the router shares across its
+    /// shards. Defaults to unlimited (the single-tenant behavior).
     pub default_quota: TenantQuota,
     /// Optional persistent cache tier (see [`crate::persist`]): when set, results
     /// are written through to (and re-loaded from) a disk directory keyed by

@@ -15,11 +15,11 @@ use crate::faults::{self, FaultKind};
 use crate::fingerprint::request_fingerprint;
 use crate::persist::{DiskTier, TieredCache};
 use crate::pipeline::{run_exploration, Cancelled, DatasetContext, Spec};
-use crate::pool::WorkerPool;
-use crate::quota::QuotaTable;
+use crate::pool::{PoolStats, WorkerPool};
+use crate::quota::{QuotaTable, TenantId};
 use crate::stats::EngineStats;
 use crate::telemetry::{
-    MetricsRegistry, ResponseMeta, SlowEntry, Stage, TelemetrySnapshot, STAGE_COUNT,
+    MetricsRegistry, ResponseMeta, SlowEntry, Stage, TelemetrySnapshot, TraceHandle, STAGE_COUNT,
 };
 
 /// Sweep the quota table's idle tenant entries every this many submissions, so
@@ -29,6 +29,8 @@ const QUOTA_GC_INTERVAL: u64 = 256;
 
 /// Shards of each engine's result cache (spreads lock contention).
 const RESULT_CACHE_SHARDS: usize = 8;
+
+type Outcome = Result<ExploreResult, JobError>;
 
 /// A handle on one submitted request; resolves to the response.
 pub struct JobHandle {
@@ -48,14 +50,7 @@ impl JobHandle {
     /// [`JobError::WorkerLost`] rather than a panic, so callers always get a response.
     pub fn wait(self) -> ExploreResponse {
         let id = self.id;
-        self.rx.recv().unwrap_or_else(|_| ExploreResponse {
-            id,
-            dataset_id: String::new(),
-            goal: String::new(),
-            outcome: Err(JobError::WorkerLost),
-            served_from_cache: false,
-            total_micros: 0,
-        })
+        self.rx.recv().unwrap_or_else(|_| worker_lost(id))
     }
 
     /// Take the response if it has already arrived, without blocking.
@@ -71,14 +66,7 @@ impl JobHandle {
         match self.rx.try_recv() {
             Ok(response) => Some(response),
             Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(ExploreResponse {
-                id: self.id,
-                dataset_id: String::new(),
-                goal: String::new(),
-                outcome: Err(JobError::WorkerLost),
-                served_from_cache: false,
-                total_micros: 0,
-            }),
+            Err(mpsc::TryRecvError::Disconnected) => Some(worker_lost(self.id)),
         }
     }
 
@@ -89,15 +77,69 @@ impl JobHandle {
     pub(crate) fn resolved(dataset_id: String, goal: String, error: JobError) -> JobHandle {
         let id = RequestId(0);
         let (tx, rx) = mpsc::channel();
-        let _ = tx.send(ExploreResponse {
-            id,
-            dataset_id,
-            goal,
-            outcome: Err(error),
-            served_from_cache: false,
-            total_micros: 0,
-        });
+        let _ = tx.send(untimed_error(id, dataset_id, goal, error));
         JobHandle { id, rx }
+    }
+}
+
+/// The response of a request whose channel closed without one.
+fn worker_lost(id: RequestId) -> ExploreResponse {
+    untimed_error(id, String::new(), String::new(), JobError::WorkerLost)
+}
+
+/// A failure that no engine timed: a lost worker, or a refusal made before
+/// any engine saw the request.
+fn untimed_error(
+    id: RequestId,
+    dataset_id: String,
+    goal: String,
+    error: JobError,
+) -> ExploreResponse {
+    ExploreResponse {
+        id,
+        dataset_id,
+        goal,
+        outcome: Err(error),
+        served_from_cache: false,
+        total_micros: 0,
+    }
+}
+
+/// One submission awaiting its response. The submitting request and every
+/// waiter coalesced onto it are the same kind of value, answered the same way.
+struct Reply {
+    id: RequestId,
+    dataset_id: String,
+    goal: String,
+    tenant: TenantId,
+    priority: Priority,
+    trace: TraceHandle,
+    tx: mpsc::Sender<ExploreResponse>,
+}
+
+impl Reply {
+    /// Record this submission's end-to-end latency from its own trace (and a
+    /// slow-log entry past the threshold), then send its response.
+    fn send(self, metrics: &MetricsRegistry, outcome: Outcome, served_from_cache: bool) {
+        let total_micros = metrics.observe_response(
+            ResponseMeta {
+                id: self.id,
+                dataset_id: &self.dataset_id,
+                goal: &self.goal,
+                tenant: &self.tenant,
+                priority: self.priority,
+                served_from_cache,
+            },
+            &self.trace,
+        );
+        let _ = self.tx.send(ExploreResponse {
+            id: self.id,
+            dataset_id: self.dataset_id,
+            goal: self.goal,
+            outcome,
+            served_from_cache,
+            total_micros,
+        });
     }
 }
 
@@ -110,48 +152,107 @@ impl JobHandle {
 pub struct Engine {
     config: EngineConfig,
     pool: WorkerPool,
-    cache: Arc<TieredCache>,
     /// The engine-wide view-statistics cache, shared by every dataset context this
     /// engine builds. Statistics are keyed by view *content* fingerprints, so
     /// sharing across datasets is safe — and means the engine holds exactly one
     /// stats budget, not one per dataset.
     stats: Arc<StatsCache>,
-    /// Per-tenant admission control in front of the pool. May be shared across
-    /// several engine shards (see [`crate::Router`]) to make budgets global.
+    /// Per-tenant admission control in front of the pool. Shared by every shard
+    /// of a [`crate::Router`], which makes the cap tenant-global.
     quota: Arc<QuotaTable>,
-    /// Single-flight request coalescing: fingerprint → waiters for an in-flight job.
-    /// A submission whose fingerprint is already being computed attaches itself here
-    /// instead of training again; the executing job drains the waiters on completion.
-    in_flight: Arc<Mutex<HashMap<u64, Vec<Waiter>>>>,
+    /// What the intake path shares with the jobs it queues.
+    shared: Arc<Shared>,
     next_id: AtomicU64,
-    submitted: AtomicU64,
-    coalesced: AtomicU64,
-    failed: AtomicU64,
-    /// Jobs whose exploration panicked. Counted here because the job converts its own
-    /// panic into a `JobError::Panicked` response, so the pool's unwind backstop (and
-    /// therefore `PoolStats::panicked`) never sees it.
-    job_panics: Arc<AtomicU64>,
+}
+
+/// The engine state a queued job still reaches after [`Engine::submit`] has
+/// returned: one handle, captured by every job.
+struct Shared {
+    cache: TieredCache,
+    /// Single-flight request coalescing: fingerprint → submissions waiting on the
+    /// in-flight job for it. A submission whose fingerprint is already being
+    /// computed attaches itself here instead of training again; the job answers
+    /// the waiters when it settles.
+    in_flight: Mutex<HashMap<u64, Vec<Reply>>>,
     /// Engine-owned latency histograms (cache lookup, end-to-end total) and the
     /// slow-request ring log. Component-owned instruments live with the pool,
     /// quota table, and disk tier; [`Engine::telemetry`] assembles all of them.
-    metrics: Arc<MetricsRegistry>,
+    metrics: MetricsRegistry,
+    submitted: AtomicU64,
+    coalesced: AtomicU64,
+    /// Jobs whose exploration panicked. Counted here because the job converts its own
+    /// panic into a `JobError::Panicked` response, so the pool's unwind backstop (and
+    /// therefore `PoolStats::panicked`) never sees it.
+    job_panics: AtomicU64,
     /// Requests whose deadline expired, indexed by the [`Stage`] at which the
     /// expiry was observed (only `Admit`, `QueueWait`, and `Execute` are
-    /// enforcement checkpoints; the other slots stay zero). Shared with job
-    /// closures, which observe queue-wait and execute expiries.
-    deadline_expired: Arc<[AtomicU64; STAGE_COUNT]>,
+    /// enforcement checkpoints; the other slots stay zero).
+    deadline_expired: [AtomicU64; STAGE_COUNT],
     /// Low-priority requests rejected by load-shed mode before admission.
     shed: AtomicU64,
 }
 
-/// A coalesced submission waiting on an identical in-flight request.
-struct Waiter {
-    id: RequestId,
-    dataset_id: String,
-    goal: String,
-    /// Submission time in clock microseconds.
-    started: u64,
-    tx: mpsc::Sender<ExploreResponse>,
+impl Shared {
+    /// Attach `reply` as a waiter on the in-flight job for `fp`. Without one,
+    /// hand `reply` back, first claiming the slot for it when `claim` is set.
+    fn coalesce(&self, fp: u64, reply: Reply, claim: bool) -> Option<Reply> {
+        let mut in_flight = self.in_flight.lock().expect("in-flight lock");
+        if let Some(waiters) = in_flight.get_mut(&fp) {
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            waiters.push(reply);
+            return None;
+        }
+        if claim {
+            in_flight.insert(fp, Vec::new());
+        }
+        Some(reply)
+    }
+
+    /// Empty `fp`'s coalescing slot, answer every waiter attached to it, then
+    /// the owner. The slot is released first, so a later identical submission
+    /// finds the cache filled (or trains afresh after a failure) instead of
+    /// attaching to a job that has already answered.
+    fn settle(&self, fp: u64, owner: Reply, outcome: Outcome) {
+        let clock = self.metrics.clock();
+        let respond_start = clock.now_micros();
+        let waiters = self
+            .in_flight
+            .lock()
+            .expect("in-flight lock")
+            .remove(&fp)
+            .unwrap_or_default();
+        // A deduplicated *result* counts as served-without-training; a
+        // deduplicated *failure* is not a hit of anything.
+        let served = outcome.is_ok();
+        for waiter in waiters {
+            waiter.send(&self.metrics, outcome.clone(), served);
+        }
+        owner.trace.add(
+            Stage::Respond,
+            clock.now_micros().saturating_sub(respond_start),
+        );
+        owner.send(&self.metrics, outcome, false);
+    }
+
+    /// The engine's own counters around `pool`, a live snapshot or a drained
+    /// pool's final one. The shared quota table and disk tier are left zero; the
+    /// router reads them once.
+    fn snapshot(&self, mut pool: PoolStats) -> EngineStats {
+        // Engine jobs convert their own panics into responses, bypassing the pool's
+        // unwind counter; fold them back in so "panicked" means what it says.
+        pool.panicked += self.job_panics.load(Ordering::Relaxed);
+        EngineStats {
+            submitted: self.submitted.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
+            cache: self.cache.memory_stats(),
+            pool,
+            deadline_expired: std::array::from_fn(|i| {
+                self.deadline_expired[i].load(Ordering::Relaxed)
+            }),
+            shed: self.shed.load(Ordering::Relaxed),
+            ..EngineStats::default()
+        }
+    }
 }
 
 impl Engine {
@@ -203,35 +304,33 @@ impl Engine {
             faults::arm(Arc::clone(plan));
         }
         let pool = WorkerPool::with_clock(config.workers, config.clock.clone());
-        let metrics = Arc::new(MetricsRegistry::new(
-            config.clock.clone(),
-            config.slow_threshold_micros,
-        ));
+        let metrics = MetricsRegistry::new(config.clock.clone(), config.slow_threshold_micros);
         // One byte budget per engine, split evenly between the two caches it owns —
         // so `cache_mem_bytes` bounds what the engine actually holds resident, no
         // matter how many datasets pass through.
         let result_budget = config.cache_mem_bytes / 2;
         let stats_budget = config.cache_mem_bytes - result_budget;
         let stats = Arc::new(StatsCache::new(stats_budget, StatsCache::DEFAULT_SHARDS));
-        let cache = Arc::new(match disk {
+        let cache = match disk {
             Some(tier) => TieredCache::with_disk(result_budget, RESULT_CACHE_SHARDS, tier),
             None => TieredCache::new(result_budget, RESULT_CACHE_SHARDS),
-        });
+        };
         Engine {
             config,
             pool,
-            cache,
             stats,
             quota,
-            in_flight: Arc::new(Mutex::new(HashMap::new())),
+            shared: Arc::new(Shared {
+                cache,
+                in_flight: Mutex::new(HashMap::new()),
+                metrics,
+                submitted: AtomicU64::new(0),
+                coalesced: AtomicU64::new(0),
+                job_panics: AtomicU64::new(0),
+                deadline_expired: std::array::from_fn(|_| AtomicU64::new(0)),
+                shed: AtomicU64::new(0),
+            }),
             next_id: AtomicU64::new(1),
-            submitted: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            job_panics: Arc::new(AtomicU64::new(0)),
-            metrics,
-            deadline_expired: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            shed: AtomicU64::new(0),
         }
     }
 
@@ -260,15 +359,14 @@ impl Engine {
     /// Submit one request against a prepared dataset context.
     ///
     /// Cache hits resolve immediately on the calling thread; misses are queued on the
-    /// worker pool at the request's priority.
+    /// worker pool at the request's priority. Every exit answers through
+    /// `Reply::send`, which times the response from the request's own trace.
     pub(crate) fn submit(&self, ctx: &DatasetContext, request: ExploreRequest) -> JobHandle {
-        let clock = self.config.clock.clone();
+        let shared = &self.shared;
+        let clock = &self.config.clock;
         let started = clock.now_micros();
-        // Activate the request's trace (a no-op clone when the router already
-        // did); every stage below accumulates into it.
-        let trace = request.trace.ensure(&clock);
         let id = RequestId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let seq = self.submitted.fetch_add(1, Ordering::Relaxed);
+        let seq = shared.submitted.fetch_add(1, Ordering::Relaxed);
         // Opportunistic quota-table sweep: the idle/shutdown gc alone lets a
         // long batch of one-shot tenants grow the table unboundedly.
         if seq % QUOTA_GC_INTERVAL == QUOTA_GC_INTERVAL - 1 {
@@ -276,64 +374,59 @@ impl Engine {
         }
         let (tx, rx) = mpsc::channel();
         let handle = JobHandle { id, rx };
+        let ExploreRequest {
+            dataset_id,
+            goal,
+            priority,
+            budget,
+            tenant,
+            trace,
+            deadline_micros,
+        } = request;
+        let reply = Reply {
+            id,
+            dataset_id,
+            goal,
+            tenant,
+            priority,
+            // Activate the request's trace (a no-op clone when the router already
+            // did); every stage below accumulates into it.
+            trace: trace.ensure(clock),
+            tx,
+        };
 
         // Deadline checkpoint 1 (admission): a request that arrives already
         // expired is rejected before any lookup, admission, or queueing work.
-        let deadline = request.deadline_micros.or_else(|| {
+        let deadline = deadline_micros.or_else(|| {
             self.config
                 .default_deadline_micros
                 .map(|d| started.saturating_add(d))
         });
-        if let Some(dl) = deadline {
-            if started >= dl {
-                self.deadline_expired[Stage::Admit as usize].fetch_add(1, Ordering::Relaxed);
-                let total = clock.now_micros().saturating_sub(started);
-                self.metrics.record_total(total);
-                let _ = tx.send(ExploreResponse {
-                    id,
-                    dataset_id: request.dataset_id,
-                    goal: request.goal,
-                    outcome: Err(JobError::DeadlineExceeded(Stage::Admit)),
-                    served_from_cache: false,
-                    total_micros: total,
-                });
-                return handle;
-            }
+        if deadline.is_some_and(|dl| started >= dl) {
+            shared.deadline_expired[Stage::Admit as usize].fetch_add(1, Ordering::Relaxed);
+            reply.send(
+                &shared.metrics,
+                Err(JobError::DeadlineExceeded(Stage::Admit)),
+                false,
+            );
+            return handle;
         }
 
-        let episodes = request.budget.episodes(self.config.cdrl.episodes);
-        let sample_rows = request.budget.sample_rows(self.config.sample_rows);
+        let episodes = budget.episodes(self.config.cdrl.episodes);
+        let sample_rows = budget.sample_rows(self.config.sample_rows);
         let cdrl = CdrlConfig {
             episodes,
             ..self.config.cdrl.clone()
         };
-        let fp = request_fingerprint(ctx.dataset_fp, &request.goal, &cdrl, episodes, sample_rows);
+        let fp = request_fingerprint(ctx.dataset_fp, &reply.goal, &cdrl, episodes, sample_rows).0;
 
         let lookup_start = clock.now_micros();
-        let cached = self.cache.get(&fp.0);
+        let cached = shared.cache.get(&fp);
         let lookup_micros = clock.now_micros().saturating_sub(lookup_start);
-        self.metrics.record_cache_lookup(lookup_micros);
-        trace.add(Stage::CacheLookup, lookup_micros);
+        shared.metrics.record_cache_lookup(lookup_micros);
+        reply.trace.add(Stage::CacheLookup, lookup_micros);
         if let Some(result) = cached {
-            let total = self.metrics.observe_response(
-                ResponseMeta {
-                    id,
-                    dataset_id: &request.dataset_id,
-                    goal: &request.goal,
-                    tenant: &request.tenant,
-                    priority: request.priority,
-                    served_from_cache: true,
-                },
-                &trace,
-            );
-            let _ = tx.send(ExploreResponse {
-                id,
-                dataset_id: request.dataset_id,
-                goal: request.goal,
-                outcome: Ok(result),
-                served_from_cache: true,
-                total_micros: total,
-            });
+            reply.send(&shared.metrics, Ok(result), true);
             return handle;
         }
 
@@ -344,64 +437,40 @@ impl Engine {
         // Known limitation: a coalesced request inherits the queued job's priority
         // and tenant lane (a High request attaching to a Low job does not bump it);
         // re-prioritizable queue entries are a ROADMAP item.
-        {
-            let mut in_flight = self.in_flight.lock().expect("in-flight lock");
-            if let Some(waiters) = in_flight.get_mut(&fp.0) {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                waiters.push(Waiter {
-                    id,
-                    dataset_id: request.dataset_id,
-                    goal: request.goal,
-                    started,
-                    tx,
-                });
-                return handle;
-            }
-        }
+        let Some(reply) = shared.coalesce(fp, reply, false) else {
+            return handle;
+        };
 
         // Load shed: when the pool is saturated (queue depth at the configured
         // threshold), Low-priority work that missed both
         // the cache and the coalescing map is rejected before it can consume a
         // quota slot or a queue position. Cache hits and coalesced attachments
         // above still serve — shedding protects workers, not reads.
-        if request.priority == Priority::Low && self.should_shed() {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            let total = clock.now_micros().saturating_sub(started);
-            self.metrics.record_total(total);
-            let _ = tx.send(ExploreResponse {
-                id,
-                dataset_id: request.dataset_id,
-                goal: request.goal,
-                outcome: Err(JobError::Overloaded),
-                served_from_cache: false,
-                total_micros: total,
-            });
+        if reply.priority == Priority::Low && self.should_shed() {
+            shared.shed.fetch_add(1, Ordering::Relaxed);
+            reply.send(&shared.metrics, Err(JobError::Overloaded), false);
             return handle;
         }
 
         // Admission control: this request needs a worker-pool slot, so it must fit
-        // the tenant's in-flight/queued budget. Refusals respond immediately — a
-        // throttled tenant gets fast feedback instead of a deep queue. The guard
-        // travels with the job and releases the budget however the job ends — even
-        // if the pool drops it un-run at shutdown, so a quota table shared across
+        // the tenant's in-flight cap. Refusals respond immediately — a throttled
+        // tenant gets fast feedback instead of a deep queue. The guard travels with
+        // the job and releases the budget however the job ends — even if the pool
+        // is dropped with the job still queued, so a quota table shared across
         // shards cannot leak a tenant's budget.
-        let tenant = request.tenant.clone();
         let admit_start = clock.now_micros();
-        let admitted = self.quota.admit_guarded(&tenant);
-        trace.add(Stage::Admit, clock.now_micros().saturating_sub(admit_start));
+        let admitted = self.quota.admit_guarded(&reply.tenant);
+        reply
+            .trace
+            .add(Stage::Admit, clock.now_micros().saturating_sub(admit_start));
         let mut admission = match admitted {
             Ok(guard) => guard,
-            Err(_) => {
-                let total = clock.now_micros().saturating_sub(started);
-                self.metrics.record_total(total);
-                let _ = tx.send(ExploreResponse {
-                    id,
-                    dataset_id: request.dataset_id,
-                    goal: request.goal,
-                    outcome: Err(JobError::QuotaExceeded(tenant)),
-                    served_from_cache: false,
-                    total_micros: total,
-                });
+            Err(refusal) => {
+                reply.send(
+                    &shared.metrics,
+                    Err(JobError::QuotaExceeded(refusal.tenant)),
+                    false,
+                );
                 return handle;
             }
         };
@@ -409,91 +478,28 @@ impl Engine {
         // Claim the single-flight slot. An identical request may have slipped in
         // between the attach-check and admission; if so, attach after all (dropping
         // `admission` hands the just-admitted budget back).
-        {
-            let mut in_flight = self.in_flight.lock().expect("in-flight lock");
-            if let Some(waiters) = in_flight.get_mut(&fp.0) {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                waiters.push(Waiter {
-                    id,
-                    dataset_id: request.dataset_id,
-                    goal: request.goal,
-                    started,
-                    tx,
-                });
-                return handle;
-            }
-            in_flight.insert(fp.0, Vec::new());
-        }
+        let Some(owner) = shared.coalesce(fp, reply, true) else {
+            return handle;
+        };
 
         let ctx = ctx.clone();
-        let cache = Arc::clone(&self.cache);
-        let priority = request.priority;
-        let reject_tx = tx.clone();
-        let reject_response = ExploreResponse {
-            id,
-            dataset_id: request.dataset_id.clone(),
-            goal: request.goal.clone(),
-            outcome: Err(JobError::ShuttingDown),
-            served_from_cache: false,
-            total_micros: 0,
-        };
-        let in_flight = Arc::clone(&self.in_flight);
-        let job_panics = Arc::clone(&self.job_panics);
-        let deadline_expired = Arc::clone(&self.deadline_expired);
-        let metrics = Arc::clone(&self.metrics);
-        let job_clock = clock.clone();
-        let job_trace = trace.clone();
+        let job = Arc::clone(shared);
+        let clock = clock.clone();
         let enqueued = clock.now_micros();
-        let weight = admission.quota.weight.max(1);
-        let submitted = self.pool.submit_tagged(priority, tenant, weight, move || {
-            let trace = job_trace;
-            let clock = job_clock;
+        let (priority, tenant) = (owner.priority, owner.tenant.clone());
+        self.pool.submit(priority, tenant, move || {
             let run_start = clock.now_micros();
-            trace.add(Stage::QueueWait, run_start.saturating_sub(enqueued));
+            owner
+                .trace
+                .add(Stage::QueueWait, run_start.saturating_sub(enqueued));
             // Deadline checkpoint 2 (dequeue): a job whose deadline passed
             // while it sat in the queue is dropped before it burns a worker.
             // `admission` was never started, so dropping it here cancels the
             // tenant's queued budget — the guard's Drop path, not a new one.
             if deadline.is_some_and(|dl| run_start >= dl) {
-                deadline_expired[Stage::QueueWait as usize].fetch_add(1, Ordering::Relaxed);
+                job.deadline_expired[Stage::QueueWait as usize].fetch_add(1, Ordering::Relaxed);
                 drop(admission);
-                let err = JobError::DeadlineExceeded(Stage::QueueWait);
-                let waiters = in_flight
-                    .lock()
-                    .expect("in-flight lock")
-                    .remove(&fp.0)
-                    .unwrap_or_default();
-                for waiter in waiters {
-                    let waiter_total = clock.now_micros().saturating_sub(waiter.started);
-                    metrics.record_total(waiter_total);
-                    let _ = waiter.tx.send(ExploreResponse {
-                        id: waiter.id,
-                        dataset_id: waiter.dataset_id,
-                        goal: waiter.goal,
-                        outcome: Err(err.clone()),
-                        served_from_cache: false,
-                        total_micros: waiter_total,
-                    });
-                }
-                let total = metrics.observe_response(
-                    ResponseMeta {
-                        id,
-                        dataset_id: &request.dataset_id,
-                        goal: &request.goal,
-                        tenant: &request.tenant,
-                        priority: request.priority,
-                        served_from_cache: false,
-                    },
-                    &trace,
-                );
-                let _ = tx.send(ExploreResponse {
-                    id,
-                    dataset_id: request.dataset_id,
-                    goal: request.goal,
-                    outcome: Err(err),
-                    served_from_cache: false,
-                    total_micros: total,
-                });
+                job.settle(fp, owner, Err(JobError::DeadlineExceeded(Stage::QueueWait)));
                 return;
             }
             admission.start();
@@ -513,13 +519,13 @@ impl Engine {
                     }
                     None => {}
                 }
-                run_exploration(&ctx, Spec::Goal(&request.goal), cdrl, sample_rows, &|| {
+                run_exploration(&ctx, Spec::Goal(&owner.goal), cdrl, sample_rows, &|| {
                     deadline.is_some_and(|dl| clock.now_micros() >= dl)
                 })
             })) {
                 Ok(Ok(exploration)) => Ok(ExploreResult::from(exploration)),
                 Ok(Err(Cancelled)) => {
-                    deadline_expired[Stage::Execute as usize].fetch_add(1, Ordering::Relaxed);
+                    job.deadline_expired[Stage::Execute as usize].fetch_add(1, Ordering::Relaxed);
                     Err(JobError::DeadlineExceeded(Stage::Execute))
                 }
                 Err(payload) => {
@@ -528,93 +534,27 @@ impl Engine {
                         .map(|s| s.to_string())
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "non-string panic payload".to_string());
-                    job_panics.fetch_add(1, Ordering::Relaxed);
+                    job.job_panics.fetch_add(1, Ordering::Relaxed);
                     Err(JobError::Panicked(msg))
                 }
             };
-            trace.add(Stage::Execute, clock.now_micros().saturating_sub(run_start));
+            owner
+                .trace
+                .add(Stage::Execute, clock.now_micros().saturating_sub(run_start));
             if let Ok(result) = &outcome {
                 // Write-through of the computed result; on a tiered cache this is
                 // where the request itself pays disk I/O (loads count under
                 // cache-lookup; the tier's own histograms split reads from writes).
                 let insert_start = clock.now_micros();
-                cache.insert(fp.0, result.clone());
-                trace.add(
+                job.cache.insert(fp, result.clone());
+                owner.trace.add(
                     Stage::DiskIo,
                     clock.now_micros().saturating_sub(insert_start),
                 );
             }
             admission.finish();
-            // Release the coalescing slot *before* responding, then serve every
-            // attached waiter a clone of the outcome.
-            let respond_start = clock.now_micros();
-            let waiters = in_flight
-                .lock()
-                .expect("in-flight lock")
-                .remove(&fp.0)
-                .unwrap_or_default();
-            for waiter in waiters {
-                let waiter_total = clock.now_micros().saturating_sub(waiter.started);
-                metrics.record_total(waiter_total);
-                let _ = waiter.tx.send(ExploreResponse {
-                    id: waiter.id,
-                    dataset_id: waiter.dataset_id,
-                    goal: waiter.goal,
-                    outcome: outcome.clone(),
-                    // A deduplicated *result* counts as served-without-training; a
-                    // deduplicated *failure* is not a hit of anything.
-                    served_from_cache: outcome.is_ok(),
-                    total_micros: waiter_total,
-                });
-            }
-            trace.add(
-                Stage::Respond,
-                clock.now_micros().saturating_sub(respond_start),
-            );
-            let total = metrics.observe_response(
-                ResponseMeta {
-                    id,
-                    dataset_id: &request.dataset_id,
-                    goal: &request.goal,
-                    tenant: &request.tenant,
-                    priority: request.priority,
-                    served_from_cache: false,
-                },
-                &trace,
-            );
-            let _ = tx.send(ExploreResponse {
-                id,
-                dataset_id: request.dataset_id,
-                goal: request.goal,
-                outcome,
-                served_from_cache: false,
-                total_micros: total,
-            });
+            job.settle(fp, owner, outcome);
         });
-        if submitted.is_err() {
-            // Pool is shutting down: respond on the spot and release the coalescing
-            // slot (waiters that attached while we held it get the same rejection).
-            // The admitted budget came back when the pool dropped the refused job —
-            // the closure owned the admission guard.
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            let waiters = self
-                .in_flight
-                .lock()
-                .expect("in-flight lock")
-                .remove(&fp.0)
-                .unwrap_or_default();
-            for waiter in waiters {
-                let _ = waiter.tx.send(ExploreResponse {
-                    id: waiter.id,
-                    dataset_id: waiter.dataset_id,
-                    goal: waiter.goal,
-                    outcome: Err(JobError::ShuttingDown),
-                    served_from_cache: false,
-                    total_micros: 0,
-                });
-            }
-            let _ = reject_tx.send(reject_response);
-        }
         handle
     }
 
@@ -630,22 +570,7 @@ impl Engine {
     /// This shard's own counters: requests, result cache and pool. The shared
     /// quota table and disk tier are left zero; the router reads them once.
     pub(crate) fn stats(&self) -> EngineStats {
-        let mut pool = self.pool.stats();
-        // Engine jobs convert their own panics into responses, bypassing the pool's
-        // unwind counter; fold them back in so "panicked" means what it says.
-        pool.panicked += self.job_panics.load(Ordering::Relaxed);
-        EngineStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            rejected: self.failed.load(Ordering::Relaxed),
-            cache: self.cache.memory_stats(),
-            pool,
-            deadline_expired: std::array::from_fn(|i| {
-                self.deadline_expired[i].load(Ordering::Relaxed)
-            }),
-            shed: self.shed.load(Ordering::Relaxed),
-            ..EngineStats::default()
-        }
+        self.shared.snapshot(self.pool.stats())
     }
 
     /// This shard's own latency distributions. `route`, `admit` and `disk`
@@ -653,10 +578,10 @@ impl Engine {
     /// table and disk tier once.
     pub(crate) fn telemetry(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            cache_lookup: self.metrics.cache_lookup(),
+            cache_lookup: self.shared.metrics.cache_lookup(),
             queue_wait: self.pool.queue_wait_latency(),
             execute: self.pool.execute_latency(),
-            total: self.metrics.request_total(),
+            total: self.shared.metrics.request_total(),
             ..TelemetrySnapshot::default()
         }
     }
@@ -664,7 +589,7 @@ impl Engine {
     /// The slow-request log, oldest first (empty unless
     /// [`EngineConfig::slow_threshold_micros`] is set).
     pub(crate) fn slow_entries(&self) -> Vec<SlowEntry> {
-        self.metrics.slow_entries()
+        self.shared.metrics.slow_entries()
     }
 
     /// Drain: stop intake (consumes the engine), let queued and in-flight jobs
@@ -673,28 +598,6 @@ impl Engine {
     /// inside each job, so when this returns every completed result has
     /// already reached the disk tier.
     pub(crate) fn drain(self) -> EngineStats {
-        let Engine {
-            pool,
-            cache,
-            submitted,
-            coalesced,
-            failed,
-            job_panics,
-            deadline_expired,
-            shed,
-            ..
-        } = self;
-        let mut pool_stats = pool.shutdown();
-        pool_stats.panicked += job_panics.load(Ordering::Relaxed);
-        EngineStats {
-            submitted: submitted.load(Ordering::Relaxed),
-            coalesced: coalesced.load(Ordering::Relaxed),
-            rejected: failed.load(Ordering::Relaxed),
-            cache: cache.memory_stats(),
-            pool: pool_stats,
-            deadline_expired: std::array::from_fn(|i| deadline_expired[i].load(Ordering::Relaxed)),
-            shed: shed.load(Ordering::Relaxed),
-            ..EngineStats::default()
-        }
+        self.shared.snapshot(self.pool.shutdown())
     }
 }

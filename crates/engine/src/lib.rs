@@ -8,11 +8,12 @@
 //!
 //! * [`api`] — [`ExploreRequest`] / [`ExploreResponse`] with request ids,
 //!   [`Priority`] classes, per-request [`Budget`]s, and a [`TenantId`];
-//! * [`quota`] — per-tenant admission control: a [`QuotaTable`] of in-flight/queued
-//!   budgets and scheduling weights, enforced in front of the worker pool;
-//! * [`pool`] — a std-only worker pool whose priority queue is weighted-fair:
-//!   deficit round-robin across tenants within each priority band, so one flooding
-//!   tenant delays its own backlog, not everyone else's;
+//! * [`quota`] — per-tenant admission control: a [`QuotaTable`] holding every
+//!   tenant to one cap on requests admitted at once, enforced in front of the
+//!   worker pool;
+//! * [`pool`] — a std-only worker pool whose priority queue is tenant-fair:
+//!   tenants take turns one job at a time within each priority band, so one
+//!   flooding tenant delays its own backlog, not everyone else's;
 //! * [`cache`] — a sharded LRU result cache keyed by a stable [`fingerprint`] of
 //!   `(dataset content, goal, config)`;
 //! * [`persist`] — the optional disk-backed second level of the result cache: a
@@ -22,7 +23,8 @@
 //!   derive → train → render → narrate, run by every worker job and by the `linx`
 //!   facade;
 //! * [`engine`] — one shard: worker pool, result cache, single-flight coalescing
-//!   and admission, reachable only through the router;
+//!   and admission, reachable only through the router, with one reply path that
+//!   answers and times every submission;
 //! * [`router`] — the front door: a [`Router`] owning N engine shards (one is a
 //!   valid deployment) with consistent-hash dataset placement, one shared quota
 //!   table, and (when configured) one shared disk tier; [`Router::run_batch`]

@@ -1,30 +1,25 @@
 //! A std-only worker pool: threads, a tenant-fair priority queue, graceful shutdown,
 //! and per-job panic isolation.
 //!
-//! Jobs are boxed closures scheduled by ([`Priority`] descending, then weighted
-//! deficit round-robin across tenants, then submission order within a tenant). The
-//! fairness property: while several tenants have work queued in the same priority
-//! band, worker slots are apportioned in proportion to the tenants' weights — a
-//! tenant flooding the queue delays its *own* backlog, not everyone else's. Workers
-//! catch panics per job, so one poisoned exploration cannot take down the pool; the
-//! panic count is exposed for monitoring. Shutdown is graceful by default —
-//! already-queued jobs drain before workers exit — with an immediate variant that
-//! drops the queue.
+//! Jobs are boxed closures scheduled by ([`Priority`] descending, then round-robin
+//! across tenants, then submission order within a tenant). The fairness property:
+//! while several tenants have work queued in the same priority band, they take
+//! turns one job at a time — a tenant flooding the queue delays its *own* backlog,
+//! not everyone else's. Workers catch panics per job, so one poisoned exploration
+//! cannot take down the pool; the panic count is exposed for monitoring.
+//! [`WorkerPool::shutdown`] drains already-queued jobs before the workers exit;
+//! dropping the pool instead discards the queue.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use linx_metrics::{Clock, Gauge, HistogramSnapshot, LatencyHistogram};
 
 use crate::api::Priority;
 use crate::quota::TenantId;
-
-/// Error returned when submitting to a pool that is shutting down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolClosed;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -35,82 +30,50 @@ struct QueuedJob {
     enqueued_micros: u64,
 }
 
-/// One tenant's FIFO lane within a priority band, plus its deficit-round-robin
-/// accounting: `credit` worker slots remain in the tenant's current turn, and a
-/// fresh turn grants `weight` slots.
-struct TenantLane {
-    jobs: VecDeque<QueuedJob>,
-    credit: u32,
-    weight: u32,
-}
-
-/// One priority band: per-tenant lanes served deficit-round-robin.
+/// One priority band: a FIFO lane per tenant, served round-robin.
 ///
-/// `rotation` holds the tenants with queued work in service order; the front tenant
-/// is served until its credit is spent or its lane empties, then rotates to the
-/// back. New tenants join the back of the rotation with zero credit, so a newcomer
-/// can never pre-empt tenants already waiting for their turn.
+/// `rotation` holds the tenants with queued work in service order; the front
+/// tenant runs one job, then rotates to the back. A tenant joins the back of the
+/// rotation, so a newcomer can never pre-empt tenants already waiting for their
+/// turn. Every tenant in the rotation has a non-empty lane.
 #[derive(Default)]
 struct Band {
-    lanes: HashMap<TenantId, TenantLane>,
+    lanes: HashMap<TenantId, VecDeque<QueuedJob>>,
     rotation: VecDeque<TenantId>,
 }
 
 impl Band {
-    fn push(&mut self, tenant: TenantId, weight: u32, job: QueuedJob) {
-        if !self.lanes.contains_key(&tenant) {
+    fn push(&mut self, tenant: TenantId, job: QueuedJob) {
+        let lane = self.lanes.entry(tenant).or_insert_with_key(|tenant| {
             self.rotation.push_back(tenant.clone());
-            self.lanes.insert(
-                tenant.clone(),
-                TenantLane {
-                    jobs: VecDeque::new(),
-                    credit: 0,
-                    weight: weight.max(1),
-                },
-            );
-        }
-        let lane = self.lanes.get_mut(&tenant).expect("lane just ensured");
-        lane.weight = weight.max(1); // the latest declared weight wins
-        lane.jobs.push_back(job);
+            VecDeque::new()
+        });
+        lane.push_back(job);
     }
 
     fn pop(&mut self) -> Option<QueuedJob> {
-        loop {
-            let front = self.rotation.front()?.clone();
-            let lane = self
-                .lanes
-                .get_mut(&front)
-                .expect("rotation entry has a lane");
-            if lane.jobs.is_empty() {
-                // The lane drained earlier in this rotation; retire it. (Re-submission
-                // re-creates it at the back of the rotation.)
-                self.lanes.remove(&front);
-                self.rotation.pop_front();
-                continue;
-            }
-            if lane.credit == 0 {
-                lane.credit = lane.weight;
-            }
-            let job = lane.jobs.pop_front().expect("non-empty lane");
-            lane.credit -= 1;
-            let turn_over = lane.credit == 0;
-            if lane.jobs.is_empty() {
-                self.lanes.remove(&front);
-                self.rotation.pop_front();
-            } else if turn_over {
-                let t = self.rotation.pop_front().expect("front exists");
-                self.rotation.push_back(t);
-            }
-            return Some(job);
+        let front = self.rotation.pop_front()?;
+        let lane = self
+            .lanes
+            .get_mut(&front)
+            .expect("rotation entry has a lane");
+        let job = lane
+            .pop_front()
+            .expect("lanes in the rotation are non-empty");
+        if lane.is_empty() {
+            self.lanes.remove(&front);
+        } else {
+            self.rotation.push_back(front);
         }
+        Some(job)
     }
 
     fn queued_for(&self, tenant: &TenantId) -> usize {
-        self.lanes.get(tenant).map_or(0, |l| l.jobs.len())
+        self.lanes.get(tenant).map_or(0, VecDeque::len)
     }
 }
 
-/// The pool's queue: one deficit-round-robin [`Band`] per [`Priority`], scanned
+/// The pool's queue: one round-robin [`Band`] per [`Priority`], scanned
 /// high-to-low so priorities strictly dominate tenant fairness.
 #[derive(Default)]
 struct FairQueue {
@@ -131,9 +94,9 @@ fn band_index(priority: Priority) -> usize {
 }
 
 impl FairQueue {
-    fn push(&mut self, priority: Priority, tenant: TenantId, weight: u32, job: QueuedJob) {
+    fn push(&mut self, priority: Priority, tenant: TenantId, job: QueuedJob) {
         let band = band_index(priority);
-        self.bands[band].push(tenant, weight, job);
+        self.bands[band].push(tenant, job);
         self.band_len[band] += 1;
         self.len += 1;
     }
@@ -152,11 +115,7 @@ impl FairQueue {
     }
 
     fn clear(&mut self) {
-        for band in self.bands.iter_mut() {
-            *band = Band::default();
-        }
-        self.band_len = [0; 3];
-        self.len = 0;
+        *self = FairQueue::default();
     }
 
     fn queued_for(&self, tenant: &TenantId) -> usize {
@@ -202,6 +161,9 @@ pub struct PoolStats {
 }
 
 /// A fixed-size pool of worker threads draining a tenant-fair priority queue.
+///
+/// Only [`WorkerPool::shutdown`] and `Drop` stop the workers, and both take the
+/// pool by value, so [`WorkerPool::submit`] can never meet a closed pool.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -242,40 +204,26 @@ impl WorkerPool {
         WorkerPool { shared, workers }
     }
 
-    /// Enqueue a job on the default tenant's lane with unit weight. Fails if the
-    /// pool is shutting down.
+    /// Enqueue a job on `tenant`'s lane of the `priority` band.
     pub fn submit(
         &self,
         priority: Priority,
-        job: impl FnOnce() + Send + 'static,
-    ) -> Result<(), PoolClosed> {
-        self.submit_tagged(priority, TenantId::default(), 1, job)
-    }
-
-    /// Enqueue a job on `tenant`'s lane with the given deficit-round-robin weight.
-    /// Fails if the pool is shutting down.
-    pub fn submit_tagged(
-        &self,
-        priority: Priority,
         tenant: TenantId,
-        weight: u32,
         job: impl FnOnce() + Send + 'static,
-    ) -> Result<(), PoolClosed> {
+    ) {
         // Stamp the enqueue time before taking the lock so lock contention on a
         // busy pool counts as queue wait, not as unmeasured time.
         let queued = QueuedJob {
             job: Box::new(job),
             enqueued_micros: self.shared.clock.now_micros(),
         };
-        {
-            let mut state = self.shared.state.lock().expect("pool lock");
-            if state.shutting_down {
-                return Err(PoolClosed);
-            }
-            state.queue.push(priority, tenant, weight, queued);
-        }
+        self.shared
+            .state
+            .lock()
+            .expect("pool lock")
+            .queue
+            .push(priority, tenant, queued);
         self.shared.work_available.notify_one();
-        Ok(())
     }
 
     /// Total jobs currently queued (not yet executing) across all bands and
@@ -327,57 +275,47 @@ impl WorkerPool {
         std::array::from_fn(|i| self.shared.execute[i].snapshot())
     }
 
-    /// Stop accepting jobs, let queued jobs drain, and join every worker.
-    /// Returns the pool's final counters (all workers joined, queue empty), so
-    /// a drain can report how much work completed.
-    pub fn shutdown(self) -> PoolStats {
-        self.shutdown_inner(false)
+    /// Let queued jobs drain and join every worker. Returns the pool's final
+    /// counters (all workers joined, queue empty), so a drain can report how
+    /// much work completed.
+    pub fn shutdown(mut self) -> PoolStats {
+        let workers = self.workers.len() as u64;
+        self.stop(false);
+        PoolStats {
+            workers,
+            ..self.stats()
+        }
     }
 
-    /// Stop accepting jobs, drop everything still queued, and join every worker.
-    /// In-flight jobs still run to completion (threads cannot be safely interrupted).
-    /// Returns the pool's final counters.
-    pub fn shutdown_now(self) -> PoolStats {
-        self.shutdown_inner(true)
-    }
-
-    fn shutdown_inner(mut self, drop_queue: bool) -> PoolStats {
+    /// Tell the workers to exit once the queue is empty (after emptying it
+    /// when `drop_queue`), and join them. In-flight jobs run to completion:
+    /// threads cannot be safely interrupted.
+    fn stop(&mut self, drop_queue: bool) {
         {
-            let mut state = self.shared.state.lock().expect("pool lock");
+            // `Drop` calls this, so a poisoned lock is recovered instead of
+            // panicking: raising the flag and emptying the queue leave any state valid.
+            let mut state = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             state.shutting_down = true;
             if drop_queue {
                 state.queue.clear();
             }
         }
         self.shared.work_available.notify_all();
-        let workers = self.workers.len() as u64;
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        PoolStats {
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            panicked: self.shared.panicked.load(Ordering::Relaxed),
-            queued: 0,
-            workers,
-            queued_now: [0; 3],
-            in_flight_now: [0; 3],
         }
     }
 }
 
 impl Drop for WorkerPool {
-    /// Dropping without an explicit shutdown degrades to `shutdown_now` semantics so
-    /// the process never hangs on a forgotten pool.
+    /// Dropping without [`WorkerPool::shutdown`] discards the queue, so the
+    /// process never waits on a forgotten pool's backlog.
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("pool lock");
-            state.shutting_down = true;
-            state.queue.clear();
-        }
-        self.shared.work_available.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.stop(true);
     }
 }
 
@@ -424,11 +362,10 @@ mod tests {
     fn gate(pool: &WorkerPool) -> mpsc::Sender<()> {
         let (started_tx, started_rx) = mpsc::channel();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        pool.submit(Priority::High, move || {
+        pool.submit(Priority::High, TenantId::default(), move || {
             started_tx.send(()).unwrap();
             gate_rx.recv().unwrap();
-        })
-        .unwrap();
+        });
         started_rx.recv().unwrap();
         gate_tx
     }
@@ -439,8 +376,9 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..20 {
             let tx = tx.clone();
-            pool.submit(Priority::Normal, move || tx.send(i).unwrap())
-                .unwrap();
+            pool.submit(Priority::Normal, TenantId::default(), move || {
+                tx.send(i).unwrap()
+            });
         }
         drop(tx);
         let mut got: Vec<i32> = rx.iter().collect();
@@ -462,8 +400,7 @@ mod tests {
             (Priority::Normal, "normal-2"),
         ] {
             let tx = tx.clone();
-            pool.submit(priority, move || tx.send(tag).unwrap())
-                .unwrap();
+            pool.submit(priority, TenantId::default(), move || tx.send(tag).unwrap());
         }
         open.send(()).unwrap();
         let order: Vec<&str> = rx.iter().take(4).collect();
@@ -480,17 +417,15 @@ mod tests {
         // Tenant A floods before tenant B submits anything.
         for _ in 0..4 {
             let tx = tx.clone();
-            pool.submit_tagged(Priority::Normal, TenantId::new("a"), 1, move || {
+            pool.submit(Priority::Normal, TenantId::new("a"), move || {
                 tx.send("a").unwrap()
-            })
-            .unwrap();
+            });
         }
         for _ in 0..2 {
             let tx = tx.clone();
-            pool.submit_tagged(Priority::Normal, TenantId::new("b"), 1, move || {
+            pool.submit(Priority::Normal, TenantId::new("b"), move || {
                 tx.send("b").unwrap()
-            })
-            .unwrap();
+            });
         }
         assert_eq!(pool.queued_for(&TenantId::new("a")), 4);
         open.send(()).unwrap();
@@ -504,46 +439,13 @@ mod tests {
     }
 
     #[test]
-    fn weights_apportion_slots_proportionally() {
-        let pool = WorkerPool::new(1);
-        let open = gate(&pool);
-
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..6 {
-            let tx = tx.clone();
-            pool.submit_tagged(Priority::Normal, TenantId::new("bulk"), 1, move || {
-                tx.send("bulk").unwrap()
-            })
-            .unwrap();
-        }
-        for _ in 0..6 {
-            let tx = tx.clone();
-            pool.submit_tagged(Priority::Normal, TenantId::new("vip"), 3, move || {
-                tx.send("vip").unwrap()
-            })
-            .unwrap();
-        }
-        open.send(()).unwrap();
-        let order: Vec<&str> = rx.iter().take(12).collect();
-        // bulk is at the front of the rotation with weight 1, vip follows with
-        // weight 3: 1-against-3 alternation until vip's lane drains.
-        assert_eq!(
-            order,
-            vec![
-                "bulk", "vip", "vip", "vip", "bulk", "vip", "vip", "vip", "bulk", "bulk", "bulk",
-                "bulk"
-            ]
-        );
-        pool.shutdown();
-    }
-
-    #[test]
     fn panicking_job_is_isolated_and_pool_survives() {
         let pool = WorkerPool::new(2);
-        pool.submit(Priority::Normal, || panic!("boom")).unwrap();
+        pool.submit(Priority::Normal, TenantId::default(), || panic!("boom"));
         let (tx, rx) = mpsc::channel();
-        pool.submit(Priority::Normal, move || tx.send(42).unwrap())
-            .unwrap();
+        pool.submit(Priority::Normal, TenantId::default(), move || {
+            tx.send(42).unwrap()
+        });
         assert_eq!(rx.recv().unwrap(), 42);
         // Wait for both jobs to be accounted.
         while pool.stats().completed < 2 {
@@ -570,7 +472,7 @@ mod tests {
         ] {
             for _ in 0..n {
                 let tx = tx.clone();
-                pool.submit(priority, move || tx.send(()).unwrap()).unwrap();
+                pool.submit(priority, TenantId::default(), move || tx.send(()).unwrap());
             }
         }
         assert_eq!(pool.stats().queued_now, [1, 2, 3]);
@@ -592,8 +494,9 @@ mod tests {
             (Priority::Low, 2),
         ] {
             let tx = tx.clone();
-            pool.submit(priority, move || tx.send(band).unwrap())
-                .unwrap();
+            pool.submit(priority, TenantId::default(), move || {
+                tx.send(band).unwrap()
+            });
         }
         drop(tx);
         assert_eq!(rx.iter().count(), 3);
@@ -611,16 +514,15 @@ mod tests {
     }
 
     #[test]
-    fn graceful_shutdown_drains_queue_and_rejects_new_jobs() {
+    fn graceful_shutdown_drains_the_queue() {
         let pool = WorkerPool::new(1);
         let (tx, rx) = mpsc::channel();
         for i in 0..10 {
             let tx = tx.clone();
-            pool.submit(Priority::Normal, move || {
+            pool.submit(Priority::Normal, TenantId::default(), move || {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 tx.send(i).unwrap();
-            })
-            .unwrap();
+            });
         }
         pool.shutdown();
         drop(tx);

@@ -1,19 +1,17 @@
-//! Per-tenant admission control: tenant identities, budgets, and the [`QuotaTable`]
-//! that enforces them in front of the worker pool.
+//! Per-tenant admission control: tenant identities, the one in-flight cap, and
+//! the [`QuotaTable`] that enforces it in front of the worker pool.
 //!
 //! Every [`crate::ExploreRequest`] carries a [`TenantId`]. Before a request may
 //! occupy a worker-pool slot, the engine asks the quota table to admit it; a tenant
-//! that already has `max_queued` requests waiting, or `max_in_flight` requests
-//! admitted in total, is refused with [`crate::JobError::QuotaExceeded`] instead of
-//! being allowed to crowd out everyone else's queue positions. Requests that cost no
-//! pool slot — result-cache hits and single-flight coalesced attachments — bypass
-//! admission entirely: quotas protect workers, not lookups.
+//! that already has `max_in_flight` requests admitted (queued plus executing) is
+//! refused with [`crate::JobError::QuotaExceeded`] instead of being allowed to crowd
+//! out everyone else's queue positions. Requests that cost no pool slot — result-cache
+//! hits and single-flight coalesced attachments — bypass admission entirely: quotas
+//! protect workers, not lookups.
 //!
-//! The table also owns each tenant's *weight*, which the pool's deficit round-robin
-//! scheduler (see [`crate::pool`]) uses to apportion worker slots within a priority
-//! band. One shared `Arc<QuotaTable>` can sit in front of several engine shards (the
-//! [`crate::Router`] does exactly this), making the budgets tenant-global rather than
-//! per-shard.
+//! Every tenant gets the same cap (`--max-in-flight` on the CLI). One shared
+//! `Arc<QuotaTable>` sits in front of every engine shard (the [`crate::Router`] does
+//! exactly this), making the cap tenant-global rather than per-shard.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -67,57 +65,37 @@ impl From<String> for TenantId {
     }
 }
 
-/// One tenant's admission budget and scheduling weight.
+/// The admission cap every tenant gets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantQuota {
     /// Maximum requests admitted at once (queued + executing). Further submissions
     /// are refused until earlier ones respond.
     pub max_in_flight: usize,
-    /// Maximum requests waiting for a worker. A tighter bound than `max_in_flight`
-    /// when the tenant should be allowed deep concurrency but a shallow queue.
-    pub max_queued: usize,
-    /// Deficit-round-robin weight within a priority band: a weight-4 tenant receives
-    /// four worker slots for every one a weight-1 tenant receives while both have
-    /// work queued. Clamped to at least 1.
-    pub weight: u32,
 }
 
 impl Default for TenantQuota {
-    /// Unlimited admission, unit weight — the pre-quota behavior.
+    /// Unlimited admission.
     fn default() -> Self {
-        TenantQuota {
-            max_in_flight: usize::MAX,
-            max_queued: usize::MAX,
-            weight: 1,
-        }
+        TenantQuota::limited(usize::MAX)
     }
 }
 
 impl TenantQuota {
-    /// A quota with the given in-flight cap, an equal queue cap, and unit weight.
+    /// A quota admitting at most `max_in_flight` requests per tenant at once.
     pub fn limited(max_in_flight: usize) -> Self {
-        TenantQuota {
-            max_in_flight,
-            max_queued: max_in_flight,
-            weight: 1,
-        }
-    }
-
-    /// Set the scheduling weight.
-    pub fn with_weight(mut self, weight: u32) -> Self {
-        self.weight = weight.max(1);
-        self
+        TenantQuota { max_in_flight }
     }
 }
 
-/// Which budget a refused request tripped. Exposed per-reason in the metrics
-/// (`linx_quota_throttled_total{reason=...}`) so operators can tell queue
-/// shallowness from concurrency exhaustion.
+/// What held a refused tenant's slots. Exposed per-reason in the metrics
+/// (`linx_quota_throttled_total{reason=...}`) so operators can tell a backlog
+/// waiting for workers from work that is executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThrottleReason {
-    /// The tenant's `max_queued` budget was full.
+    /// Queued requests alone filled the tenant's `max_in_flight` slots.
     QueueCap,
-    /// The tenant's `max_in_flight` budget (queued + running) was full.
+    /// The tenant's `max_in_flight` slots were full, at least one of them
+    /// held by an executing request.
     InFlightCap,
 }
 
@@ -146,7 +124,7 @@ pub struct QuotaExceeded {
     pub queued: usize,
     /// The tenant's requests executing at refusal time.
     pub running: usize,
-    /// Which budget the request tripped.
+    /// What held the tenant's slots.
     pub reason: ThrottleReason,
 }
 
@@ -162,8 +140,6 @@ impl fmt::Display for QuotaExceeded {
 
 #[derive(Debug, Default)]
 struct TenantState {
-    /// Override quota, if one was set; `None` means the table default applies.
-    quota: Option<TenantQuota>,
     /// Requests admitted and waiting for a worker.
     queued: usize,
     /// Requests currently executing.
@@ -181,37 +157,41 @@ pub struct QuotaStats {
     pub queued: u64,
     /// Requests currently executing, across all tenants.
     pub running: u64,
-    /// Tenants with at least one admitted request or an explicit quota override.
+    /// Tenants with at least one admitted request.
     pub tenants: u64,
-    /// Refusals that tripped a tenant's `max_queued` budget.
+    /// Refusals of a tenant whose slots all held queued requests
+    /// ([`ThrottleReason::QueueCap`]).
     pub throttled_queue: u64,
-    /// Refusals that tripped a tenant's `max_in_flight` budget.
+    /// Refusals of a tenant with at least one request executing
+    /// ([`ThrottleReason::InFlightCap`]).
     pub throttled_in_flight: u64,
 }
 
-/// Tracks per-tenant in-flight/queued budgets and admits or refuses requests.
+/// Tracks each tenant's admitted requests against the one cap and admits or
+/// refuses requests.
 ///
 /// Thread-safe; the engine consults it on every submission that needs a worker-pool
-/// slot. Share one table across engine shards (via `Arc`) to make budgets global.
+/// slot. Share one table across engine shards (via `Arc`) to make the cap global.
 ///
 /// # Examples
 ///
 /// ```
 /// use linx_engine::{QuotaTable, TenantId, TenantQuota};
 ///
-/// let table = QuotaTable::unlimited();
+/// let table = QuotaTable::new(TenantQuota::limited(1));
 /// let greedy = TenantId::new("greedy");
-/// table.set_quota(greedy.clone(), TenantQuota::limited(1));
 ///
 /// assert!(table.try_admit(&greedy).is_ok());
 /// assert!(table.try_admit(&greedy).is_err(), "second request exceeds max_in_flight");
+/// assert!(table.try_admit(&TenantId::new("modest")).is_ok(), "the cap is per tenant");
 /// table.start(&greedy); // queued -> running
 /// table.finish(&greedy); // running -> done; budget freed
 /// assert!(table.try_admit(&greedy).is_ok());
 /// ```
 #[derive(Debug)]
 pub struct QuotaTable {
-    default_quota: TenantQuota,
+    /// Every tenant's cap on admitted requests.
+    max_in_flight: usize,
     tenants: Mutex<HashMap<TenantId, TenantState>>,
     admitted: AtomicU64,
     throttled: AtomicU64,
@@ -228,16 +208,16 @@ impl Default for QuotaTable {
 }
 
 impl QuotaTable {
-    /// A table applying `default_quota` to every tenant without an explicit override.
-    pub fn new(default_quota: TenantQuota) -> Self {
-        QuotaTable::with_clock(default_quota, Clock::real())
+    /// A table applying `quota` to every tenant.
+    pub fn new(quota: TenantQuota) -> Self {
+        QuotaTable::with_clock(quota, Clock::real())
     }
 
     /// A table whose admission-latency histogram reads `clock`. Tests pass a
     /// manual clock; [`QuotaTable::new`] uses the real one.
-    pub fn with_clock(default_quota: TenantQuota, clock: Clock) -> Self {
+    pub fn with_clock(quota: TenantQuota, clock: Clock) -> Self {
         QuotaTable {
-            default_quota,
+            max_in_flight: quota.max_in_flight,
             tenants: Mutex::new(HashMap::new()),
             admitted: AtomicU64::new(0),
             throttled: AtomicU64::new(0),
@@ -253,39 +233,17 @@ impl QuotaTable {
         QuotaTable::new(TenantQuota::default())
     }
 
-    /// Set (or replace) one tenant's quota override.
-    pub fn set_quota(&self, tenant: TenantId, quota: TenantQuota) {
-        let mut tenants = self.tenants.lock().expect("quota lock");
-        tenants.entry(tenant).or_default().quota = Some(quota);
-    }
-
-    /// The quota in effect for a tenant (its override, or the table default).
-    pub fn quota_of(&self, tenant: &TenantId) -> TenantQuota {
-        let tenants = self.tenants.lock().expect("quota lock");
-        tenants
-            .get(tenant)
-            .and_then(|s| s.quota)
-            .unwrap_or(self.default_quota)
-    }
-
-    /// The scheduling weight in effect for a tenant (at least 1).
-    pub fn weight_of(&self, tenant: &TenantId) -> u32 {
-        self.quota_of(tenant).weight.max(1)
-    }
-
-    /// Admit one request for `tenant`, or refuse it if the tenant's budget is
-    /// exhausted. Success returns the quota in effect, so callers get the
-    /// scheduling weight without a second lock acquisition. An admitted request
-    /// counts as queued until [`QuotaTable::start`] moves it to running; every
-    /// admission must eventually be balanced by [`QuotaTable::finish`] (or
-    /// [`QuotaTable::cancel`] if it never ran).
-    pub fn try_admit(&self, tenant: &TenantId) -> Result<TenantQuota, QuotaExceeded> {
+    /// Admit one request for `tenant`, or refuse it if the tenant's slots are
+    /// full. An admitted request counts as queued until [`QuotaTable::start`]
+    /// moves it to running; every admission must eventually be balanced by
+    /// [`QuotaTable::finish`] (or [`QuotaTable::cancel`] if it never ran).
+    pub fn try_admit(&self, tenant: &TenantId) -> Result<(), QuotaExceeded> {
         let admit_start = self.clock.now_micros();
         let mut tenants = self.tenants.lock().expect("quota lock");
         let state = tenants.entry(tenant.clone()).or_default();
-        let quota = state.quota.unwrap_or(self.default_quota);
-        if state.queued >= quota.max_queued || state.queued + state.running >= quota.max_in_flight {
-            let reason = if state.queued >= quota.max_queued {
+        let cap = self.max_in_flight;
+        if state.queued + state.running >= cap {
+            let reason = if state.queued >= cap {
                 ThrottleReason::QueueCap
             } else {
                 ThrottleReason::InFlightCap
@@ -315,7 +273,7 @@ impl QuotaTable {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.admit_micros
             .record(self.clock.now_micros().saturating_sub(admit_start));
-        Ok(quota)
+        Ok(())
     }
 
     /// Mark one admitted request as executing (queued → running).
@@ -337,7 +295,7 @@ impl QuotaTable {
     }
 
     /// Release one admitted-but-never-started request (e.g. it coalesced onto an
-    /// identical submission after admission, or the pool refused it at shutdown).
+    /// identical submission after admission, or it expired in the queue).
     pub fn cancel(&self, tenant: &TenantId) {
         let mut tenants = self.tenants.lock().expect("quota lock");
         if let Some(state) = tenants.get_mut(tenant) {
@@ -346,18 +304,18 @@ impl QuotaTable {
         }
     }
 
-    /// Drop a tenant entry once it holds no budget and no override, so the table
-    /// stays bounded by *active* tenants rather than every tenant ever seen.
+    /// Drop a tenant entry once it holds no budget, so the table stays bounded
+    /// by *active* tenants rather than every tenant ever seen.
     fn gc_entry(tenants: &mut HashMap<TenantId, TenantState>, tenant: &TenantId) {
         if let Some(state) = tenants.get(tenant) {
-            if state.queued == 0 && state.running == 0 && state.quota.is_none() {
+            if state.queued == 0 && state.running == 0 {
                 tenants.remove(tenant);
             }
         }
     }
 
-    /// Sweep every dead tenant entry (no budget held, no explicit override) out of
-    /// the table and return how many were dropped.
+    /// Sweep every dead tenant entry (no budget held) out of the table and
+    /// return how many were dropped.
     ///
     /// The per-request paths already garbage-collect the entry they touch, but a
     /// long-lived process can still accumulate residue through paths that decrement
@@ -369,7 +327,7 @@ impl QuotaTable {
     pub fn gc(&self) -> usize {
         let mut tenants = self.tenants.lock().expect("quota lock");
         let before = tenants.len();
-        tenants.retain(|_, state| state.queued > 0 || state.running > 0 || state.quota.is_some());
+        tenants.retain(|_, state| state.queued > 0 || state.running > 0);
         before - tenants.len()
     }
 
@@ -379,9 +337,8 @@ impl QuotaTable {
         self: &Arc<Self>,
         tenant: &TenantId,
     ) -> Result<AdmissionGuard, QuotaExceeded> {
-        let quota = self.try_admit(tenant)?;
+        self.try_admit(tenant)?;
         Ok(AdmissionGuard {
-            quota,
             table: Arc::clone(self),
             tenant: tenant.clone(),
             started: false,
@@ -418,16 +375,14 @@ impl QuotaTable {
 /// Produced by [`QuotaTable::admit_guarded`] and carried inside the worker-pool job:
 /// [`AdmissionGuard::start`] marks the queued→running transition and
 /// [`AdmissionGuard::finish`] consumes the guard when the job completes. If the
-/// guard is instead *dropped* — the job was discarded by an immediate pool shutdown,
-/// the submission coalesced after admission, or the job panicked past its own
-/// handler — the budget is handed back anyway ([`QuotaTable::cancel`] if the job
+/// guard is instead *dropped* — the job expired in the queue, the pool was dropped
+/// with the job still queued, the submission coalesced after admission, or the job
+/// panicked past its own handler — the budget is handed back anyway ([`QuotaTable::cancel`] if the job
 /// never started, [`QuotaTable::finish`] if it did). This is what keeps a quota
 /// table shared across engine shards leak-free: no request path can strand a
 /// tenant's in-flight budget.
 #[derive(Debug)]
 pub struct AdmissionGuard {
-    /// The quota in effect at admission time (carries the scheduling weight).
-    pub quota: TenantQuota,
     table: Arc<QuotaTable>,
     tenant: TenantId,
     started: bool,
@@ -480,42 +435,32 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_and_queued_budgets_are_enforced_separately() {
-        let table = QuotaTable::unlimited();
+    fn one_cap_bounds_queued_plus_running() {
+        let table = QuotaTable::new(TenantQuota::limited(3));
         let t = TenantId::new("bounded");
-        table.set_quota(
-            t.clone(),
-            TenantQuota {
-                max_in_flight: 3,
-                max_queued: 2,
-                weight: 1,
-            },
-        );
-        assert!(table.try_admit(&t).is_ok());
-        assert!(table.try_admit(&t).is_ok());
-        // Third queued request trips max_queued even though max_in_flight allows it.
+        for _ in 0..3 {
+            assert!(table.try_admit(&t).is_ok());
+        }
         let err = table.try_admit(&t).unwrap_err();
-        assert_eq!(err.queued, 2);
-        // Move one to running: queue has room again, but in-flight fills at 3.
+        assert_eq!((err.queued, err.running), (3, 0));
+        // A started request moves from queued to running and keeps its slot.
         table.start(&t);
-        assert!(table.try_admit(&t).is_ok());
-        assert!(
-            table.try_admit(&t).is_err(),
+        let err = table.try_admit(&t).unwrap_err();
+        assert_eq!(
+            (err.queued, err.running),
+            (2, 1),
             "max_in_flight caps queued+running"
         );
-        // Finishing the running one frees in-flight budget, but the queue cap still
-        // binds until another queued request starts executing.
+        // Finishing it frees the slot for exactly one more admission.
         table.finish(&t);
-        assert!(table.try_admit(&t).is_err(), "max_queued still binds");
-        table.start(&t);
         assert!(table.try_admit(&t).is_ok());
+        assert!(table.try_admit(&t).is_err());
     }
 
     #[test]
     fn cancel_releases_an_admission_without_a_run() {
-        let table = QuotaTable::unlimited();
+        let table = QuotaTable::new(TenantQuota::limited(1));
         let t = TenantId::new("c");
-        table.set_quota(t.clone(), TenantQuota::limited(1));
         assert!(table.try_admit(&t).is_ok());
         assert!(table.try_admit(&t).is_err());
         table.cancel(&t);
@@ -534,24 +479,6 @@ mod tests {
             0,
             "no residue after the last request"
         );
-        // An explicit override is configuration and survives inactivity.
-        let pinned = TenantId::new("pinned");
-        table.set_quota(pinned.clone(), TenantQuota::limited(5));
-        table.try_admit(&pinned).unwrap();
-        table.cancel(&pinned);
-        assert_eq!(table.stats().tenants, 1);
-        assert_eq!(table.quota_of(&pinned).max_in_flight, 5);
-    }
-
-    #[test]
-    fn weights_default_to_one_and_never_go_below_one() {
-        let table = QuotaTable::unlimited();
-        let t = TenantId::new("w");
-        assert_eq!(table.weight_of(&t), 1);
-        table.set_quota(t.clone(), TenantQuota::default().with_weight(0));
-        assert_eq!(table.weight_of(&t), 1);
-        table.set_quota(t.clone(), TenantQuota::default().with_weight(4));
-        assert_eq!(table.weight_of(&t), 4);
     }
 
     #[test]
@@ -568,11 +495,10 @@ mod tests {
 
     #[test]
     fn dropping_an_admission_guard_releases_the_budget() {
-        let table = Arc::new(QuotaTable::unlimited());
+        let table = Arc::new(QuotaTable::new(TenantQuota::limited(1)));
         let t = TenantId::new("guarded");
-        table.set_quota(t.clone(), TenantQuota::limited(1));
 
-        // Never started (the pool dropped the job un-run): cancel path.
+        // Never started (the job expired in the queue): cancel path.
         let guard = table.admit_guarded(&t).unwrap();
         assert!(table.try_admit(&t).is_err());
         drop(guard);
@@ -582,7 +508,10 @@ mod tests {
         drop(guard);
         // Explicit finish consumes the guard exactly once.
         let guard = table.admit_guarded(&t).unwrap();
-        assert_eq!(guard.quota.max_in_flight, 1);
+        assert!(
+            table.try_admit(&t).is_err(),
+            "the guard holds the only slot"
+        );
         guard.finish();
         assert!(table.try_admit(&t).is_ok(), "no double release, no leak");
         let stats = table.stats();
@@ -590,48 +519,33 @@ mod tests {
     }
 
     #[test]
-    fn gc_sweeps_dead_entries_and_keeps_live_and_pinned_ones() {
+    fn gc_sweeps_dead_entries_and_keeps_live_ones() {
         let table = QuotaTable::unlimited();
-        // A live admission, a pinned override, and a dead residue entry (simulated
-        // via start on a tenant whose queued count was already released).
+        // A live admission and a dead entry that its own finish collects.
         let live = TenantId::new("live");
         table.try_admit(&live).unwrap();
-        let pinned = TenantId::new("pinned");
-        table.set_quota(pinned.clone(), TenantQuota::limited(2));
         let dead = TenantId::new("dead");
         table.try_admit(&dead).unwrap();
         table.start(&dead);
         table.finish(&dead);
         assert_eq!(table.gc(), 0, "per-request gc already collected 'dead'");
-        assert_eq!(table.stats().tenants, 2);
+        assert_eq!(table.stats().tenants, 1);
         // Drain the live one, then sweep.
         table.cancel(&live);
         assert_eq!(table.gc(), 0, "cancel collects its own entry");
-        assert_eq!(table.stats().tenants, 1, "only the pinned override remains");
-        assert_eq!(table.quota_of(&pinned).max_in_flight, 2);
+        assert_eq!(table.stats().tenants, 0);
     }
 
     #[test]
     fn refusals_carry_the_tripped_budget_as_a_reason() {
-        let table = QuotaTable::with_clock(TenantQuota::default(), Clock::manual(0));
+        let table = QuotaTable::with_clock(TenantQuota::limited(2), Clock::manual(0));
         let t = TenantId::new("reasoned");
-        table.set_quota(
-            t.clone(),
-            TenantQuota {
-                max_in_flight: 3,
-                max_queued: 1,
-                weight: 1,
-            },
-        );
         table.try_admit(&t).unwrap();
+        table.try_admit(&t).unwrap();
+        // Queued requests hold both slots.
         let err = table.try_admit(&t).unwrap_err();
         assert_eq!(err.reason, ThrottleReason::QueueCap);
-        // Drain the queue into running until the in-flight budget binds with the
-        // queue empty, so the refusal can only be the in-flight cap.
-        for _ in 0..2 {
-            table.start(&t);
-            table.try_admit(&t).unwrap();
-        }
+        // Once one of them executes, the cap is full with work in flight.
         table.start(&t);
         let err = table.try_admit(&t).unwrap_err();
         assert_eq!(err.reason, ThrottleReason::InFlightCap);
@@ -639,7 +553,7 @@ mod tests {
         assert_eq!(stats.throttled_queue, 1);
         assert_eq!(stats.throttled_in_flight, 1);
         assert_eq!(stats.throttled, 2);
-        assert_eq!(table.admit_latency().count, 5, "every decision is timed");
+        assert_eq!(table.admit_latency().count, 4, "every decision is timed");
         assert_eq!(ThrottleReason::QueueCap.to_string(), "queue_cap");
         assert_eq!(ThrottleReason::InFlightCap.as_str(), "in_flight_cap");
     }

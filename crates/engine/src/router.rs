@@ -17,7 +17,7 @@
 //! worst miss a warm cache — it can never be served a stale result.
 //!
 //! Admission control is deliberately *not* per shard: [`Router::new`] builds one
-//! [`QuotaTable`] and hands it to every shard, so a tenant's in-flight budget bounds
+//! [`QuotaTable`] and hands it to every shard, so a tenant's in-flight cap bounds
 //! its total footprint across the whole router.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,7 +244,7 @@ pub struct Router {
 
 impl Router {
     /// Start `config.shards` engines behind a consistent-hash routing table, a
-    /// shared quota table seeded from `config.engine.default_quota`, and — when
+    /// shared quota table enforcing `config.engine.default_quota`, and — when
     /// `config.engine.persist` is set — one shared [`DiskTier`].
     pub fn new(config: RouterConfig) -> Self {
         let table = RoutingTable::new(config.shards, config.vnodes);
@@ -272,11 +272,6 @@ impl Router {
     /// The number of engine shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shared admission-control table (set per-tenant overrides here).
-    pub fn quota(&self) -> &Arc<QuotaTable> {
-        &self.quota
     }
 
     /// One shard's engine. Outside this crate only its [`Engine::config`] is

@@ -22,7 +22,7 @@
 //! |-------------------------------|--------|---------------------|-----------------|
 //! | [`JobError::QuotaExceeded`]   | 429    | `quota_exceeded`    | `Retry-After`   |
 //! | [`JobError::Overloaded`]      | 503    | `overloaded`        | `Retry-After`   |
-//! | [`JobError::ShuttingDown`] / submit while draining | 503 | `shutting_down` | `Retry-After` |
+//! | submit while draining         | 503    | `shutting_down`     | `Retry-After`   |
 //! | [`JobError::DeadlineExceeded`]| 504    | `deadline_exceeded` |                 |
 //! | [`JobError::Panicked`]        | 500    | `job_panicked`      |                 |
 //! | [`JobError::WorkerLost`]      | 500    | `worker_lost`       |                 |
@@ -61,9 +61,9 @@
 //!   further bytes, so a slowloris dribbling one byte per tick is closed with
 //!   408 once the deadline passes (the per-tick idle counter only covers
 //!   connections with no request in progress);
-//! * **write timeout** ([`ServeConfig::write_timeout_millis`]) — a peer that
-//!   stops reading its response blocks the thread only until the socket write
-//!   times out, then the connection is dropped.
+//! * **write timeout** (10 s) — a peer that stops reading its response blocks
+//!   the thread only until the socket write times out, then the connection is
+//!   dropped.
 //!
 //! The latter two closes are counted in `linx_http_slow_client_closes_total`.
 
@@ -87,7 +87,24 @@ use crate::http::{
 use crate::router::{DrainReport, RoutedContext, Router, RouterConfig, RouterStats};
 use crate::telemetry::{render_text, Family};
 
-/// How the daemon binds, parses, and retires.
+/// Socket read timeout. This is the tick at which idle connection threads
+/// re-check the shutdown flags, so it bounds drain latency.
+const READ_TICK_MILLIS: u64 = 100;
+/// Close a keep-alive connection after this many idle ticks (30 s) with no
+/// request in progress.
+const MAX_IDLE_TICKS: u32 = 300;
+/// Upper bound on how long [`Server::join`] waits for the worker pools to go
+/// idle before forcing the stop (drained jobs still complete inside
+/// [`Router::drain`]).
+const DRAIN_WAIT_CAP_MILLIS: u64 = 60_000;
+/// Completed/failed jobs retained for polling before the oldest are evicted
+/// from the job table.
+const MAX_JOBS_RETAINED: usize = 4096;
+/// Socket write timeout: a peer that stops reading its response can pin the
+/// connection thread at most this long per write.
+const WRITE_TIMEOUT_MILLIS: u64 = 10_000;
+
+/// How the daemon binds, parses, and admits connections.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878`. Port 0 picks an ephemeral port
@@ -97,19 +114,6 @@ pub struct ServeConfig {
     pub router: RouterConfig,
     /// Parser caps; breaches answer 400/431 (see [`ParseLimits`]).
     pub limits: ParseLimits,
-    /// Socket read timeout. This is the tick at which idle connection threads
-    /// re-check the shutdown flags, so it bounds drain latency.
-    pub read_timeout_millis: u64,
-    /// Close a keep-alive connection after this many idle ticks with no
-    /// request in progress.
-    pub max_idle_ticks: u32,
-    /// Upper bound on how long [`Server::join`] waits for the worker pools to
-    /// go idle before forcing the stop (drained jobs still complete inside
-    /// [`Router::drain`]).
-    pub drain_wait_cap_millis: u64,
-    /// Completed/failed jobs retained for polling before the oldest are
-    /// evicted from the job table.
-    pub max_jobs_retained: usize,
     /// Open-connection cap; a connection accepted over the cap is answered
     /// 503 + `Retry-After` and closed immediately. `0` disables the cap.
     pub max_connections: usize,
@@ -118,9 +122,6 @@ pub struct ServeConfig {
     /// reset it: a slowloris connection is closed with 408 once it expires.
     /// `0` disables the deadline.
     pub request_read_timeout_millis: u64,
-    /// Socket write timeout: a peer that stops reading its response can pin
-    /// the connection thread at most this long per write. `0` disables it.
-    pub write_timeout_millis: u64,
 }
 
 impl Default for ServeConfig {
@@ -129,13 +130,8 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             router: RouterConfig::fast(),
             limits: ParseLimits::default(),
-            read_timeout_millis: 100,
-            max_idle_ticks: 300,
-            drain_wait_cap_millis: 60_000,
-            max_jobs_retained: 4096,
             max_connections: 1024,
             request_read_timeout_millis: 10_000,
-            write_timeout_millis: 10_000,
         }
     }
 }
@@ -252,12 +248,8 @@ struct Inner {
     draining: AtomicBool,
     stopping: AtomicBool,
     limits: ParseLimits,
-    read_timeout_millis: u64,
-    max_idle_ticks: u32,
-    max_jobs_retained: usize,
     max_connections: usize,
     request_read_timeout_millis: u64,
-    write_timeout_millis: u64,
     http: HttpMetrics,
     started: Instant,
 }
@@ -281,7 +273,6 @@ pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
     accept: Option<thread::JoinHandle<()>>,
-    drain_wait_cap_millis: u64,
 }
 
 impl Server {
@@ -309,12 +300,8 @@ impl Server {
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
             limits: config.limits,
-            read_timeout_millis: config.read_timeout_millis.max(10),
-            max_idle_ticks: config.max_idle_ticks.max(1),
-            max_jobs_retained: config.max_jobs_retained.max(16),
             max_connections: config.max_connections,
             request_read_timeout_millis: config.request_read_timeout_millis,
-            write_timeout_millis: config.write_timeout_millis,
             http: HttpMetrics::new(),
             started: Instant::now(),
         });
@@ -329,7 +316,6 @@ impl Server {
             inner,
             addr,
             accept: Some(accept),
-            drain_wait_cap_millis: config.drain_wait_cap_millis,
         })
     }
 
@@ -345,7 +331,7 @@ impl Server {
         self.inner.draining.store(true, Ordering::SeqCst);
     }
 
-    /// Complete the drain: wait (bounded by `drain_wait_cap_millis`) for the
+    /// Complete the drain: wait (bounded by a minute) for the
     /// worker pools to go idle, stop accepting, join every connection thread,
     /// and drain the router. Implies [`Server::shutdown`].
     pub fn join(mut self) -> DrainReport {
@@ -353,7 +339,7 @@ impl Server {
 
         // With `draining` set no new work can reach the pools, so "pools idle"
         // is a stable condition, not a race.
-        let cap = Duration::from_millis(self.drain_wait_cap_millis);
+        let cap = Duration::from_millis(DRAIN_WAIT_CAP_MILLIS);
         let start = Instant::now();
         loop {
             let stats = self.inner.router.stats().aggregate();
@@ -486,10 +472,8 @@ fn handle_connection(inner: Arc<Inner>, mut stream: TcpStream) {
         None => {}
     }
 
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(inner.read_timeout_millis)));
-    if inner.write_timeout_millis > 0 {
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(inner.write_timeout_millis)));
-    }
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(READ_TICK_MILLIS)));
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(WRITE_TIMEOUT_MILLIS)));
     let _ = stream.set_nodelay(true);
 
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
@@ -572,7 +556,7 @@ fn handle_connection(inner: Arc<Inner>, mut stream: TcpStream) {
                     return;
                 }
                 idle_ticks += 1;
-                if idle_ticks >= inner.max_idle_ticks {
+                if idle_ticks >= MAX_IDLE_TICKS {
                     return;
                 }
             }
@@ -689,7 +673,6 @@ fn job_error_response(error: &JobError) -> HttpResponse {
     let (status, code) = match error {
         JobError::QuotaExceeded(_) => (429, "quota_exceeded"),
         JobError::Overloaded => (503, "overloaded"),
-        JobError::ShuttingDown => (503, "shutting_down"),
         JobError::DeadlineExceeded(_) => (504, "deadline_exceeded"),
         JobError::Panicked(_) => (500, "job_panicked"),
         JobError::WorkerLost => (500, "worker_lost"),
@@ -801,7 +784,7 @@ fn store_job(inner: &Inner, parsed: &ExploreBody, state: JobState) -> u64 {
         },
     );
     jobs.order.push(id);
-    while jobs.order.len() > inner.max_jobs_retained {
+    while jobs.order.len() > MAX_JOBS_RETAINED {
         let evict = jobs.order.remove(0);
         jobs.entries.remove(&evict);
     }

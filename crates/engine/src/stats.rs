@@ -13,8 +13,6 @@ pub struct EngineStats {
     pub submitted: u64,
     /// Requests coalesced onto an identical in-flight request (single-flight dedup).
     pub coalesced: u64,
-    /// Requests rejected because the engine was shutting down.
-    pub rejected: u64,
     /// Result-cache counters (the in-memory tier).
     pub cache: CacheStats,
     /// Persistent disk-tier counters. The tier is shared by every shard, so a
@@ -74,7 +72,6 @@ impl EngineStats {
     pub fn merge(mut self, other: &EngineStats) -> EngineStats {
         self.submitted += other.submitted;
         self.coalesced += other.coalesced;
-        self.rejected += other.rejected;
         self.cache.hits += other.cache.hits;
         self.cache.misses += other.cache.misses;
         self.cache.evictions += other.cache.evictions;
@@ -104,11 +101,10 @@ impl EngineStats {
     /// One-line human-readable summary for CLI output and logs.
     pub fn summary(&self) -> String {
         format!(
-            "requests: {} submitted, {} coalesced ({:.0}% coalesce rate), {} rejected | cache: {} hits / {} misses / {} evictions ({} resident, {:.0}% hit rate) | disk-tier: {} hits / {} misses / {} errors ({} entries, {} KiB, {:.0}% hit rate) | pool: {} workers, {} completed, {} panicked, {} queued | quota: {} admitted, {} throttled, {} tenants | degraded: {} shed, {} expired",
+            "requests: {} submitted, {} coalesced ({:.0}% coalesce rate) | cache: {} hits / {} misses / {} evictions ({} resident, {:.0}% hit rate) | disk-tier: {} hits / {} misses / {} errors ({} entries, {} KiB, {:.0}% hit rate) | pool: {} workers, {} completed, {} panicked, {} queued | quota: {} admitted, {} throttled, {} tenants | degraded: {} shed, {} expired",
             self.submitted,
             self.coalesced,
             self.coalesce_rate() * 100.0,
-            self.rejected,
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
@@ -168,7 +164,6 @@ mod tests {
         let mut a = EngineStats {
             submitted: 3,
             coalesced: 1,
-            rejected: 2,
             ..EngineStats::default()
         };
         a.cache = CacheStats {
@@ -185,7 +180,6 @@ mod tests {
         let mut b = EngineStats {
             submitted: 5,
             coalesced: 2,
-            rejected: 1,
             ..EngineStats::default()
         };
         b.cache = CacheStats {
@@ -210,10 +204,7 @@ mod tests {
         b.quota.admitted = 100;
         let merged = a.merge(&b);
         assert_eq!((merged.tier, merged.quota), (a.tier, a.quota));
-        assert_eq!(
-            (merged.submitted, merged.coalesced, merged.rejected),
-            (8, 3, 3)
-        );
+        assert_eq!((merged.submitted, merged.coalesced), (8, 3));
         assert_eq!(
             merged.cache,
             CacheStats {

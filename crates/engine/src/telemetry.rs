@@ -320,12 +320,6 @@ impl MetricsRegistry {
         self.cache_lookup_micros.record(micros);
     }
 
-    /// Record one end-to-end response latency without slow-log consideration
-    /// (coalesced waiters and quota refusals use this).
-    pub fn record_total(&self, micros: u64) {
-        self.total_micros.record(micros);
-    }
-
     /// Record a response end-to-end: its total latency, and — if it crossed
     /// the slow threshold — a slow-log entry with the full stage breakdown.
     /// Returns the total, so callers put the same number in the response.
@@ -609,11 +603,6 @@ impl RouterStats {
                 "Requests attached to an identical in-flight request (single-flight).",
             )
             .one(agg.coalesced),
-            Family::counter(
-                "linx_requests_rejected_total",
-                "Requests rejected because the engine was shutting down.",
-            )
-            .one(agg.rejected),
             Family::counter(
                 "linx_routed_total",
                 "Requests and batch goals forwarded to each shard.",
@@ -1016,7 +1005,6 @@ pub(crate) mod tests {
             let mut engine = EngineStats {
                 submitted: 100 + k,
                 coalesced: 20 + k,
-                rejected: 5 + k,
                 shed: 7 + k,
                 ..EngineStats::default()
             };
@@ -1148,6 +1136,6 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(json_series, text_series, "the forms hold different series");
-        assert_eq!(json_series.len(), 55, "39 families, 55 series");
+        assert_eq!(json_series.len(), 54, "38 families, 54 series");
     }
 }

@@ -326,3 +326,26 @@ fn every_exit_answers_once_and_is_counted_once() {
     assert_eq!(run.drained.throttled, s.quota.throttled);
     assert_eq!(run.drained.deadline_expired, s.deadline_expired_total());
 }
+
+#[test]
+fn every_response_enters_the_slow_log_at_threshold_zero() {
+    let run = every_exit();
+    // Every exit times its response from the request's own trace, so at
+    // threshold 0 each response leaves exactly one slow-log entry.
+    let entry = |id: u64, dataset: &str, goal: &str, cached: bool| {
+        (id, dataset.to_string(), goal.to_string(), cached)
+    };
+    let mut logged: Vec<_> = run
+        .slow
+        .iter()
+        .map(|e| entry(e.id.0, &e.dataset_id, &e.goal, e.served_from_cache))
+        .collect();
+    logged.sort();
+    let mut answered: Vec<_> = run
+        .responses
+        .iter()
+        .map(|(_, r)| entry(r.id.0, &r.dataset_id, &r.goal, r.served_from_cache))
+        .collect();
+    answered.sort();
+    assert_eq!(logged, answered);
+}

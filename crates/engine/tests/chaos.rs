@@ -490,11 +490,7 @@ fn panic_storm_releases_budgets_and_the_pool_survives() {
     let mut config = tiny_config(2);
     // Tight per-tenant budget: if any dying job leaked its admission slot, the
     // later submissions in the storm would come back QuotaExceeded instead.
-    config.default_quota = TenantQuota {
-        max_in_flight: 2,
-        max_queued: 2,
-        weight: 1,
-    };
+    config.default_quota = TenantQuota::limited(2);
     let router = one_shard(config);
     let ctx = router.dataset_context(&netflix(200, 7), "netflix");
 
@@ -546,11 +542,7 @@ fn engine_drain_completes_under_a_panic_storm_without_deadlock() {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let mut config = tiny_config(2);
-        config.default_quota = TenantQuota {
-            max_in_flight: 8,
-            max_queued: 8,
-            weight: 1,
-        };
+        config.default_quota = TenantQuota::limited(8);
         let router = one_shard(config);
         let ctx = router.dataset_context(&netflix(200, 7), "netflix");
         let _scoped = arm_scoped(FaultPlan::new(13).always("pool.execute", FaultKind::Panic));

@@ -6,7 +6,8 @@ use std::sync::Arc;
 use linx_data::{generate, DatasetKind, ScaleConfig};
 use linx_dataframe::DataFrame;
 use linx_engine::{
-    BatchRequest, Budget, EngineConfig, ExploreRequest, Priority, Router, RouterConfig, WorkerPool,
+    BatchRequest, Budget, EngineConfig, ExploreRequest, Priority, Router, RouterConfig, TenantId,
+    WorkerPool,
 };
 
 fn netflix(rows: usize, seed: u64) -> DataFrame {
@@ -286,14 +287,16 @@ fn worker_panic_is_isolated_and_the_pool_survives() {
     // supposed to panic, so the engine-level path is exercised via the pool contract).
     let pool = WorkerPool::new(2);
     for _ in 0..3 {
-        pool.submit(Priority::Normal, || panic!("poisoned job"))
-            .unwrap();
+        pool.submit(Priority::Normal, TenantId::default(), || {
+            panic!("poisoned job")
+        });
     }
     let (tx, rx) = std::sync::mpsc::channel();
     for i in 0..4 {
         let tx = tx.clone();
-        pool.submit(Priority::Normal, move || tx.send(i).unwrap())
-            .unwrap();
+        pool.submit(Priority::Normal, TenantId::default(), move || {
+            tx.send(i).unwrap()
+        });
     }
     drop(tx);
     let mut got: Vec<i32> = rx.iter().collect();
@@ -324,7 +327,7 @@ fn cache_eviction_order_is_least_recently_used() {
 }
 
 #[test]
-fn shutdown_rejects_new_work_with_a_response() {
+fn shutdown_drains_queued_work() {
     let router = tiny_router(1);
     let dataset = netflix(120, 1);
     let ctx = router.dataset_context(&dataset, "netflix");

@@ -1,6 +1,6 @@
 //! Integration tests for the sharded router and tenant-fair admission control:
 //! placement stability, cross-shard correctness, quota throttling, and
-//! weighted-fair scheduling under a saturating tenant.
+//! tenant-fair scheduling under a saturating tenant.
 
 use std::sync::mpsc;
 
@@ -79,11 +79,10 @@ proptest! {
 fn gate(pool: &WorkerPool) -> mpsc::Sender<()> {
     let (started_tx, started_rx) = mpsc::channel();
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
-    pool.submit(Priority::High, move || {
+    pool.submit(Priority::High, TenantId::default(), move || {
         started_tx.send(()).unwrap();
         gate_rx.recv().unwrap();
-    })
-    .unwrap();
+    });
     started_rx.recv().unwrap();
     gate_tx
 }
@@ -99,17 +98,15 @@ fn saturating_tenant_cannot_starve_another_tenants_queue_positions() {
     // The saturating tenant floods 30 jobs before the victim submits 3.
     for _ in 0..30 {
         let tx = tx.clone();
-        pool.submit_tagged(Priority::Normal, TenantId::new("flood"), 1, move || {
+        pool.submit(Priority::Normal, TenantId::new("flood"), move || {
             tx.send("flood").unwrap()
-        })
-        .unwrap();
+        });
     }
     for _ in 0..3 {
         let tx = tx.clone();
-        pool.submit_tagged(Priority::Normal, TenantId::new("victim"), 1, move || {
+        pool.submit(Priority::Normal, TenantId::new("victim"), move || {
             tx.send("victim").unwrap()
-        })
-        .unwrap();
+        });
     }
     open.send(()).unwrap();
 
@@ -139,15 +136,8 @@ fn saturating_tenant_cannot_starve_another_tenants_queue_positions() {
 fn quota_throttles_only_the_overrunning_tenant() {
     let mut config = tiny_router(1, 1);
     config.engine.cdrl.episodes = 120; // jobs slow enough that the queue fills
+    config.engine.default_quota = TenantQuota::limited(2);
     let router = Router::new(config);
-    router.quota().set_quota(
-        TenantId::new("greedy"),
-        TenantQuota {
-            max_in_flight: 2,
-            max_queued: 2,
-            weight: 1,
-        },
-    );
     let dataset = netflix(250, 7);
     let routed = router.dataset_context(&dataset, "netflix");
 

@@ -917,14 +917,13 @@ fn drain_completes_in_flight_jobs_while_rejecting_new_ones() {
 // Metrics over the wire
 // ---------------------------------------------------------------------------
 
-/// The engine's 39-family golden set (pinned independently in
+/// The engine's 38-family golden set (pinned independently in
 /// `tests/telemetry.rs`) plus the seven HTTP families the daemon appends. If
 /// either side drifts, this wire-level check and the in-process golden test
 /// disagree and point straight at the exposition seam.
-const WIRE_FAMILIES: [&str; 46] = [
+const WIRE_FAMILIES: [&str; 45] = [
     "linx_requests_submitted_total counter",
     "linx_requests_coalesced_total counter",
-    "linx_requests_rejected_total counter",
     "linx_routed_total counter",
     "linx_cache_hits_total counter",
     "linx_cache_misses_total counter",

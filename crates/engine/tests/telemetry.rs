@@ -161,10 +161,9 @@ fn telemetry_merges_across_shards() {
 /// The exact set of Prometheus metric families the exposition emits, in order.
 /// A rename or removal here is a breaking change for scrapers — update this
 /// list only deliberately, alongside docs/ARCHITECTURE.md.
-const GOLDEN_FAMILIES: [&str; 39] = [
+const GOLDEN_FAMILIES: [&str; 38] = [
     "linx_requests_submitted_total counter",
     "linx_requests_coalesced_total counter",
-    "linx_requests_rejected_total counter",
     "linx_routed_total counter",
     "linx_cache_hits_total counter",
     "linx_cache_misses_total counter",

@@ -57,7 +57,7 @@ use linx_nl2ldx::{DerivationResult, SpecDeriver};
 /// dependency an application needs.
 pub use linx_engine as engine;
 pub use linx_engine::{
-    EngineConfig, ExploreRequest, ExploreResponse, Router, RouterConfig, TenantId, TenantQuota,
+    EngineConfig, ExploreRequest, ExploreResponse, Router, RouterConfig, TenantId,
 };
 
 /// The result of one end-to-end exploration request: the derivation (meta-goal,
