@@ -162,8 +162,9 @@ pub struct PoolStats {
 
 /// A fixed-size pool of worker threads draining a tenant-fair priority queue.
 ///
-/// Only [`WorkerPool::shutdown`] and `Drop` stop the workers, and both take the
-/// pool by value, so [`WorkerPool::submit`] can never meet a closed pool.
+/// Only [`WorkerPool::shutdown`], which consumes the pool, and dropping it stop
+/// the workers, so a [`WorkerPool::submit`] through `&self` never meets a
+/// stopped pool.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
