@@ -3,7 +3,7 @@
 use linx_dataframe::filter::{CompareOp, Predicate};
 use linx_dataframe::groupby::AggFunc;
 use linx_dataframe::stats::Histogram;
-use linx_dataframe::{Column, DataFrame, Value};
+use linx_dataframe::{Column, DataFrame, StatsCache, Value};
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -61,6 +61,52 @@ fn typed_cells(rows: &[TypedRow], c: usize, flagged_only: bool) -> Vec<Value> {
         .filter(|r| r.1 || !flagged_only)
         .map(|((i, f, s, m), _, _)| [i, f, s, m][c].clone())
         .collect()
+}
+
+/// Column `c` (0–5) of `rows`: the four storage kinds of [`typed_cells`], then a
+/// near-unique integer column and a near-unique string column, both with nulls,
+/// drawn from each row's permutation key.
+fn shared_cells(rows: &[TypedRow], c: usize) -> Vec<Value> {
+    if c < 4 {
+        return typed_cells(rows, c, false);
+    }
+    rows.iter()
+        .map(|&(_, _, key)| match (key % 13, c) {
+            (0, _) => Value::Null,
+            (_, 4) => Value::Int((key % 997) as i64 - 498),
+            _ => Value::str(format!("u{}", key % 997)),
+        })
+        .collect()
+}
+
+/// `KL(child || parent)` from per-key [`Histogram::count`] lookups, in `child`'s key
+/// order: the reference every divergence path must match bit for bit.
+fn per_key_kl(child: &Histogram, parent: &Histogram) -> f64 {
+    let freq = |h: &Histogram, v: &Value| h.count(v) as f64 / h.total().max(1) as f64;
+    let mut kl = 0.0;
+    for (v, _) in child.iter() {
+        let p = freq(child, v);
+        let q = freq(parent, v).max(1e-9);
+        kl += p * (p / q).ln();
+    }
+    if child.total() == 0 {
+        0.0
+    } else {
+        kl.max(0.0)
+    }
+}
+
+/// Total variation from per-key lookups over the union of both key sets.
+fn per_key_tv(a: &Histogram, b: &Histogram) -> f64 {
+    let freq = |h: &Histogram, v: &Value| h.count(v) as f64 / h.total().max(1) as f64;
+    let mut l1 = 0.0;
+    for (v, _) in a.iter() {
+        l1 += (freq(a, v) - freq(b, v)).abs();
+    }
+    for (v, _) in b.iter().filter(|(v, _)| a.count(v) == 0) {
+        l1 += freq(b, v);
+    }
+    (l1 / 2.0).clamp(0.0, 1.0)
 }
 
 /// The bits of every reward statistic of a filtered `child` measured against its
@@ -166,31 +212,47 @@ proptest! {
 
     /// The merge-joined divergences agree with per-key lookups: KL bit for bit (same
     /// terms, same key order), TV to rounding.
+    ///
+    /// Both for independent histograms and for pairs over one storage: a filter view
+    /// against its parent frame, for every storage kind with nulls and for
+    /// near-unique columns, built directly and through a [`StatsCache`], in both
+    /// directions (parent against child reaches the smoothing branch for keys the
+    /// child lacks). Small domains repeat `(child count, parent count)` pairs within
+    /// one call.
     #[test]
     fn divergences_match_per_key_lookups(
         child in prop::collection::vec(value_strategy(), 0..40),
         parent in prop::collection::vec(value_strategy(), 0..40),
+        rows in prop::collection::vec(typed_row_strategy(), 0..60),
     ) {
         let (hc, hp) = (Histogram::from_values(&child), Histogram::from_values(&parent));
-        let freq = |h: &Histogram, v: &Value| h.count(v) as f64 / h.total().max(1) as f64;
-        let mut kl = 0.0;
-        for (v, _) in hc.iter() {
-            let p = freq(&hc, v);
-            let q = freq(&hp, v).max(1e-9);
-            kl += p * (p / q).ln();
-        }
-        let kl = if hc.total() == 0 { 0.0 } else { kl.max(0.0) };
-        prop_assert_eq!(hc.kl_divergence(&hp).to_bits(), kl.to_bits());
+        prop_assert_eq!(hc.kl_divergence(&hp).to_bits(), per_key_kl(&hc, &hp).to_bits());
+        prop_assert!((hc.total_variation(&hp) - per_key_tv(&hc, &hp)).abs() < 1e-12);
 
-        let mut l1 = 0.0;
-        for (v, _) in hc.iter() {
-            l1 += (freq(&hc, v) - freq(&hp, v)).abs();
+        let flags: Vec<Value> = rows.iter().map(|r| Value::Int(i64::from(r.1))).collect();
+        for c in 0..6 {
+            let frame = DataFrame::new(vec![
+                Column::new("x", shared_cells(&rows, c)),
+                Column::new("flag", flags.clone()),
+            ])
+            .unwrap();
+            let view = frame
+                .filter(&Predicate::new("flag", CompareOp::Eq, Value::Int(1)))
+                .unwrap();
+            let cache = StatsCache::default();
+            let direct = (view.histogram("x").unwrap(), frame.histogram("x").unwrap());
+            let cached = (cache.histogram(&view, "x").unwrap(), cache.histogram(&frame, "x").unwrap());
+            for (child, parent) in [(&direct.0, &direct.1), (&*cached.0, &*cached.1)] {
+                for (a, b) in [(child, parent), (parent, child)] {
+                    let (kl, reference) = (a.kl_divergence(b), per_key_kl(a, b));
+                    prop_assert!(
+                        kl.to_bits() == reference.to_bits(),
+                        "column {c}: KL {kl:?} != per-key {reference:?}"
+                    );
+                    prop_assert!((a.total_variation(b) - per_key_tv(a, b)).abs() < 1e-12);
+                }
+            }
         }
-        for (v, _) in hp.iter().filter(|(v, _)| hc.count(v) == 0) {
-            l1 += freq(&hp, v);
-        }
-        let tv = (l1 / 2.0).clamp(0.0, 1.0);
-        prop_assert!((hc.total_variation(&hp) - tv).abs() < 1e-12);
     }
 
     /// Entropy, normalized entropy, KL and TV are functions of a column's content

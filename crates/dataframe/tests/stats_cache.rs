@@ -2,6 +2,8 @@
 //! value-identical to freshly computed ones for arbitrary frames, and entries must be
 //! invalidated (never reused) when the underlying frame content differs.
 
+use linx_dataframe::filter::{CompareOp, Predicate};
+use linx_dataframe::stats::Histogram;
 use linx_dataframe::stats_cache::StatsCache;
 use linx_dataframe::{DataFrame, Value};
 use proptest::prelude::*;
@@ -25,7 +27,71 @@ fn frame_strategy() -> impl Strategy<Value = DataFrame> {
     })
 }
 
+/// One row of six columns: one per storage kind, each with nulls (integers, floats
+/// with `-0.0` and `0.0`, strings, and a mixed column), then a near-unique integer
+/// and a near-unique string drawn from a domain far larger than the frame.
+fn wide_row_strategy() -> impl Strategy<Value = Vec<Value>> {
+    let int = prop_oneof![
+        4 => (-4i64..5).prop_map(Value::Int),
+        1 => Just(Value::Null),
+    ];
+    let string = prop_oneof![
+        4 => prop::sample::select(vec!["a", "b", "c", "d", "e", "f"]).prop_map(Value::str),
+        1 => Just(Value::Null),
+    ];
+    let float = prop_oneof![
+        4 => (-3i64..4).prop_map(|i| Value::float(i as f64 / 2.0)),
+        1 => Just(Value::Float(-0.0)),
+        1 => Just(Value::Null),
+    ];
+    let mixed = prop_oneof![
+        1 => (0i64..3).prop_map(Value::Int),
+        1 => (0i64..3).prop_map(|i| Value::Float(i as f64)),
+        1 => prop::sample::select(vec!["0", "1"]).prop_map(Value::str),
+        1 => any::<bool>().prop_map(Value::Bool),
+        1 => Just(Value::Null),
+    ];
+    let near_unique = (0u64..100_000).prop_map(|k| match k % 11 {
+        0 => (Value::Null, Value::Null),
+        _ => (Value::Int(k as i64 - 50_000), Value::str(format!("u{k}"))),
+    });
+    (int, float, string, mixed, near_unique)
+        .prop_map(|(i, f, s, m, (ui, us))| vec![i, f, s, m, ui, us])
+}
+
+const WIDE: [&str; 6] = ["int", "float", "str", "mixed", "unique_int", "unique_str"];
+
 proptest! {
+    /// The cache's histograms equal `Histogram::from_values` over the visible cells,
+    /// and its group sizes equal `groups().sizes()` in order, for the whole frame, a
+    /// selection much smaller than each column's domain, a filter view, and a view of
+    /// that view.
+    #[test]
+    fn cached_statistics_match_the_visible_cells(
+        rows in prop::collection::vec(wide_row_strategy(), 1..200),
+        picks in prop::collection::vec(0usize..1000, 0..6),
+    ) {
+        let frame = DataFrame::from_rows(&WIDE, rows).unwrap();
+        let n = frame.num_rows();
+        let small = frame.take(&picks.iter().map(|p| p % n).collect::<Vec<_>>());
+        let filtered = frame
+            .filter(&Predicate::new("int", CompareOp::Neq, Value::Int(0)))
+            .unwrap();
+        let nested = filtered.take(&(0..filtered.num_rows()).rev().step_by(2).collect::<Vec<_>>());
+        let cache = StatsCache::default();
+        for view in [&frame, &small, &filtered, &nested] {
+            for name in WIDE {
+                let cells: Vec<Value> =
+                    (0..view.num_rows()).map(|i| view.value(i, name).unwrap()).collect();
+                prop_assert_eq!(&*cache.histogram(view, name).unwrap(), &Histogram::from_values(&cells));
+                prop_assert_eq!(
+                    &*cache.group_sizes(view, name).unwrap(),
+                    &view.groups(name).unwrap().sizes()
+                );
+            }
+        }
+    }
+
     /// For arbitrary frames, histograms / group sizes / summaries served by the cache
     /// (both the cold, computing lookup and the warm, cached one) are value-identical
     /// to freshly computed statistics.
