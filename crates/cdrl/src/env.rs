@@ -537,8 +537,8 @@ mod tests {
                 "a step computed {delta} fresh statistics (bound {per_step_bound})"
             );
         }
-        // Replaying the identical episode recomputes nothing: views have identical
-        // content, so every statistic is a fingerprint-keyed cache hit.
+        // Replaying the identical episode recomputes nothing: the op memo hands back
+        // the same views, so every statistic is a hit on their storage and selection.
         let cold = env.shared_stats().stats.stats();
         env.reset();
         for action in ops.iter().cloned() {

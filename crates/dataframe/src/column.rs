@@ -4,10 +4,11 @@
 //! the cells live in a shared [`ColumnData`] — `Vec<i64>` / `Vec<f64>` / dictionary-
 //! encoded strings / boxed `Value`s as a fallback — plus an optional [`NullMask`],
 //! instead of one boxed [`Value`] per cell (see the `data` module docs for the layout
-//! and the lossless-compaction rules). A column may additionally carry a **selection**
-//! — a shared `Arc<[u32]>` of row indices into that storage — in which case it is a
-//! zero-copy *view* of a subset (or reordering) of the rows. Filter and row-take
-//! operations build selections instead of gathering cells.
+//! and the lossless-compaction rules), under an id unique within the process. A column
+//! may additionally carry a **selection** — shared row indices into that storage,
+//! with their digest — in which case it is a zero-copy *view* of a subset (or
+//! reordering) of the rows. Filter and row-take operations build selections instead
+//! of gathering cells.
 //!
 //! Access surface:
 //!
@@ -24,6 +25,7 @@
 //! primitive slices with the RHS resolved once; predicates over dictionary columns
 //! evaluate once per *distinct* string and then scan codes.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -39,14 +41,76 @@ use crate::value::Value;
 pub struct Column {
     name: Arc<str>,
     dtype: DataType,
-    data: Arc<ColumnData>,
-    /// Null bitmap over **storage** rows, present only for typed variants with nulls
-    /// (`Mixed` keeps `Value::Null` inline and never carries a mask).
-    nulls: Option<Arc<NullMask>>,
+    storage: Arc<Storage>,
     /// When present, the visible rows: indices into the storage, in view order. All
     /// indices are in bounds by construction (out-of-range gathers materialize
     /// instead).
-    sel: Option<Arc<[u32]>>,
+    sel: Option<Arc<Selection>>,
+}
+
+/// A column's cells — the typed data and its null mask — under an id unique within
+/// the process.
+///
+/// Views, clones and `select`s share their column's storage and so its id; every
+/// operation that builds cells builds a new storage with a new id, and appending in
+/// place ([`Column::push`]) takes a new id too. The id is drawn from a counter, never
+/// derived from an address, so a statistic cached under it (see
+/// [`crate::stats_cache`]) can never be served for other cells.
+#[derive(Debug)]
+pub(crate) struct Storage {
+    id: u64,
+    data: ColumnData,
+    /// Null bitmap over storage rows, present only for typed variants with nulls
+    /// (`Mixed` keeps `Value::Null` inline and never carries a mask).
+    nulls: Option<NullMask>,
+}
+
+/// The next storage id.
+fn next_storage_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Storage {
+    fn new(data: ColumnData, nulls: Option<NullMask>) -> Storage {
+        Storage {
+            id: next_storage_id(),
+            data,
+            nulls,
+        }
+    }
+}
+
+impl Clone for Storage {
+    /// A copy is new storage, with an id of its own.
+    fn clone(&self) -> Storage {
+        Storage::new(self.data.clone(), self.nulls.clone())
+    }
+}
+
+/// A view's visible rows — storage indices in view order — with their digest
+/// ([`crate::fingerprint::selection_digest`]), computed once when the selection is
+/// built and shared by every column that carries it.
+#[derive(Debug)]
+pub(crate) struct Selection {
+    rows: Box<[u32]>,
+    digest: u64,
+}
+
+impl FromIterator<u32> for Selection {
+    fn from_iter<I: IntoIterator<Item = u32>>(rows: I) -> Selection {
+        let rows: Box<[u32]> = rows.into_iter().collect();
+        let digest = crate::fingerprint::selection_digest(&rows);
+        Selection { rows, digest }
+    }
+}
+
+impl std::ops::Deref for Selection {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.rows
+    }
 }
 
 impl PartialEq for Column {
@@ -57,15 +121,10 @@ impl PartialEq for Column {
         // Fast path: shared storage + identical selection means identical contents —
         // no cell walk. (Columns cloned from one another, or views taken from the
         // same parent with the same memoized selection, hit this.)
-        let nulls_shared = match (&self.nulls, &other.nulls) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if Arc::ptr_eq(&self.data, &other.data) && nulls_shared {
+        if Arc::ptr_eq(&self.storage, &other.storage) {
             let sel_same = match (&self.sel, &other.sel) {
                 (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a.rows == b.rows,
                 _ => false,
             };
             if sel_same {
@@ -103,8 +162,7 @@ impl Column {
         Column {
             name: Arc::from(name.into()),
             dtype,
-            data: Arc::new(ColumnData::Mixed(values)),
-            nulls: None,
+            storage: Arc::new(Storage::new(ColumnData::Mixed(values), None)),
             sel: None,
         }
     }
@@ -115,8 +173,7 @@ impl Column {
         Column {
             name,
             dtype,
-            data: Arc::new(data),
-            nulls: nulls.map(Arc::new),
+            storage: Arc::new(Storage::new(data, nulls)),
             sel: None,
         }
     }
@@ -140,7 +197,7 @@ impl Column {
     pub fn len(&self) -> usize {
         match &self.sel {
             Some(sel) => sel.len(),
-            None => self.data.len(),
+            None => self.storage.data.len(),
         }
     }
 
@@ -158,25 +215,25 @@ impl Column {
     /// ([`Column::is_contiguous`] is false) this includes rows the selection hides —
     /// resolve through [`Column::sel_indices`] or use [`Column::cells`] instead.
     pub fn data(&self) -> &ColumnData {
-        &self.data
+        &self.storage.data
     }
 
     /// The null bitmap over storage rows, when the typed storage carries one.
     /// `Mixed` storage keeps nulls inline and always returns `None` here.
     pub fn null_mask(&self) -> Option<&NullMask> {
-        self.nulls.as_deref()
+        self.storage.nulls.as_ref()
     }
 
     /// The visible rows as storage indices, when this column is a view.
     pub fn sel_indices(&self) -> Option<&[u32]> {
-        self.sel.as_deref()
+        self.sel.as_deref().map(|sel| &sel.rows[..])
     }
 
     /// The visible cells as an `&[i64]` slice: contiguous integer-typed columns only
     /// (views return `None` — their storage includes hidden rows). Null positions
     /// hold a placeholder; consult [`Column::null_mask`].
     pub fn as_i64s(&self) -> Option<&[i64]> {
-        match (&self.sel, self.data.as_ref()) {
+        match (&self.sel, &self.storage.data) {
             (None, ColumnData::I64(xs)) => Some(xs),
             _ => None,
         }
@@ -185,7 +242,7 @@ impl Column {
     /// The visible cells as an `&[f64]` slice: contiguous float-typed columns only
     /// (same contract as [`Column::as_i64s`]).
     pub fn as_f64s(&self) -> Option<&[f64]> {
-        match (&self.sel, self.data.as_ref()) {
+        match (&self.sel, &self.storage.data) {
             (None, ColumnData::F64(xs)) => Some(xs),
             _ => None,
         }
@@ -194,7 +251,7 @@ impl Column {
     /// The visible cells as dictionary codes plus the dictionary: contiguous
     /// dictionary-encoded string columns only (same contract as [`Column::as_i64s`]).
     pub fn as_dict(&self) -> Option<(&[u32], &[Arc<str>])> {
-        match (&self.sel, self.data.as_ref()) {
+        match (&self.sel, &self.storage.data) {
             (None, ColumnData::Dict { codes, dict }) => Some((codes, dict)),
             _ => None,
         }
@@ -205,9 +262,9 @@ impl Column {
     /// inline, strings borrow the dictionary.
     pub fn cells(&self) -> impl ExactSizeIterator<Item = ValueRef<'_>> + '_ {
         Cells {
-            data: &self.data,
-            nulls: self.nulls.as_deref(),
-            sel: self.sel.as_deref(),
+            data: &self.storage.data,
+            nulls: self.storage.nulls.as_ref(),
+            sel: self.sel_indices(),
             pos: 0,
             len: self.len(),
         }
@@ -219,7 +276,7 @@ impl Column {
             return None;
         }
         let si = self.storage_index(idx);
-        Some(self.data.value_ref(si, self.nulls.as_deref()))
+        Some(self.storage.data.value_ref(si, self.storage.nulls.as_ref()))
     }
 
     /// Value at a (visible) row index — compat shim materializing an owned [`Value`]
@@ -230,12 +287,12 @@ impl Column {
 
     /// Number of null values among the visible rows.
     pub fn null_count(&self) -> usize {
-        match self.data.as_ref() {
+        match &self.storage.data {
             ColumnData::Mixed(vs) => match &self.sel {
                 None => vs.iter().filter(|v| v.is_null()).count(),
                 Some(sel) => sel.iter().filter(|&&i| vs[i as usize].is_null()).count(),
             },
-            _ => match (self.nulls.as_deref(), &self.sel) {
+            _ => match (self.storage.nulls.as_ref(), &self.sel) {
                 (None, _) => 0,
                 (Some(m), None) => m.null_count(),
                 (Some(m), Some(sel)) => sel.iter().filter(|&&i| m.is_null(i as usize)).count(),
@@ -247,7 +304,7 @@ impl Column {
     /// codes) directly; `Mixed` falls back to a borrowed-key pass.
     pub fn n_unique(&self) -> usize {
         use std::collections::HashSet;
-        match self.data.as_ref() {
+        match &self.storage.data {
             ColumnData::I64(xs) => {
                 let mut seen: HashSet<i64> = HashSet::new();
                 self.for_each_non_null_storage(|si| {
@@ -282,21 +339,32 @@ impl Column {
     }
 
     /// The selection, when this column is a view (indices into the shared storage).
-    pub(crate) fn selection(&self) -> Option<&Arc<[u32]>> {
+    pub(crate) fn selection(&self) -> Option<&Arc<Selection>> {
         self.sel.as_ref()
+    }
+
+    /// The id of this column's storage, shared by every view, clone and `select` of
+    /// it (see [`Storage`]).
+    pub(crate) fn storage_id(&self) -> u64 {
+        self.storage.id
+    }
+
+    /// The digest of the visible rows when this column is a view; `None` when the
+    /// visible rows are the whole storage.
+    pub(crate) fn selection_digest(&self) -> Option<u64> {
+        self.sel.as_ref().map(|sel| sel.digest)
     }
 
     /// A view of this column restricted to `sel` — **storage** indices, already
     /// composed through any existing selection and verified in bounds by the caller
     /// ([`crate::DataFrame::take`] composes once per distinct parent selection and
     /// shares the result across columns).
-    pub(crate) fn with_selection(&self, sel: Arc<[u32]>) -> Column {
-        debug_assert!(sel.iter().all(|&i| (i as usize) < self.data.len()));
+    pub(crate) fn with_selection(&self, sel: Arc<Selection>) -> Column {
+        debug_assert!(sel.iter().all(|&i| (i as usize) < self.storage.data.len()));
         Column {
             name: Arc::clone(&self.name),
             dtype: self.dtype,
-            data: Arc::clone(&self.data),
-            nulls: self.nulls.clone(),
+            storage: Arc::clone(&self.storage),
             sel: Some(sel),
         }
     }
@@ -313,19 +381,19 @@ impl Column {
     /// Whether the cell at a **storage** index is null (works for every variant).
     #[inline]
     pub(crate) fn is_null_storage(&self, si: usize) -> bool {
-        match self.data.as_ref() {
+        match &self.storage.data {
             ColumnData::Mixed(vs) => vs[si].is_null(),
-            _ => self.nulls.as_deref().is_some_and(|m| m.is_null(si)),
+            _ => self.storage.nulls.as_ref().is_some_and(|m| m.is_null(si)),
         }
     }
 
     /// Run `f` over the storage index of every visible **non-null** row, in row order.
     #[inline]
-    fn for_each_non_null_storage(&self, mut f: impl FnMut(usize)) {
-        let nulls = self.nulls.as_deref();
+    pub(crate) fn for_each_non_null_storage(&self, mut f: impl FnMut(usize)) {
+        let nulls = self.storage.nulls.as_ref();
         match &self.sel {
             None => {
-                for si in 0..self.data.len() {
+                for si in 0..self.storage.data.len() {
                     if !nulls.is_some_and(|m| m.is_null(si)) {
                         f(si);
                     }
@@ -350,12 +418,12 @@ impl Column {
     /// semantics).
     pub fn gather(&self, indices: &[usize]) -> Column {
         let n = self.len();
-        if indices.iter().all(|&i| i < n) && self.data.len() <= u32::MAX as usize {
-            let composed: Arc<[u32]> = match &self.sel {
+        if indices.iter().all(|&i| i < n) && self.storage.data.len() <= u32::MAX as usize {
+            let composed: Selection = match &self.sel {
                 Some(sel) => indices.iter().map(|&i| sel[i]).collect(),
                 None => indices.iter().map(|&i| i as u32).collect(),
             };
-            return self.with_selection(composed);
+            return self.with_selection(Arc::new(composed));
         }
         let values = indices
             .iter()
@@ -373,8 +441,8 @@ impl Column {
             None => return self.clone(),
             Some(sel) => sel,
         };
-        let gathered_mask = || -> Option<Arc<NullMask>> {
-            let m = self.nulls.as_deref()?;
+        let gathered_mask = || -> Option<NullMask> {
+            let m = self.storage.nulls.as_ref()?;
             let mut out = NullMask::new_empty(sel.len());
             let mut any = false;
             for (vis, &si) in sel.iter().enumerate() {
@@ -383,9 +451,9 @@ impl Column {
                     any = true;
                 }
             }
-            any.then(|| Arc::new(out))
+            any.then_some(out)
         };
-        let (data, nulls) = match self.data.as_ref() {
+        let (data, nulls) = match &self.storage.data {
             ColumnData::I64(xs) => (
                 ColumnData::I64(sel.iter().map(|&i| xs[i as usize]).collect()),
                 gathered_mask(),
@@ -409,8 +477,7 @@ impl Column {
         Column {
             name: Arc::clone(&self.name),
             dtype: self.dtype,
-            data: Arc::new(data),
-            nulls,
+            storage: Arc::new(Storage::new(data, nulls)),
             sel: None,
         }
     }
@@ -420,7 +487,7 @@ impl Column {
     pub fn sum(&self) -> f64 {
         // -0.0 accumulator start: bit-identical to `Iterator::sum::<f64>()` (whose
         // fold identity is -0.0) even when no numeric cells exist.
-        match self.data.as_ref() {
+        match &self.storage.data {
             ColumnData::I64(xs) => {
                 let mut s = -0.0f64;
                 self.for_each_non_null_storage(|si| s += xs[si] as f64);
@@ -440,7 +507,7 @@ impl Column {
     /// intermediate buffer.
     pub fn mean(&self) -> Option<f64> {
         let (mut sum, mut count) = (0.0f64, 0usize);
-        match self.data.as_ref() {
+        match &self.storage.data {
             ColumnData::I64(xs) => self.for_each_non_null_storage(|si| {
                 sum += xs[si] as f64;
                 count += 1;
@@ -477,7 +544,7 @@ impl Column {
     }
 
     fn min_max(&self, want_min: bool) -> Option<Value> {
-        match self.data.as_ref() {
+        match &self.storage.data {
             ColumnData::I64(xs) => {
                 let mut best: Option<i64> = None;
                 self.for_each_non_null_storage(|si| {
@@ -550,22 +617,24 @@ impl Column {
             *self = self.materialize();
         }
         let fits = matches!(
-            (self.data.as_ref(), &value),
+            (&self.storage.data, &value),
             (ColumnData::I64(_), Value::Int(_) | Value::Null)
                 | (ColumnData::F64(_), Value::Float(_) | Value::Null)
                 | (ColumnData::Dict { .. }, Value::Str(_) | Value::Null)
                 | (ColumnData::Mixed(_), _)
         );
         if !fits {
-            let mut values = self.data.to_values(self.nulls.as_deref());
+            let mut values = self.storage.data.to_values(self.storage.nulls.as_ref());
             values.push(value);
             let (data, nulls) = ColumnData::compact(values);
-            self.data = Arc::new(data);
-            self.nulls = nulls.map(Arc::new);
+            self.storage = Arc::new(Storage::new(data, nulls));
             return;
         }
         let is_null = value.is_null();
-        match (Arc::make_mut(&mut self.data), value) {
+        let storage = Arc::make_mut(&mut self.storage);
+        // Appending in place changes the cells, so the storage takes a new id.
+        storage.id = next_storage_id();
+        match (&mut storage.data, value) {
             (ColumnData::Mixed(vs), v) => {
                 vs.push(v);
                 return; // nulls stay inline in Mixed; no mask to maintain
@@ -590,12 +659,12 @@ impl Column {
             _ => unreachable!("push fit check covers every variant"),
         }
         // Typed append: extend (or create) the null mask to cover the new row.
-        match &mut self.nulls {
-            Some(m) => Arc::make_mut(m).push(is_null),
+        match &mut storage.nulls {
+            Some(m) => m.push(is_null),
             None if is_null => {
-                let mut m = NullMask::new_empty(self.data.len() - 1);
+                let mut m = NullMask::new_empty(storage.data.len() - 1);
                 m.push(true);
-                self.nulls = Some(Arc::new(m));
+                storage.nulls = Some(m);
             }
             None => {}
         }
@@ -611,7 +680,7 @@ impl Column {
     pub(crate) fn filter_indices(&self, op: CompareOp, term: &Value) -> Vec<usize> {
         let null_match = op.eval(&Value::Null, term);
         let mut out = Vec::new();
-        match self.data.as_ref() {
+        match &self.storage.data {
             ColumnData::I64(xs) => self.scan_numeric(
                 xs,
                 |x| x as f64,
@@ -713,7 +782,7 @@ impl Column {
         pred: impl Fn(T) -> bool,
         out: &mut Vec<usize>,
     ) {
-        match (&self.sel, self.nulls.as_deref()) {
+        match (&self.sel, self.storage.nulls.as_ref()) {
             (None, None) => {
                 for (i, &x) in xs.iter().enumerate() {
                     if pred(x) {
@@ -761,10 +830,10 @@ impl Column {
             }
             return;
         }
-        let nulls = self.nulls.as_deref();
+        let nulls = self.storage.nulls.as_ref();
         match &self.sel {
             None => {
-                for i in 0..self.data.len() {
+                for i in 0..self.storage.data.len() {
                     let is_null = nulls.is_some_and(|m| m.is_null(i));
                     if (is_null && null_match) || (!is_null && non_null_match) {
                         out.push(i);
@@ -785,8 +854,12 @@ impl Column {
     /// Approximate resident bytes of this column's storage: typed vectors (or boxed
     /// cells), the null bitmap, and the selection. Distinct strings count once.
     pub fn approx_data_bytes(&self) -> u64 {
-        self.data.approx_bytes()
-            + self.nulls.as_deref().map_or(0, NullMask::approx_bytes)
+        self.storage.data.approx_bytes()
+            + self
+                .storage
+                .nulls
+                .as_ref()
+                .map_or(0, NullMask::approx_bytes)
             + self.sel.as_deref().map_or(0, |s| (s.len() * 4) as u64)
     }
 }

@@ -29,7 +29,7 @@
 //! variant, same bits, same interned string). That is the property that keeps
 //! [`crate::DataFrame::fingerprint`] — which hashes a canonical per-cell byte stream —
 //! bit-identical to the seed `Value`-path hashes, so every fingerprint-keyed cache
-//! (stats cache, engine result cache, persistent disk tier) keeps its keys across this
+//! (engine result cache, persistent disk tier) keeps its keys across this
 //! representation change and the persistence `FORMAT_VERSION` does not need to bump
 //! (proptest-enforced in `tests/columns.rs`).
 

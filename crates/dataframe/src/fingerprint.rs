@@ -1,11 +1,15 @@
-//! Stable content fingerprints.
+//! Stable content fingerprints, and the digest of a view's selection.
 //!
 //! The exploration service (`linx-engine`) keys its result cache by dataset content, so
 //! the dataframe needs a hash that is (a) stable across runs and platforms — unlike
 //! `std::collections::hash_map::DefaultHasher`, which is randomly seeded per process —
 //! and (b) cheap relative to an exploration run. This module provides a tiny FNV-1a
 //! hasher plus column/frame fingerprints built on it; a fingerprint scan is linear in
-//! the data and vastly cheaper than the exploration run whose result it keys.
+//! the data and vastly cheaper than the exploration run whose result it keys. It is
+//! taken of root datasets — routing, request keys, the disk tier — and of no view:
+//! the statistics cache keys a view by its storage's id and `selection_digest`
+//! instead, which hashes row indices once per selection rather than every cell once
+//! per frame.
 
 use crate::column::Column;
 use crate::data::ColumnData;
@@ -81,7 +85,7 @@ pub fn write_value(h: &mut Fnv1a, v: &Value) {
 ///
 /// Iteration resolves through the column's selection when it is a view, so a view and
 /// its materialized copy absorb bit-identical byte streams — the invariant that keeps
-/// every fingerprint-keyed cache (stats cache, engine result cache, disk tier) valid
+/// every fingerprint-keyed cache (engine result cache, disk tier) valid
 /// across the zero-copy representation (proptest-verified in `tests/views.rs`).
 ///
 /// Typed storage hashes per-variant without materializing a [`Value`] per cell, but
@@ -99,6 +103,21 @@ pub fn column_fingerprint(column: &Column) -> u64 {
     h.write_u64(column.len() as u64);
     hash_cells(&mut h, column);
     h.finish()
+}
+
+/// The digest of a view's selection: its length, then every storage row index in
+/// view order, one multiply per index.
+///
+/// It keys statistics within one process only (with the storage's id, see
+/// [`crate::stats_cache`]), so unlike the fingerprints above it need not be stable
+/// across versions.
+pub(crate) fn selection_digest(rows: &[u32]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (rows.len() as u64).wrapping_mul(K);
+    for &row in rows {
+        h = (h.rotate_left(26) ^ u64::from(row)).wrapping_mul(K);
+    }
+    h ^ (h >> 29)
 }
 
 /// Absorb every visible cell of `column` in row order, emitting the canonical

@@ -5,22 +5,23 @@
 //!
 //! Row-subsetting operations — [`DataFrame::filter`], [`DataFrame::take`],
 //! [`DataFrame::head`] — are **zero-copy**: they return a frame whose columns share
-//! the parent's cell storage under a shared `Arc<[u32]>` row selection instead of
-//! gathering cells (see [`crate::column`]). Every consumer (group-by, histograms,
+//! the parent's cell storage under a shared row selection instead of gathering cells
+//! (see [`crate::column`]). Every consumer (group-by, histograms,
 //! distinct values, row/value access, aggregates) resolves through the selection, and
 //! chains of views stay one indirection deep: composing a view of a view flattens the
 //! selections. [`DataFrame::materialize`] produces a contiguous frame for the few
 //! places that genuinely need one.
 //!
 //! [`DataFrame::fingerprint`] hashes cells *through the selection in row order*, so a
-//! view's fingerprint is bit-identical to its materialized equivalent — every
-//! content-keyed cache (the stats cache, the engine's result cache and disk tier)
-//! therefore keys views and materialized frames identically.
+//! view's fingerprint is bit-identical to its materialized equivalent. It is taken of
+//! root datasets — routing, the engine's request keys and disk tier — and of no view:
+//! the [`crate::StatsCache`] keys a view's columns by their storage id and the digest
+//! of the view's selection, computed once when the selection is built.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::column::Column;
+use crate::column::{Column, Selection};
 use crate::error::{DataFrameError, Result};
 use crate::filter::Predicate;
 use crate::groupby::{AggFunc, Groups};
@@ -38,9 +39,8 @@ use crate::value::Value;
 pub struct DataFrame {
     columns: Vec<Arc<Column>>,
     /// Memoized content fingerprint. A frame is immutable after construction, so the
-    /// first computed value stays valid; clones share it, which turns the repeated
-    /// per-view fingerprints taken by [`crate::stats_cache::StatsCache`] lookups into
-    /// a single linear scan per distinct frame.
+    /// first computed value stays valid; clones share it, so a dataset is scanned once
+    /// however often it is routed or keyed.
     fp: Arc<OnceLock<u64>>,
 }
 
@@ -118,8 +118,8 @@ impl DataFrame {
     /// key persistent or cross-process caches — the `linx-engine` result cache keys
     /// exploration results by `(dataset fingerprint, goal, config)`. Cost is one linear
     /// scan of the data the first time; the value is memoized (and shared by clones),
-    /// so repeated calls — e.g. per-column [`crate::stats_cache::StatsCache`] lookups
-    /// against the same view — are O(1) thereafter.
+    /// so repeated calls are O(1) thereafter. Statistics never need it: the
+    /// [`crate::StatsCache`] keys on storage ids and selection digests.
     pub fn fingerprint(&self) -> u64 {
         *self.fp.get_or_init(|| {
             let mut h = crate::fingerprint::Fnv1a::new();
@@ -204,23 +204,23 @@ impl DataFrame {
         }
         // Compose the new selection through each column's existing one, memoized by
         // selection identity so ptr-equal parents share one composed Arc.
-        let mut contiguous: Option<Arc<[u32]>> = None;
-        let mut composed: Vec<(*const u32, Arc<[u32]>)> = Vec::new();
+        let mut contiguous: Option<Arc<Selection>> = None;
+        let mut composed: Vec<(*const Selection, Arc<Selection>)> = Vec::new();
         let columns = self
             .columns
             .iter()
             .map(|c| {
                 let sel = match c.selection() {
-                    None => Arc::clone(
-                        contiguous
-                            .get_or_insert_with(|| indices.iter().map(|&i| i as u32).collect()),
-                    ),
+                    None => Arc::clone(contiguous.get_or_insert_with(|| {
+                        Arc::new(indices.iter().map(|&i| i as u32).collect())
+                    })),
                     Some(parent) => {
-                        let key = parent.as_ptr();
+                        let key = Arc::as_ptr(parent);
                         match composed.iter().find(|(k, _)| *k == key) {
                             Some((_, arc)) => Arc::clone(arc),
                             None => {
-                                let arc: Arc<[u32]> = indices.iter().map(|&i| parent[i]).collect();
+                                let arc: Arc<Selection> =
+                                    Arc::new(indices.iter().map(|&i| parent[i]).collect());
                                 composed.push((key, Arc::clone(&arc)));
                                 arc
                             }
@@ -247,7 +247,8 @@ impl DataFrame {
     ///
     /// Content — and therefore [`DataFrame::fingerprint`] — is identical by
     /// construction, so the memoized fingerprint is *shared* with the view: callers
-    /// that materialize never pay a second fingerprint scan. Needed only where
+    /// that materialize never pay a second fingerprint scan. The copy is new storage,
+    /// so the [`crate::StatsCache`] computes its statistics afresh. Needed only where
     /// downstream code wants contiguous cell storage (e.g. the CSV writer); every
     /// query operation and statistic works on views directly.
     pub fn materialize(&self) -> DataFrame {

@@ -26,8 +26,9 @@
 //!   ([`groupby::AggFunc`]),
 //! * value histograms, entropy, and KL-divergence helpers ([`stats`]) used by the
 //!   generic exploration reward,
-//! * a sharded, fingerprint-keyed statistics cache ([`stats_cache`]) memoizing
-//!   histograms, groupings, and per-column summaries across reward computations, and
+//! * a sharded statistics cache ([`stats_cache`]), keyed by column storage and
+//!   selection, memoizing histograms, groupings, and per-column summaries across
+//!   reward computations, and
 //! * a small CSV reader/writer ([`csv`]) so real Kaggle exports can be loaded when
 //!   available.
 //!
@@ -35,8 +36,8 @@
 //!
 //! [`DataFrame::fingerprint`] hashes *content* (FNV-1a over column names, types, and
 //! values — never pointers or names), is memoized, and is identical across clones and
-//! processes. Every cache built on it — the [`stats_cache`] here, the result cache
-//! and consistent-hash shard placement in `linx-engine` — inherits the consequence:
+//! processes. Everything keyed on it — the result cache, the disk tier and
+//! consistent-hash shard placement in `linx-engine` — inherits the consequence:
 //! moving a dataset between processes or shards can at worst miss a warm cache; it
 //! can never be served a stale entry, because changed content is a changed key.
 //!
@@ -44,6 +45,12 @@
 //! selection in row order* and is therefore bit-identical to its materialized
 //! equivalent ([`DataFrame::materialize`]) — so the zero-copy representation never
 //! changes a cache key, in memory or on disk.
+//!
+//! The [`stats_cache`] lives in one process and keys on storage instead: every
+//! column's cells carry an id drawn from a process-wide counter, shared by the
+//! column's views and clones and never reused for other cells, so a statistic is
+//! never served for cells it was not computed from, whichever datasets share the
+//! cache.
 //!
 //! # Example
 //!

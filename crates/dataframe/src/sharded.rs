@@ -190,6 +190,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         found
     }
 
+    /// Look up a key, refreshing its recency, without counting a hit or a miss: for
+    /// lookups a cache makes on its own behalf rather than for a caller.
+    pub(crate) fn peek(&self, key: &K) -> Option<V> {
+        if self.per_shard_capacity == 0 {
+            return None;
+        }
+        self.shard_for(key).lock().expect("cache lock").get(key)
+    }
+
     /// Insert a key at unit weight, evicting least-recently-used entries if full.
     pub fn insert(&self, key: K, value: V) {
         self.insert_weighted(key, value, 1);

@@ -1,21 +1,37 @@
-//! View-level statistics cache: fingerprint-keyed memoization of [`Histogram`]s,
-//! group sizes, and per-column summary statistics.
+//! View-level statistics cache: memoized [`Histogram`]s, group sizes, and per-column
+//! summary statistics, keyed by the column's storage and selection.
 //!
 //! Profiling the CDRL training loop shows that once op execution is memoized, the
 //! remaining hot path is the generic exploration reward `R_gen` (paper §5.1), which
-//! rebuilds per-column histograms and groupings from scratch on every step. Those
-//! statistics depend only on the *content* of a view's column, and views recur
-//! massively across reward calls — every episode revisits the same filtered views, the
-//! featurizer re-summarizes the same columns, and batched goals over one dataset share
-//! whole view prefixes. A [`StatsCache`] keys each statistic by
-//! `(DataFrame::fingerprint, column)` — stable across runs, processes, and frame
-//! clones — so each distinct `(view, column)` statistic is computed once per dataset.
+//! rebuilds per-column histograms and groupings from scratch on every step. Views
+//! recur massively across reward calls — every episode revisits the same filtered
+//! views (the op memo hands back the same view), the featurizer re-summarizes the
+//! same columns, and batched goals over one dataset share whole view prefixes. A
+//! [`StatsCache`] keys each statistic by `(kind, storage id, selection digest)`: the
+//! id of the column's storage, which every view, clone and `select` of a column
+//! shares and which new cells never reuse, and a digest of the view's selection
+//! computed once when the selection is built. A lookup never hashes a cell, and no
+//! view is ever fingerprinted.
+//!
+//! Storage ids are unique within the process, so one cache is safe to share across
+//! datasets, and a statistic can never be served for other cells. Content is no
+//! longer shared across storages: a frame rebuilt with equal cells, or a materialized
+//! view, has new storage and computes its statistics once more.
+//!
+//! Histograms and group sizes of typed storage are counted over the storage's codes
+//! (see [`crate::stats`]). The codes ride on the histogram of the whole storage, the
+//! entry keyed by the storage with no selection: it builds them when the storage's
+//! first view or grouping is counted, and is charged again for them then. A view's
+//! lookup reaches that entry without counting a hit or a miss, and computes it on the
+//! way when it is absent. Building a context, which asks only for whole columns'
+//! histograms, builds no codes.
 //!
 //! The store is a [`ShardedLru`] (the same structure behind the engine's result
 //! cache): keys spread over independently locked shards, exact per-shard LRU eviction,
 //! global hit/miss/eviction counters. Entries are `Arc`-shared, so a cache hit is a
-//! pointer bump, never a histogram clone, and keys fold the column name through the
-//! same stable FNV-1a as the frame fingerprint, so a lookup allocates nothing.
+//! pointer bump, never a histogram clone. A lookup of a column the frame lacks
+//! returns the error before any key is built, touching neither the store nor the
+//! counters.
 //!
 //! The cache is memory-only: a miss recomputes. A statistic is cheap to rebuild
 //! (well under a millisecond a column at 2k rows) next to persisting it as a file
@@ -23,12 +39,12 @@
 
 use std::sync::Arc;
 
+use crate::column::Column;
 use crate::error::Result;
-use crate::fingerprint::Fnv1a;
 use crate::frame::DataFrame;
+use crate::groupby::Groups;
 use crate::sharded::ShardedLru;
 use crate::stats::Histogram;
-use crate::value::Value;
 
 /// Point-in-time cache effectiveness counters — the sharded store's own counters,
 /// re-exported under a statistics-cache name for telemetry consumers (`OpMemoStats`
@@ -65,19 +81,15 @@ pub(crate) enum StatValue {
 
 impl StatValue {
     /// Approximate resident payload bytes: what this entry charges against the
-    /// cache's byte budget. Counts the dominant terms — one flat `(value, count)`
-    /// entry per distinct value (plus interned-string lengths) for histograms, one
-    /// `usize` per group for group sizes — not exact allocator overhead; the budget
-    /// is a bound, not an audit.
+    /// cache's byte budget. Counts the dominant terms — a histogram's entries, and the
+    /// codes and distinct values of a whole storage's histogram; one `usize` per group
+    /// for group sizes — not exact allocator overhead; the budget is a bound, not an
+    /// audit.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        /// One histogram entry: the `(value, count)` pair plus any string payload
-        /// (interned, so shared — counted anyway as the conservative upper bound).
-        fn entry_bytes(v: &Value) -> u64 {
-            (std::mem::size_of::<(Value, usize)>() + v.as_str().map_or(0, str::len)) as u64
-        }
+        const ARC: u64 = 16; // an `Arc`'s counts
         const HEADER: u64 = 32; // the payload's own struct and `Arc` header, roughly
         match self {
-            StatValue::Hist(h) => HEADER + h.iter().map(|(v, _)| entry_bytes(v)).sum::<u64>(),
+            StatValue::Hist(h) => ARC + h.approx_bytes(),
             StatValue::Sizes(s) => HEADER + (s.len() * std::mem::size_of::<usize>()) as u64,
             StatValue::Summary(_) => HEADER + std::mem::size_of::<ColumnSummary>() as u64,
         }
@@ -96,40 +108,34 @@ pub(crate) enum StatKind {
     Summary,
 }
 
-/// Cache key: statistic kind + frame content fingerprint + column-name fingerprint.
-///
-/// The column name is folded in with the same stable FNV-1a the frame fingerprint
-/// uses, so keys are `Copy` and a lookup performs no allocation — the same
-/// content-addressing trade-off the engine's result cache already makes with its
-/// 64-bit request fingerprints.
+/// Cache key: statistic kind, the column's storage id, and its selection's digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct StatKey {
     /// The statistic kind this key addresses.
     kind: StatKind,
-    /// The frame's content fingerprint ([`DataFrame::fingerprint`]).
-    frame_fp: u64,
-    /// Stable FNV-1a fingerprint of the column name.
-    column_fp: u64,
+    /// The id of the column's storage.
+    storage: u64,
+    /// The digest of the column's selection; `None` when the column shows its whole
+    /// storage.
+    selection: Option<u64>,
 }
 
 impl StatKey {
-    /// The key of `kind` for `column` of `frame`.
-    fn new(kind: StatKind, frame: &DataFrame, column: &str) -> StatKey {
-        let mut h = Fnv1a::new();
-        h.write_str(column);
+    /// The key of `kind` for `column`'s visible rows.
+    fn new(kind: StatKind, column: &Column) -> StatKey {
         StatKey {
             kind,
-            frame_fp: frame.fingerprint(),
-            column_fp: h.finish(),
+            storage: column.storage_id(),
+            selection: column.selection_digest(),
         }
     }
 }
 
 /// A sharded, thread-safe cache of per-`(view, column)` statistics.
 ///
-/// Keyed by [`DataFrame::fingerprint`], so two views with identical content share
-/// entries no matter how they were produced, and a view whose content differs — even
-/// by one cell — can never be served a stale statistic.
+/// Keyed by the column's storage id and selection digest (see the module docs), so a
+/// view, its clones and every frame that `select`s its columns share entries, and
+/// cells built anew never meet an entry of other cells.
 ///
 /// Capacity is a budget of **approximate payload bytes**: a [`Histogram`] of a
 /// per-row-unique column weighs O(rows) and is charged accordingly, so heavy entries
@@ -164,43 +170,81 @@ impl StatsCache {
         }
     }
 
-    /// Generic lookup-or-compute: memory first, then `compute`. `compute` runs
-    /// outside any lock; errors are returned, never cached (a missing column should
-    /// fail again, not poison an entry).
-    fn get_or_compute(
-        &self,
-        key: StatKey,
-        compute: impl FnOnce() -> Result<StatValue>,
-    ) -> Result<StatValue> {
+    /// Generic lookup-or-compute: memory first, then `compute`, which runs outside
+    /// any lock.
+    fn get_or_compute(&self, key: StatKey, compute: impl FnOnce() -> StatValue) -> StatValue {
         if let Some(entry) = self.store.get(&key) {
-            return Ok(entry);
+            return entry;
         }
-        let computed = compute()?;
-        self.store
-            .insert_weighted(key, computed.clone(), computed.approx_bytes());
-        Ok(computed)
+        let computed = compute();
+        self.insert(key, computed.clone());
+        computed
     }
 
-    /// The value histogram of `column` in `frame`, computed once per distinct frame
-    /// content. Errors (unknown column) are returned, never cached.
+    fn insert(&self, key: StatKey, value: StatValue) {
+        let weight = value.approx_bytes();
+        self.store.insert_weighted(key, value, weight);
+    }
+
+    /// The histogram of `column`'s whole storage with the storage's codes built:
+    /// looked up without counting (nobody asked for it), computed and cached when
+    /// absent, and charged again when it builds its codes. `None` for `Mixed`
+    /// storage.
+    fn whole(&self, column: &Column) -> Option<Arc<Histogram>> {
+        let key = StatKey {
+            kind: StatKind::Hist,
+            storage: column.storage_id(),
+            selection: None,
+        };
+        let whole = match self.store.peek(&key) {
+            Some(StatValue::Hist(h)) if h.has_codes() => return Some(h),
+            Some(StatValue::Hist(h)) => h,
+            _ => Arc::new(Histogram::whole(column)?),
+        };
+        if !whole.is_whole() {
+            return None;
+        }
+        whole.codes(column);
+        self.insert(key, StatValue::Hist(Arc::clone(&whole)));
+        Some(whole)
+    }
+
+    /// The value histogram of `column` in `frame`, computed once per storage and
+    /// selection. An unknown column is an error, never cached or counted.
     pub fn histogram(&self, frame: &DataFrame, column: &str) -> Result<Arc<Histogram>> {
-        let key = StatKey::new(StatKind::Hist, frame, column);
-        match self.get_or_compute(key, || {
-            Ok(StatValue::Hist(Arc::new(frame.histogram(column)?)))
-        })? {
-            StatValue::Hist(h) => Ok(h),
+        Ok(self.histogram_of(frame.column(column)?))
+    }
+
+    fn histogram_of(&self, col: &Column) -> Arc<Histogram> {
+        let entry = self.get_or_compute(StatKey::new(StatKind::Hist, col), || {
+            // A contiguous column's histogram is the whole storage's: no codes needed.
+            let whole = if col.is_contiguous() {
+                None
+            } else {
+                self.whole(col)
+            };
+            StatValue::Hist(Arc::new(match whole {
+                Some(whole) => whole.count_view(col),
+                None => Histogram::from_column(col),
+            }))
+        });
+        match entry {
+            StatValue::Hist(h) => h,
             _ => unreachable!("histogram key yields histogram entry"),
         }
     }
 
     /// The group sizes of `column` in `frame` (what the conciseness reward consumes),
-    /// computed once per distinct frame content: one `usize` per group, never the
-    /// per-row grouping itself.
+    /// computed once per storage and selection: one `usize` per group in
+    /// first-occurrence order, never the per-row grouping itself.
     pub fn group_sizes(&self, frame: &DataFrame, column: &str) -> Result<Arc<Vec<usize>>> {
-        let key = StatKey::new(StatKind::Sizes, frame, column);
-        let entry = self.get_or_compute(key, || {
-            Ok(StatValue::Sizes(Arc::new(frame.groups(column)?.sizes())))
-        })?;
+        let col = frame.column(column)?;
+        let entry = self.get_or_compute(StatKey::new(StatKind::Sizes, col), || {
+            StatValue::Sizes(Arc::new(match self.whole(col) {
+                Some(whole) => whole.group_sizes(col),
+                None => Groups::from_column(col).sizes(),
+            }))
+        });
         match entry {
             StatValue::Sizes(s) => Ok(s),
             _ => unreachable!("sizes key yields sizes entry"),
@@ -208,23 +252,22 @@ impl StatsCache {
     }
 
     /// Per-column summary statistics of `column` in `frame`, computed once per
-    /// distinct frame content.
+    /// storage and selection.
     pub fn summary(&self, frame: &DataFrame, column: &str) -> Result<Arc<ColumnSummary>> {
-        let key = StatKey::new(StatKind::Summary, frame, column);
-        let entry = self.get_or_compute(key, || {
-            let col = frame.column(column)?;
+        let col = frame.column(column)?;
+        let entry = self.get_or_compute(StatKey::new(StatKind::Summary, col), || {
             // Everything but the dtype comes from the cached histogram: the reward
             // path usually requested it already, so this is a pointer bump, not an
             // O(rows) pass.
-            let hist = self.histogram(frame, column)?;
-            Ok(StatValue::Summary(Arc::new(ColumnSummary {
+            let hist = self.histogram_of(col);
+            StatValue::Summary(Arc::new(ColumnSummary {
                 rows: col.len(),
                 n_distinct: hist.n_distinct(),
                 null_count: col.len() - hist.total(),
                 normalized_entropy: hist.normalized_entropy(),
                 numeric: col.dtype().is_numeric(),
-            })))
-        })?;
+            }))
+        });
         match entry {
             StatValue::Summary(s) => Ok(s),
             _ => unreachable!("summary key yields summary entry"),
@@ -240,6 +283,7 @@ impl StatsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn frame() -> DataFrame {
         DataFrame::from_rows(
@@ -316,6 +360,9 @@ mod tests {
         assert!(cache.group_sizes(&df, "missing").is_err());
         assert!(cache.summary(&df, "missing").is_err());
         assert_eq!(cache.stats().entries, 0);
+        // A column the frame lacks is no lookup: neither a hit nor a miss.
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 0));
     }
 
     #[test]

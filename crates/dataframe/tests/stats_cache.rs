@@ -122,26 +122,28 @@ proptest! {
         }
     }
 
-    /// A frame whose content differs — even by a single appended row — has a different
-    /// fingerprint, so the cache computes fresh statistics instead of reusing the
-    /// original frame's entries.
+    /// A frame whose content differs — even by a single appended row — is new
+    /// storage, so the cache computes fresh statistics instead of reusing the original
+    /// frame's entries. Entries key on storage, not content: a frame rebuilt with the
+    /// same cells is new storage too, and computes its statistic once more, equal to
+    /// the original's.
     #[test]
     fn changed_content_invalidates_entries(df in frame_strategy(), extra in value_strategy()) {
         let cache = StatsCache::default();
         let before = cache.histogram(&df, "k").unwrap();
 
-        // Same content, different construction: served from the same entry.
+        // Same content, different construction: new storage, one more computation.
         let rebuilt = DataFrame::from_rows(
             &["k", "v"],
             (0..df.num_rows()).map(|i| df.row(i)).collect(),
         ).unwrap();
         prop_assert_eq!(df.fingerprint(), rebuilt.fingerprint());
-        let hits_before = cache.stats().hits;
+        let misses_before = cache.stats().misses;
         let same = cache.histogram(&rebuilt, "k").unwrap();
         prop_assert_eq!(&*same, &*before);
-        prop_assert_eq!(cache.stats().hits, hits_before + 1);
+        prop_assert_eq!(cache.stats().misses, misses_before + 1);
 
-        // One extra row: different fingerprint, freshly computed statistic.
+        // One extra row: different content, freshly computed statistic.
         let mut rows: Vec<Vec<Value>> = (0..df.num_rows()).map(|i| df.row(i)).collect();
         rows.push(vec![extra, Value::Null]);
         let grown = DataFrame::from_rows(&["k", "v"], rows).unwrap();
@@ -153,7 +155,7 @@ proptest! {
     }
 
     /// The memoized `DataFrame::fingerprint` agrees across clones and row-wise
-    /// reconstruction (the property the whole cache keys on).
+    /// reconstruction (the property routing and the engine's result cache key on).
     #[test]
     fn fingerprint_memoization_is_content_stable(df in frame_strategy()) {
         let fp = df.fingerprint();

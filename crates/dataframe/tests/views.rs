@@ -12,6 +12,7 @@
 
 use linx_dataframe::filter::{CompareOp, Predicate};
 use linx_dataframe::groupby::AggFunc;
+use linx_dataframe::stats::Histogram;
 use linx_dataframe::{DataFrame, StatsCache, Value};
 use proptest::prelude::*;
 
@@ -151,10 +152,12 @@ proptest! {
         prop_assert_eq!(view.fingerprint(), view.materialize().fingerprint());
     }
 
-    /// The stats cache serves one shared entry for a view and its materialization:
-    /// same fingerprint, same key, no recomputation.
+    /// The stats cache keys a view by its storage and selection: a clone, a `select`
+    /// and an equal selection over the same storage share one entry, while a rebuilt
+    /// frame, a materialized view and a different selection each compute once. Every
+    /// answer equals the histogram of the view's own cells.
     #[test]
-    fn stats_cache_keys_views_and_materializations_identically(
+    fn stats_cache_shares_entries_within_one_storage(
         df in frame_strategy(),
         steps in prop::collection::vec(step_strategy(), 1..4),
     ) {
@@ -162,17 +165,29 @@ proptest! {
         for step in &steps {
             view = apply(&view, step, false);
         }
+        let n = view.num_rows();
+        let cells: Vec<Value> = (0..n).map(|i| view.value(i, "k").unwrap()).collect();
+        let reference = Histogram::from_values(&cells);
         let cache = StatsCache::default();
         let h_view = cache.histogram(&view, "k").unwrap();
-        // An independently built contiguous frame (fresh fingerprint memo) must hit
-        // the view's entry: same content, same key.
-        let independent = DataFrame::new(
-            view.columns().map(|c| c.materialize()).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let h_mat = cache.histogram(&independent, "k").unwrap();
-        prop_assert!(std::sync::Arc::ptr_eq(&h_view, &h_mat));
+        prop_assert_eq!(&*h_view, &reference);
+        let equal_selection = view.take(&(0..n).collect::<Vec<_>>());
+        for same in [view.clone(), view.select(&["k"]).unwrap(), equal_selection] {
+            prop_assert!(std::sync::Arc::ptr_eq(&h_view, &cache.histogram(&same, "k").unwrap()));
+        }
         let s = cache.stats();
-        prop_assert_eq!((s.misses, s.hits), (1, 1));
+        prop_assert_eq!((s.misses, s.hits), (1, 3));
+
+        let rebuilt = DataFrame::from_rows(&["k", "v"], rows_of(&view)).unwrap();
+        let reversed = view.take(&(0..n).rev().collect::<Vec<_>>());
+        let mut others = vec![rebuilt, view.materialize()];
+        if n >= 2 {
+            others.push(reversed);
+        }
+        for other in &others {
+            let misses = cache.stats().misses;
+            prop_assert_eq!(&*cache.histogram(other, "k").unwrap(), &reference);
+            prop_assert_eq!(cache.stats().misses, misses + 1);
+        }
     }
 }

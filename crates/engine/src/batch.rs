@@ -56,8 +56,8 @@ pub struct BatchOutcome {
     /// Effectiveness of the shared view memo for this batch's dataset.
     pub memo: OpMemoStats,
     /// Effectiveness of the shared view-statistics cache (reward histograms,
-    /// groupings, featurizer summaries). The cache is engine-wide (content-keyed,
-    /// shared across datasets), so these counters are cumulative for the engine,
+    /// groupings, featurizer summaries). The cache is engine-wide (keyed by column
+    /// storage, shared across datasets), so these counters are cumulative for the engine,
     /// snapshotted after this batch.
     pub stats: StatsCacheStats,
     /// Wall-clock microseconds for the whole batch.

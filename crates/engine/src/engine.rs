@@ -342,8 +342,8 @@ impl Engine {
     /// Precompute the shared per-dataset context (fingerprint, schema, sample, view
     /// memo, term inventory / featurizer). Submitting many goals against one context
     /// shares this work across them. Every context is handed the *engine-wide*
-    /// statistics cache (content-keyed, so cross-dataset sharing is safe and the
-    /// engine's byte budget is not multiplied per dataset). That cache lives in
+    /// statistics cache (keyed by column storage, so cross-dataset sharing is safe
+    /// and the engine's byte budget is not multiplied per dataset). That cache lives in
     /// memory only, so a context built in a fresh process computes its root-frame
     /// statistics afresh, whether or not a disk tier is mounted.
     pub(crate) fn dataset_context(&self, dataset: &DataFrame, dataset_id: &str) -> DatasetContext {

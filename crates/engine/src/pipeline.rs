@@ -65,8 +65,9 @@ impl DatasetContext {
 
     /// Like [`DatasetContext::new`], but with an explicit — typically *shared* —
     /// view-statistics cache. [`crate::Engine`] hands every context its one
-    /// engine-wide cache (statistics are content-keyed, so cross-dataset sharing is
-    /// safe and the engine's byte budget is never multiplied per dataset), so the
+    /// engine-wide cache (statistics are keyed by column storage ids, unique within
+    /// the process, so cross-dataset sharing is safe and the engine's byte budget is
+    /// never multiplied per dataset), so the
     /// inventory/featurizer build and every reward computed later against this
     /// context share one set of memoized histograms. The cache is memory-only: it
     /// starts empty in every process.

@@ -681,7 +681,7 @@ impl RouterStats {
             .one(quota.running),
             Family::gauge(
                 "linx_quota_tenants",
-                "Tenants holding budget or an explicit quota override.",
+                "Tenants with a request queued or running.",
             )
             .one(quota.tenants),
             Family::counter(

@@ -17,9 +17,12 @@
 //! by [`crate::memo::OpMemo`]). Two mechanisms keep it cheap:
 //!
 //! * a [`StatsCache`] that every statistic goes through — histograms and group sizes
-//!   are keyed by `(view fingerprint, column)` and computed once per distinct view
-//!   content across every reward consumer handed the same cache (steps, episodes,
-//!   goals over one dataset). A reward built with [`ExplorationReward::new`] or
+//!   are keyed by the column's storage id and the view's selection digest, so they
+//!   are computed once per distinct view across every reward consumer handed the
+//!   same cache (steps, episodes, goals over one dataset: the op memo hands back the
+//!   same view) and no view is fingerprinted. A filter's output shares its input's
+//!   storage, so filter interestingness takes each column's KL over codes of one
+//!   storage (see `linx_dataframe::stats`). A reward built with [`ExplorationReward::new`] or
 //!   `default` owns a fresh cache; training and serving share one with
 //!   [`ExplorationReward::with_cache`], and [`ExplorationReward::session_score`]
 //!   reads the one its [`SessionExecutor`] holds. There is no cache-less path;

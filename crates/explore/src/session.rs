@@ -55,7 +55,8 @@ impl SessionExecutor {
     /// Share `stats` instead: reward computations scoring sessions through this
     /// executor ([`crate::reward::ExplorationReward::session_score`]) memoize their
     /// histograms and group sizes in it. Unlike the op memo, the stats cache is keyed
-    /// by view *content*, so it may be shared across datasets.
+    /// by column storage ids, unique within the process, so it may be shared across
+    /// datasets.
     pub fn with_stats(mut self, stats: Arc<StatsCache>) -> Self {
         self.stats = stats;
         self
