@@ -188,6 +188,8 @@ impl Histogram {
             keys.push(run[0].clone());
             counts.push(run.len());
         }
+        keys.shrink_to_fit();
+        counts.shrink_to_fit();
         Histogram {
             keys: Keys::Values(keys),
             counts,
