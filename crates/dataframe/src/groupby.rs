@@ -79,8 +79,10 @@ impl AggFunc {
             AggFunc::Count => Value::Int(values.len() as i64),
             AggFunc::Sum => Value::float(values.iter().filter_map(|v| v.as_f64()).sum()),
             AggFunc::Avg => {
-                // Single pass, no intermediate buffer.
-                let (mut sum, mut count) = (0.0f64, 0usize);
+                // Single pass, no intermediate buffer. The sum starts at -0.0, as
+                // `Sum`'s does (`Iterator::sum`'s identity): values that are all -0.0
+                // average to -0.0, whatever storage holds them.
+                let (mut sum, mut count) = (-0.0f64, 0usize);
                 for x in values.iter().filter_map(|v| v.as_f64()) {
                     sum += x;
                     count += 1;
@@ -456,6 +458,27 @@ mod tests {
         assert_eq!(AggFunc::Count.apply(&refs), Value::Int(0));
         assert_eq!(AggFunc::Avg.apply(&refs), Value::Null);
         assert_eq!(AggFunc::Min.apply(&refs), Value::Null);
+    }
+
+    #[test]
+    fn avg_of_negative_zeros_is_negative_zero_on_every_storage() {
+        let cells = vec![Value::Float(-0.0), Value::Float(-0.0)];
+        let refs: Vec<&Value> = cells.iter().collect();
+        let avg = AggFunc::Avg.apply(&refs);
+        assert!(matches!(avg, Value::Float(x) if x.to_bits() == (-0.0f64).to_bits()));
+        let keys = Column::new("k", vec![Value::str("a"), Value::str("a")]);
+        let frames = [
+            Column::new("v", cells.clone()),
+            Column::new_uncompacted("v", cells),
+        ]
+        .map(|v| crate::DataFrame::new(vec![keys.clone(), v]).unwrap());
+        let answers = frames
+            .each_ref()
+            .map(|df| df.group_by("k", AggFunc::Avg, "v").unwrap());
+        for answer in &answers {
+            assert_eq!(answer.value(0, "avg(v)").unwrap(), avg);
+        }
+        assert_eq!(answers[0].fingerprint(), answers[1].fingerprint());
     }
 
     #[test]
