@@ -167,6 +167,31 @@ impl Column {
         }
     }
 
+    /// A contiguous column over newly built typed storage, stored exactly as
+    /// [`Column::new`] stores the same cells: `data` holds the `0` placeholder at the
+    /// rows `nulls` marks, the dtype follows the variant, and a column with no
+    /// non-null row is `Mixed` nulls with dtype `Str`.
+    pub(crate) fn from_typed(name: &str, data: ColumnData, nulls: NullMask) -> Column {
+        debug_assert!(!matches!(data, ColumnData::Mixed(_)));
+        let rows = data.len();
+        let (dtype, data, nulls) = match data {
+            _ if nulls.null_count() == rows => (
+                DataType::Str,
+                ColumnData::Mixed(vec![Value::Null; rows]),
+                None,
+            ),
+            ColumnData::I64(_) => (DataType::Int, data, Some(nulls)),
+            ColumnData::F64(_) => (DataType::Float, data, Some(nulls)),
+            _ => (DataType::Str, data, Some(nulls)),
+        };
+        Column {
+            name: Arc::from(name),
+            dtype,
+            storage: Arc::new(Storage::new(data, nulls.filter(|m| m.null_count() > 0))),
+            sel: None,
+        }
+    }
+
     /// Compact `values` into typed storage under an already-decided name and dtype.
     fn from_parts(name: Arc<str>, dtype: DataType, values: Vec<Value>) -> Self {
         let (data, nulls) = ColumnData::compact(values);
@@ -390,23 +415,46 @@ impl Column {
     /// Run `f` over the storage index of every visible **non-null** row, in row order.
     #[inline]
     pub(crate) fn for_each_non_null_storage(&self, mut f: impl FnMut(usize)) {
-        let nulls = self.storage.nulls.as_ref();
-        match &self.sel {
-            None => {
-                for si in 0..self.storage.data.len() {
-                    if !nulls.is_some_and(|m| m.is_null(si)) {
-                        f(si);
+        self.for_each_non_null(|_, si| f(si));
+    }
+
+    /// Run `f(row, si)` over every visible **non-null** row of typed storage, in row
+    /// order: its visible index and its storage index. One loop per combination of
+    /// selection and null mask, so no row branches on either.
+    #[inline]
+    pub(crate) fn for_each_non_null(&self, mut f: impl FnMut(usize, usize)) {
+        match (&self.sel, self.storage.nulls.as_ref()) {
+            (None, None) => (0..self.storage.data.len()).for_each(|si| f(si, si)),
+            (None, Some(m)) => (0..self.storage.data.len())
+                .filter(|&si| !m.is_null(si))
+                .for_each(|si| f(si, si)),
+            (Some(sel), None) => {
+                for (row, &si) in sel.iter().enumerate() {
+                    f(row, si as usize);
+                }
+            }
+            (Some(sel), Some(m)) => {
+                for (row, &si) in sel.iter().enumerate() {
+                    if !m.is_null(si as usize) {
+                        f(row, si as usize);
                     }
                 }
             }
-            Some(sel) => {
-                for &si in sel.iter() {
-                    let si = si as usize;
-                    if !nulls.is_some_and(|m| m.is_null(si)) {
-                        f(si);
-                    }
-                }
-            }
+        }
+    }
+
+    /// Run `f(si, null)` over every visible row of typed storage, in row order: its
+    /// storage index and whether it is null (`Mixed` storage keeps its nulls inline,
+    /// so it reports none). One loop per combination of selection and null mask.
+    #[inline]
+    pub(crate) fn for_each_row(&self, mut f: impl FnMut(usize, bool)) {
+        match (&self.sel, self.storage.nulls.as_ref()) {
+            (None, None) => (0..self.storage.data.len()).for_each(|si| f(si, false)),
+            (None, Some(m)) => (0..self.storage.data.len()).for_each(|si| f(si, m.is_null(si))),
+            (Some(sel), None) => sel.iter().for_each(|&si| f(si as usize, false)),
+            (Some(sel), Some(m)) => sel
+                .iter()
+                .for_each(|&si| f(si as usize, m.is_null(si as usize))),
         }
     }
 

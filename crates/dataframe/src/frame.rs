@@ -307,22 +307,20 @@ impl DataFrame {
 
     /// Group on `g_attr` and aggregate `agg_attr` with `agg`, producing a two-column
     /// result `(g_attr, "<agg>(<agg_attr>)")` ordered by first occurrence of each group.
+    ///
+    /// Typed storage runs in one pass: a group id per visible row, the aggregate folded
+    /// per group in row order, and both output columns built straight into typed
+    /// storage (see [`crate::groupby`]). The answer is the boxed reference's, bit for
+    /// bit: [`Groups::from_values`] over the visible cells, [`AggFunc::apply`] per
+    /// group, and [`Column::new`] for both columns.
     pub fn group_by(&self, g_attr: &str, agg: AggFunc, agg_attr: &str) -> Result<DataFrame> {
         let key_col = self.column(g_attr)?;
         let val_col = self.column(agg_attr)?;
         if agg.requires_numeric() && !val_col.dtype().is_numeric() {
             return Err(DataFrameError::NotNumeric(agg_attr.to_string()));
         }
-        let groups = Groups::from_column(key_col);
-        let mut agg_values = Vec::with_capacity(groups.len());
-        for idxs in &groups.indices {
-            agg_values.push(agg.apply_column(val_col, idxs));
-        }
         let out_name = format!("{}({})", agg.token(), agg_attr);
-        DataFrame::new(vec![
-            Column::new(g_attr, groups.keys),
-            Column::new(out_name, agg_values),
-        ])
+        DataFrame::new(crate::groupby::group_by(key_col, agg, val_col, &out_name))
     }
 
     /// The grouping structure for `g_attr` without aggregating (used by reward

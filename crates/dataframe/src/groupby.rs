@@ -4,15 +4,39 @@
 //! group the input view on `g_attr` and aggregate `agg_attr` using `agg_func`. The
 //! result is a two-column table `(g_attr, agg_func(agg_attr))`, matching the Pandas
 //! `df.groupby(g_attr).agg({agg_attr: agg_func})` shape LINX's notebook cells display.
+//!
+//! # One pass
+//!
+//! [`DataFrame::group_by`](crate::DataFrame::group_by) runs in one pass over the
+//! visible rows, in four steps:
+//!
+//! 1. Every row gets a group id, in first-occurrence order, with nulls one group of
+//!    their own. Dictionary codes find their group in a flat table over the
+//!    dictionary, and so do integers whose visible values span a range at most about
+//!    twice the rows; other integers, floats (by bit pattern), the codes of a view far
+//!    smaller than its dictionary, and `Mixed` cells (by [`GroupKey`]) find theirs in a
+//!    map with a cheap deterministic hasher.
+//! 2. The aggregate folds over the rows, in row order, into one accumulator per
+//!    group: each group adds its terms in ascending row order, from `-0.0`, exactly as
+//!    [`AggFunc::apply`] does. A distinct count visits the rows group by group and
+//!    marks each value id once per group. `Mixed` values take `apply` per group.
+//! 3. The key column is built from each group's first row, straight into typed
+//!    storage.
+//! 4. So is the aggregate column, stored as [`Column::new`] stores the same cells.
+//!
+//! The answer is therefore the boxed reference's, bit for bit: [`Groups::from_values`]
+//! over the visible cells, [`AggFunc::apply`] per group, and [`Column::new`] for both
+//! columns. [`Groups::from_column`] runs the same first step.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::column::Column;
-use crate::data::ColumnData;
+use crate::data::{ColumnData, NullMask};
 use crate::value::{GroupKey, OwnedGroupKey, Value};
 
 /// Aggregation functions supported by the engine (the set used by LINX / ATENA).
@@ -117,156 +141,6 @@ impl AggFunc {
             }
         }
     }
-
-    /// Apply the aggregation to the given visible rows of a column, as a typed
-    /// kernel: numeric storage folds primitive slices, dictionary storage compares
-    /// codes/strings, and `Mixed` storage takes the boxed per-cell path of
-    /// [`AggFunc::apply`]. Result is identical to collecting the cells and calling
-    /// `apply` (including `Count`'s inclusion of nulls and `Value::float`'s NaN
-    /// normalization).
-    pub fn apply_column(&self, col: &Column, rows: &[usize]) -> Value {
-        if let ColumnData::Mixed(vs) = col.data() {
-            let refs: Vec<&Value> = rows.iter().map(|&r| &vs[col.storage_index(r)]).collect();
-            return self.apply(&refs);
-        }
-        match self {
-            AggFunc::Count => Value::Int(rows.len() as i64),
-            AggFunc::Sum | AggFunc::Avg => {
-                // -0.0 is `Iterator::sum::<f64>()`'s fold identity; starting there
-                // keeps the result bit-identical to the boxed path even for groups
-                // with no numeric cells (Value's equality is total_cmp, which
-                // distinguishes -0.0 from 0.0).
-                let (mut sum, mut count) = (-0.0f64, 0usize);
-                match col.data() {
-                    ColumnData::I64(xs) => {
-                        for &r in rows {
-                            let si = col.storage_index(r);
-                            if !col.is_null_storage(si) {
-                                sum += xs[si] as f64;
-                                count += 1;
-                            }
-                        }
-                    }
-                    ColumnData::F64(xs) => {
-                        for &r in rows {
-                            let si = col.storage_index(r);
-                            if !col.is_null_storage(si) {
-                                sum += xs[si];
-                                count += 1;
-                            }
-                        }
-                    }
-                    // Strings contribute nothing to a numeric aggregate.
-                    ColumnData::Dict { .. } => {}
-                    ColumnData::Mixed(_) => unreachable!("handled above"),
-                }
-                if matches!(self, AggFunc::Sum) {
-                    Value::float(sum)
-                } else if count == 0 {
-                    Value::Null
-                } else {
-                    Value::float(sum / count as f64)
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let want_min = matches!(self, AggFunc::Min);
-                match col.data() {
-                    ColumnData::I64(xs) => {
-                        let mut best: Option<i64> = None;
-                        for &r in rows {
-                            let si = col.storage_index(r);
-                            if col.is_null_storage(si) {
-                                continue;
-                            }
-                            let x = xs[si];
-                            best = Some(match best {
-                                None => x,
-                                Some(b) if (x < b) == want_min => x,
-                                Some(b) => b,
-                            });
-                        }
-                        best.map(Value::Int).unwrap_or(Value::Null)
-                    }
-                    ColumnData::F64(xs) => {
-                        let mut best: Option<f64> = None;
-                        for &r in rows {
-                            let si = col.storage_index(r);
-                            if col.is_null_storage(si) {
-                                continue;
-                            }
-                            let x = xs[si];
-                            best = Some(match best {
-                                None => x,
-                                Some(b)
-                                    if (x.total_cmp(&b) == std::cmp::Ordering::Less)
-                                        == want_min =>
-                                {
-                                    x
-                                }
-                                Some(b) => b,
-                            });
-                        }
-                        best.map(Value::Float).unwrap_or(Value::Null)
-                    }
-                    ColumnData::Dict { codes, dict } => {
-                        let mut best: Option<&Arc<str>> = None;
-                        for &r in rows {
-                            let si = col.storage_index(r);
-                            if col.is_null_storage(si) {
-                                continue;
-                            }
-                            let s = &dict[codes[si] as usize];
-                            best = Some(match best {
-                                None => s,
-                                Some(b) if (s.as_ref() < b.as_ref()) == want_min => s,
-                                Some(b) => b,
-                            });
-                        }
-                        best.map(|s| Value::Str(Arc::clone(s)))
-                            .unwrap_or(Value::Null)
-                    }
-                    ColumnData::Mixed(_) => unreachable!("handled above"),
-                }
-            }
-            AggFunc::CountDistinct => {
-                use std::collections::HashSet;
-                let n = match col.data() {
-                    ColumnData::I64(xs) => {
-                        let mut set: HashSet<i64> = HashSet::new();
-                        for &r in rows {
-                            let si = col.storage_index(r);
-                            if !col.is_null_storage(si) {
-                                set.insert(xs[si]);
-                            }
-                        }
-                        set.len()
-                    }
-                    ColumnData::F64(xs) => {
-                        let mut set: HashSet<u64> = HashSet::new();
-                        for &r in rows {
-                            let si = col.storage_index(r);
-                            if !col.is_null_storage(si) {
-                                set.insert(xs[si].to_bits());
-                            }
-                        }
-                        set.len()
-                    }
-                    ColumnData::Dict { codes, .. } => {
-                        let mut set: HashSet<u32> = HashSet::new();
-                        for &r in rows {
-                            let si = col.storage_index(r);
-                            if !col.is_null_storage(si) {
-                                set.insert(codes[si]);
-                            }
-                        }
-                        set.len()
-                    }
-                    ColumnData::Mixed(_) => unreachable!("handled above"),
-                };
-                Value::Int(n as i64)
-            }
-        }
-    }
 }
 
 impl fmt::Display for AggFunc {
@@ -308,89 +182,20 @@ impl Groups {
         Groups { keys, indices }
     }
 
-    /// Build groups from a column's visible rows, as a typed kernel.
-    ///
-    /// Dictionary storage buckets by code through a flat `Vec` (no hashing at all);
-    /// integer/float storage buckets through primitive hash maps; `Mixed` storage
-    /// falls back to the boxed [`Groups::from_values`] path. Group keys and ordering
-    /// (first occurrence; nulls are their own group) are identical to `from_values`
-    /// over the materialized cells.
+    /// Build groups from a column's visible rows, through the group-id pass of
+    /// [`DataFrame::group_by`](crate::DataFrame::group_by) (see the module docs). Group
+    /// keys and ordering (first occurrence; nulls are their own group) are identical to
+    /// [`Groups::from_values`] over the visible cells.
     pub fn from_column(col: &Column) -> Groups {
-        let n = col.len();
-        let mut keys: Vec<Value> = Vec::new();
-        let mut indices: Vec<Vec<usize>> = Vec::new();
-        let mut null_gid: Option<usize> = None;
-        match col.data() {
-            ColumnData::I64(xs) => {
-                let mut map: HashMap<i64, usize> = HashMap::new();
-                for row in 0..n {
-                    let si = col.storage_index(row);
-                    let gid = if col.is_null_storage(si) {
-                        *null_gid.get_or_insert_with(|| {
-                            keys.push(Value::Null);
-                            indices.push(Vec::new());
-                            keys.len() - 1
-                        })
-                    } else {
-                        let x = xs[si];
-                        *map.entry(x).or_insert_with(|| {
-                            keys.push(Value::Int(x));
-                            indices.push(Vec::new());
-                            keys.len() - 1
-                        })
-                    };
-                    indices[gid].push(row);
-                }
-            }
-            ColumnData::F64(xs) => {
-                let mut map: HashMap<u64, usize> = HashMap::new();
-                for row in 0..n {
-                    let si = col.storage_index(row);
-                    let gid = if col.is_null_storage(si) {
-                        *null_gid.get_or_insert_with(|| {
-                            keys.push(Value::Null);
-                            indices.push(Vec::new());
-                            keys.len() - 1
-                        })
-                    } else {
-                        let x = xs[si];
-                        *map.entry(x.to_bits()).or_insert_with(|| {
-                            keys.push(Value::Float(x));
-                            indices.push(Vec::new());
-                            keys.len() - 1
-                        })
-                    };
-                    indices[gid].push(row);
-                }
-            }
-            ColumnData::Dict { codes, dict } => {
-                const UNSEEN: usize = usize::MAX;
-                let mut gids: Vec<usize> = vec![UNSEEN; dict.len()];
-                for row in 0..n {
-                    let si = col.storage_index(row);
-                    let gid = if col.is_null_storage(si) {
-                        *null_gid.get_or_insert_with(|| {
-                            keys.push(Value::Null);
-                            indices.push(Vec::new());
-                            keys.len() - 1
-                        })
-                    } else {
-                        let c = codes[si] as usize;
-                        if gids[c] == UNSEEN {
-                            gids[c] = keys.len();
-                            keys.push(Value::Str(Arc::clone(&dict[c])));
-                            indices.push(Vec::new());
-                        }
-                        gids[c]
-                    };
-                    indices[gid].push(row);
-                }
-            }
-            ColumnData::Mixed(vs) => {
-                return Groups::from_values((0..n).map(|row| &vs[col.storage_index(row)]));
-            }
+        let groups = RowGroups::of(col);
+        Groups {
+            keys: groups
+                .first
+                .iter()
+                .map(|&si| col.data().value_ref(si, col.null_mask()).to_value())
+                .collect(),
+            indices: groups.indices(),
         }
-        Groups { keys, indices }
     }
 
     /// Number of groups.
@@ -407,6 +212,396 @@ impl Groups {
     pub fn sizes(&self) -> Vec<usize> {
         self.indices.iter().map(|g| g.len()).collect()
     }
+}
+
+/// No group (or value) yet: a table slot not filled, or a null value.
+const UNSEEN: usize = usize::MAX;
+
+/// A deterministic hasher for group keys: each word (or byte) is folded in by a 64 ×
+/// 64 → 128-bit multiply whose halves are xored, which spreads every input bit over
+/// the bits a table indexes by (a float's low mantissa bits are often all zero).
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
+/// A map hashed by [`KeyHasher`], keyed by a primitive unless stated otherwise.
+type KeyMap<V, K = u64> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// A lookup for [`RowGroups::assign`] through a flat table over `width` codes, where
+/// `code(si)` is storage row `si`'s.
+fn flat(width: usize, code: impl Fn(usize) -> usize) -> impl FnMut(usize, usize) -> usize {
+    let mut group_of = vec![UNSEEN; width];
+    move |si, next| {
+        let slot = &mut group_of[code(si)];
+        if *slot == UNSEEN {
+            *slot = next;
+        }
+        *slot
+    }
+}
+
+/// A lookup for [`RowGroups::assign`] through a map keyed by `key(si)`.
+fn hashed(key: impl Fn(usize) -> u64) -> impl FnMut(usize, usize) -> usize {
+    let mut group_of: KeyMap<usize> = KeyMap::default();
+    move |si, next| *group_of.entry(key(si)).or_insert(next)
+}
+
+/// The least visible non-null value of integer `col` and the width of the range from
+/// it to the greatest, when that width is at most about twice the visible rows: then
+/// a flat table over the range costs less than a map.
+fn span(col: &Column, xs: &[i64]) -> Option<(i64, usize)> {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    col.for_each_non_null(|_, si| {
+        lo = lo.min(xs[si]);
+        hi = hi.max(xs[si]);
+    });
+    if lo > hi {
+        return Some((0, 0));
+    }
+    let width = i128::from(hi) - i128::from(lo) + 1;
+    (width <= 2 * col.len() as i128 + 64).then_some((lo, width as usize))
+}
+
+/// Each visible row's group (see the module docs): ids in first-occurrence order,
+/// nulls one group of their own.
+struct RowGroups {
+    /// The group of each visible row, in row order.
+    ids: Vec<usize>,
+    /// The storage row where each group first occurs, which holds its key.
+    first: Vec<usize>,
+}
+
+impl RowGroups {
+    /// The groups of `col`'s visible rows. Dictionary codes find their group in a flat
+    /// table, and so do integers over a narrow range (see [`span`]); other integers,
+    /// and floats by bit pattern, find theirs in a map, and `Mixed` cells by their
+    /// [`GroupKey`], nulls among them, as [`Groups::from_values`] groups them.
+    fn of(col: &Column) -> RowGroups {
+        match col.data() {
+            ColumnData::I64(xs) => match span(col, xs) {
+                Some((lo, width)) => {
+                    RowGroups::assign(col, flat(width, |si| xs[si].wrapping_sub(lo) as usize))
+                }
+                None => RowGroups::assign(col, hashed(|si| xs[si] as u64)),
+            },
+            ColumnData::F64(xs) => RowGroups::assign(col, hashed(|si| xs[si].to_bits())),
+            // A view far smaller than its dictionary hashes its codes instead of
+            // filling a table over every string.
+            ColumnData::Dict { codes, dict } if col.len().saturating_mul(8) >= dict.len() => {
+                RowGroups::assign(col, flat(dict.len(), |si| codes[si] as usize))
+            }
+            ColumnData::Dict { codes, .. } => {
+                RowGroups::assign(col, hashed(|si| u64::from(codes[si])))
+            }
+            ColumnData::Mixed(vs) => {
+                let mut group_of: KeyMap<usize, GroupKey<'_>> = KeyMap::default();
+                RowGroups::assign(col, |si, next| {
+                    *group_of.entry(vs[si].group_key()).or_insert(next)
+                })
+            }
+        }
+    }
+
+    /// Give each visible row of `col` its group: `group_of(si, next)` is the group of
+    /// storage row `si` (not null in typed storage), or `next` when that row opens a
+    /// new one.
+    #[inline]
+    fn assign(col: &Column, mut group_of: impl FnMut(usize, usize) -> usize) -> RowGroups {
+        let (mut ids, mut first) = (Vec::with_capacity(col.len()), Vec::new());
+        let mut null_group = UNSEEN;
+        col.for_each_row(|si, null| {
+            let next = first.len();
+            let g = match null {
+                true if null_group == UNSEEN => {
+                    null_group = next;
+                    next
+                }
+                true => null_group,
+                false => group_of(si, next),
+            };
+            if g == next {
+                first.push(si);
+            }
+            ids.push(g);
+        });
+        RowGroups { ids, first }
+    }
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        self.first.len()
+    }
+
+    /// The number of rows in each group.
+    fn sizes(&self) -> Vec<usize> {
+        let mut sizes = vec![0; self.len()];
+        self.ids.iter().for_each(|&g| sizes[g] += 1);
+        sizes
+    }
+
+    /// The visible rows of each group, ascending.
+    fn indices(&self) -> Vec<Vec<usize>> {
+        let mut indices: Vec<Vec<usize>> =
+            self.sizes().into_iter().map(Vec::with_capacity).collect();
+        for (row, &g) in self.ids.iter().enumerate() {
+            indices[g].push(row);
+        }
+        indices
+    }
+
+    /// The key column: each group's key, read off its first row, in typed storage;
+    /// `Mixed` keys are boxed through [`Column::new`].
+    fn key_column(&self, col: &Column) -> Column {
+        let keys = self
+            .first
+            .iter()
+            .map(|&si| (!col.is_null_storage(si)).then_some(si));
+        match col.data() {
+            ColumnData::I64(xs) => typed_column(
+                col.name(),
+                keys.map(|k| k.map(|si| xs[si])),
+                ColumnData::I64,
+            ),
+            ColumnData::F64(xs) => typed_column(
+                col.name(),
+                keys.map(|k| k.map(|si| xs[si])),
+                ColumnData::F64,
+            ),
+            ColumnData::Dict { codes, dict } => {
+                // Every group holds its own string: they are the dictionary, in order.
+                let mut used = Vec::new();
+                let keys: Vec<Option<u32>> = keys
+                    .map(|k| {
+                        k.map(|si| {
+                            used.push(Arc::clone(&dict[codes[si] as usize]));
+                            used.len() as u32 - 1
+                        })
+                    })
+                    .collect();
+                typed_column(col.name(), keys.into_iter(), |codes| ColumnData::Dict {
+                    codes,
+                    dict: used,
+                })
+            }
+            ColumnData::Mixed(vs) => Column::new(
+                col.name(),
+                self.first.iter().map(|&si| vs[si].clone()).collect(),
+            ),
+        }
+    }
+
+    /// `agg` of `col` over each group, stored as [`Column::new`] would store the
+    /// results [`AggFunc::apply`] gives: typed storage folds over the visible rows in
+    /// row order into one accumulator per group, `Mixed` storage applies `apply`.
+    fn aggregate(&self, agg: AggFunc, col: &Column, name: &str) -> Column {
+        let (ids, n) = (&self.ids, self.len());
+        let data = col.data();
+        if let ColumnData::Mixed(vs) = data {
+            let cells = |rows: Vec<usize>| -> Vec<&Value> {
+                rows.into_iter()
+                    .map(|r| &vs[col.storage_index(r)])
+                    .collect()
+            };
+            let results = self
+                .indices()
+                .into_iter()
+                .map(|rows| agg.apply(&cells(rows)));
+            return Column::new(name, results.collect());
+        }
+        match agg {
+            AggFunc::Count => {
+                let sizes = self.sizes().into_iter().map(|s| Some(s as i64));
+                typed_column(name, sizes, ColumnData::I64)
+            }
+            AggFunc::Sum | AggFunc::Avg => {
+                // -0.0 is `Iterator::sum`'s identity, where `apply` starts too.
+                let (mut sums, mut counts) = (vec![-0.0f64; n], vec![0usize; n]);
+                let mut add = |row: usize, x: f64| {
+                    let g = ids[row];
+                    sums[g] += x;
+                    counts[g] += 1;
+                };
+                match data {
+                    ColumnData::I64(xs) => col.for_each_non_null(|row, si| add(row, xs[si] as f64)),
+                    ColumnData::F64(xs) => col.for_each_non_null(|row, si| add(row, xs[si])),
+                    // Strings add nothing to a numeric aggregate.
+                    _ => {}
+                }
+                let results = sums.into_iter().zip(counts).map(|(sum, count)| match agg {
+                    AggFunc::Sum => sum,
+                    _ if count == 0 => f64::NAN,
+                    _ => sum / count as f64,
+                });
+                // A NaN result is null, as `Value::float` makes it.
+                typed_column(
+                    name,
+                    results.map(|x| (!x.is_nan()).then_some(x)),
+                    ColumnData::F64,
+                )
+            }
+            AggFunc::Min | AggFunc::Max => {
+                let want_min = agg == AggFunc::Min;
+                match data {
+                    ColumnData::I64(xs) => {
+                        let best = self.best(col, |si| xs[si], |x, b| (x < b) == want_min);
+                        typed_column(name, best.into_iter(), ColumnData::I64)
+                    }
+                    ColumnData::F64(xs) => {
+                        let best =
+                            self.best(col, |si| xs[si], |x, b| x.total_cmp(&b).is_lt() == want_min);
+                        typed_column(name, best.into_iter(), ColumnData::F64)
+                    }
+                    ColumnData::Dict { codes, dict } => {
+                        let best = self.best(
+                            col,
+                            |si| codes[si],
+                            |x, b| x != b && (dict[x as usize] < dict[b as usize]) == want_min,
+                        );
+                        dict_column(name, best, dict)
+                    }
+                    ColumnData::Mixed(_) => unreachable!("Mixed values take `apply`"),
+                }
+            }
+            AggFunc::CountDistinct => {
+                // Each visible row's value id (`UNSEEN` for a null): a dictionary code,
+                // or for numbers the group the value gets when `col` is grouped.
+                let (values, domain) = match data {
+                    ColumnData::Dict { codes, dict } => {
+                        let mut values = vec![UNSEEN; col.len()];
+                        col.for_each_non_null(|row, si| values[row] = codes[si] as usize);
+                        (values, dict.len())
+                    }
+                    _ => {
+                        let RowGroups { mut ids, first } = RowGroups::of(col);
+                        if let Some(null) = first.iter().position(|&si| col.is_null_storage(si)) {
+                            ids.iter_mut()
+                                .filter(|v| **v == null)
+                                .for_each(|v| *v = UNSEEN);
+                        }
+                        (ids, first.len())
+                    }
+                };
+                let counts = self.distinct(&values, domain).into_iter().map(Some);
+                typed_column(name, counts, ColumnData::I64)
+            }
+        }
+    }
+
+    /// Each group's best non-null value of `col` (`None` when it has none): a row's
+    /// value replaces the group's best so far when `better(value, best)`.
+    fn best<T: Copy>(
+        &self,
+        col: &Column,
+        value: impl Fn(usize) -> T,
+        better: impl Fn(T, T) -> bool,
+    ) -> Vec<Option<T>> {
+        let mut best: Vec<Option<T>> = vec![None; self.len()];
+        col.for_each_non_null(|row, si| {
+            let (slot, x) = (&mut best[self.ids[row]], value(si));
+            if slot.is_none_or(|b| better(x, b)) {
+                *slot = Some(x);
+            }
+        });
+        best
+    }
+
+    /// The number of distinct values in each group, given each visible row's value id
+    /// in `0..domain` (`UNSEEN` for a null). The rows are visited group by group — a
+    /// counting sort of their values by group — so a value counts for a group at the
+    /// first of the group's rows that holds it, and one table marks the values seen.
+    fn distinct(&self, values: &[usize], domain: usize) -> Vec<i64> {
+        let mut start = vec![0; self.len() + 1];
+        self.ids.iter().for_each(|&g| start[g + 1] += 1);
+        for g in 0..self.len() {
+            start[g + 1] += start[g];
+        }
+        let (mut next, mut by_group) = (start.clone(), vec![UNSEEN; values.len()]);
+        for (&g, &v) in self.ids.iter().zip(values) {
+            by_group[next[g]] = v;
+            next[g] += 1;
+        }
+        let mut seen_in = vec![UNSEEN; domain];
+        (0..self.len())
+            .map(|g| {
+                let mut count = 0;
+                for &v in &by_group[start[g]..start[g + 1]] {
+                    if v != UNSEEN && seen_in[v] != g {
+                        seen_in[v] = g;
+                        count += 1;
+                    }
+                }
+                count
+            })
+            .collect()
+    }
+}
+
+/// A column of `cells` (`None` for a null) in the typed storage `wrap` makes, as
+/// [`Column::new`] stores the same cells (see [`Column::from_typed`]).
+fn typed_column<T: Copy + Default>(
+    name: &str,
+    cells: impl ExactSizeIterator<Item = Option<T>>,
+    wrap: impl FnOnce(Vec<T>) -> ColumnData,
+) -> Column {
+    let mut nulls = NullMask::new_empty(cells.len());
+    let data = cells
+        .enumerate()
+        .map(|(i, cell)| {
+            cell.unwrap_or_else(|| {
+                nulls.set_null(i);
+                T::default()
+            })
+        })
+        .collect();
+    Column::from_typed(name, wrap(data), nulls)
+}
+
+/// A dictionary column of `cells` — codes into `dict`, `None` for a null — encoded as
+/// [`Column::new`] encodes the same strings: a dictionary of the strings used, in
+/// first-occurrence order.
+fn dict_column(name: &str, cells: Vec<Option<u32>>, dict: &[Arc<str>]) -> Column {
+    let (mut recode, mut used): (KeyMap<u32>, _) = (KeyMap::default(), Vec::new());
+    let cells: Vec<Option<u32>> = cells
+        .into_iter()
+        .map(|cell| {
+            cell.map(|c| {
+                *recode.entry(u64::from(c)).or_insert_with(|| {
+                    used.push(Arc::clone(&dict[c as usize]));
+                    used.len() as u32 - 1
+                })
+            })
+        })
+        .collect();
+    typed_column(name, cells.into_iter(), |codes| ColumnData::Dict {
+        codes,
+        dict: used,
+    })
+}
+
+/// `g_attr`'s groups and `agg` of `val` over each, as the two columns of
+/// [`DataFrame::group_by`](crate::DataFrame::group_by)'s answer (see the module docs).
+pub(crate) fn group_by(key: &Column, agg: AggFunc, val: &Column, out_name: &str) -> Vec<Column> {
+    let groups = RowGroups::of(key);
+    vec![groups.key_column(key), groups.aggregate(agg, val, out_name)]
 }
 
 #[cfg(test)]
@@ -503,42 +698,6 @@ mod tests {
             let view = col.gather(&[0, 2, 1]);
             let gathered: Vec<Value> = vec![cells[0].clone(), cells[2].clone(), cells[1].clone()];
             assert_eq!(Groups::from_column(&view), Groups::from_values(&gathered));
-        }
-    }
-
-    #[test]
-    fn apply_column_matches_apply_across_variants() {
-        let samples: Vec<Vec<Value>> = vec![
-            vec![Value::Int(2), Value::Int(3), Value::Null, Value::Int(2)],
-            vec![Value::Float(0.5), Value::Null, Value::Float(-1.0)],
-            vec![
-                Value::str("b"),
-                Value::str("a"),
-                Value::Null,
-                Value::str("a"),
-            ],
-            vec![Value::Bool(true), Value::Int(4), Value::Null],
-            vec![],
-        ];
-        for cells in samples {
-            let col = Column::new("v", cells.clone());
-            let rows: Vec<usize> = (0..cells.len()).collect();
-            let refs: Vec<&Value> = cells.iter().collect();
-            for f in AggFunc::ALL {
-                assert_eq!(
-                    f.apply_column(&col, &rows),
-                    f.apply(&refs),
-                    "{f:?} over {cells:?}"
-                );
-            }
-            // Subset of rows (a "group") agrees too.
-            if cells.len() >= 2 {
-                let rows = [0usize, cells.len() - 1];
-                let refs: Vec<&Value> = rows.iter().map(|&r| &cells[r]).collect();
-                for f in AggFunc::ALL {
-                    assert_eq!(f.apply_column(&col, &rows), f.apply(&refs), "{f:?}");
-                }
-            }
         }
     }
 

@@ -22,8 +22,9 @@
 //!   [`value::intern`]) so residual clones are refcount bumps,
 //! * a [`DataFrame`] holding named columns of equal length,
 //! * filter predicates ([`filter::Predicate`], [`filter::CompareOp`]),
-//! * hash group-by with the aggregation functions used by the paper
-//!   ([`groupby::AggFunc`]),
+//! * one-pass group-by with the aggregation functions used by the paper
+//!   ([`groupby::AggFunc`]): a group id per row, the aggregate folded per group, and
+//!   typed output columns ([`groupby`]),
 //! * value histograms, entropy, and KL-divergence helpers ([`stats`]) used by the
 //!   generic exploration reward,
 //! * a sharded statistics cache ([`stats_cache`]), keyed by column storage and
