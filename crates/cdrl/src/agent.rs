@@ -21,7 +21,9 @@ use linx_dataframe::{DataFrame, DataType, Value};
 use linx_explore::{NodeId, OpKind, QueryOp};
 use linx_ldx::Ldx;
 use linx_rl::policy::argmax;
-use linx_rl::{masked_softmax, sample_categorical, ActionTaken, MultiHeadNet, NetworkConfig};
+use linx_rl::{
+    masked_softmax, sample_categorical, ActionTaken, ForwardResult, MultiHeadNet, NetworkConfig,
+};
 use rand::rngs::StdRng;
 
 use crate::config::CdrlConfig;
@@ -127,27 +129,33 @@ impl LinxAgent {
         obs: &[f64],
         rng: &mut StdRng,
     ) -> (AgentAction, Vec<ActionTaken>) {
-        self.decide(env, obs, sample_categorical, rng, None)
+        let (action, taken, _) = self.act(env, obs, rng, None);
+        (action, taken)
     }
 
-    /// Like [`LinxAgent::select_action`], but with the operation-type choice forced to
-    /// `forced_op_type` (if it is valid under the current mask). Used by the trainer's
-    /// structure-guided warm-up episodes; parameter choices still come from the policy.
-    pub fn select_action_guided(
+    /// Sample an action as [`LinxAgent::select_action`] does, and also return the
+    /// forward pass it was sampled from, which
+    /// [`PolicyGradientTrainer::update_with_passes`](linx_rl::PolicyGradientTrainer::update_with_passes)
+    /// takes so the update runs no second pass. With `forced_op_type`, the
+    /// operation-type choice is forced to it (if it is valid under the current mask):
+    /// the trainer's structure-guided warm-up episodes do this, and their parameter
+    /// choices still come from the policy.
+    pub fn act(
         &self,
         env: &LinxEnv,
         obs: &[f64],
         rng: &mut StdRng,
-        forced_op_type: usize,
-    ) -> (AgentAction, Vec<ActionTaken>) {
-        self.decide(env, obs, sample_categorical, rng, Some(forced_op_type))
+        forced_op_type: Option<usize>,
+    ) -> (AgentAction, Vec<ActionTaken>, ForwardResult) {
+        self.decide(env, obs, sample_categorical, rng, forced_op_type)
     }
 
     /// Greedy (argmax) action selection, used to extract the learned session after
     /// training.
     pub fn greedy_action(&self, env: &LinxEnv, obs: &[f64]) -> (AgentAction, Vec<ActionTaken>) {
         let mut dummy = rand::SeedableRng::seed_from_u64(0);
-        self.decide(env, obs, |probs, _| argmax(probs), &mut dummy, None)
+        let (action, taken, _) = self.decide(env, obs, |probs, _| argmax(probs), &mut dummy, None);
+        (action, taken)
     }
 
     fn decide(
@@ -157,7 +165,7 @@ impl LinxAgent {
         mut pick: impl FnMut(&[f64], &mut StdRng) -> usize,
         rng: &mut StdRng,
         forced_op_type: Option<usize>,
-    ) -> (AgentAction, Vec<ActionTaken>) {
+    ) -> (AgentAction, Vec<ActionTaken>, ForwardResult) {
         let fwd = self.net.forward_inference(obs);
         // What every mask reads of the current view, looked up once per decision.
         let view = env.current_view();
@@ -252,7 +260,7 @@ impl LinxAgent {
                 AgentAction::Apply(op)
             }
         };
-        (action, taken)
+        (action, taken, fwd)
     }
 
     // ----------------------------------------------------------------- compositions

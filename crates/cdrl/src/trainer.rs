@@ -200,13 +200,13 @@ impl CdrlTrainer {
             let guided = episode < warmup_episodes && episode % 2 == 0;
             let mut plan_pos = 0usize;
             let mut steps: Vec<EpisodeStep> = Vec::new();
+            // The forward pass each step acted on: the weights do not change within an
+            // episode, so the update reuses them instead of running them again.
+            let mut passes = Vec::new();
             while !env.is_done() {
                 let obs = env.observe();
-                let (action, taken) = if guided && plan_pos < plan.len() {
-                    agent.select_action_guided(&env, &obs, &mut rng, plan[plan_pos])
-                } else {
-                    agent.select_action(&env, &obs, &mut rng)
-                };
+                let forced = plan.get(plan_pos).copied().filter(|_| guided);
+                let (action, taken, pass) = agent.act(&env, &obs, &mut rng, forced);
                 plan_pos += 1;
                 let outcome = env.step(action);
                 steps.push(EpisodeStep {
@@ -214,6 +214,7 @@ impl CdrlTrainer {
                     actions: taken,
                     reward: outcome.reward,
                 });
+                passes.push(pass);
                 if outcome.done {
                     break;
                 }
@@ -223,7 +224,7 @@ impl CdrlTrainer {
             for s in &mut steps {
                 s.reward += bonus;
             }
-            let stats = pg.update(agent.net_mut(), &steps);
+            let stats = pg.update_with_passes(agent.net_mut(), &steps, &passes);
             let (compliant, structural) = env.compliance_status();
             let score = env.session_score();
             log.episode_returns.push(stats.episode_return);

@@ -31,6 +31,6 @@ pub mod trainer;
 
 pub use adam::Adam;
 pub use dense::Dense;
-pub use network::{MultiHeadNet, NetworkConfig};
+pub use network::{ForwardResult, MultiHeadNet, NetworkConfig};
 pub use policy::{masked_softmax, sample_categorical, softmax};
 pub use trainer::{ActionTaken, EpisodeStep, PolicyGradientTrainer, TrainerConfig};

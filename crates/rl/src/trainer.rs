@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::adam::Adam;
-use crate::network::MultiHeadNet;
+use crate::network::{ForwardResult, MultiHeadNet};
 use crate::policy::{entropy, masked_softmax, policy_loss_grad};
 
 /// One head selection made at a step.
@@ -114,8 +114,29 @@ impl PolicyGradientTrainer {
     }
 
     /// Perform one update from a recorded episode (or batch of concatenated episodes
-    /// whose boundaries are handled by the caller's reward shaping).
+    /// whose boundaries are handled by the caller's reward shaping). Runs one forward
+    /// pass per step, then [`PolicyGradientTrainer::update_with_passes`].
     pub fn update(&mut self, net: &mut MultiHeadNet, episode: &[EpisodeStep]) -> UpdateStats {
+        let passes: Vec<ForwardResult> = episode
+            .iter()
+            .map(|s| net.forward(&s.observation))
+            .collect();
+        self.update_with_passes(net, episode, &passes)
+    }
+
+    /// [`PolicyGradientTrainer::update`] over the forward passes the steps acted on:
+    /// `passes[i]` is `net.forward(&episode[i].observation)` under `net`'s current
+    /// weights. Each pass's value is the step's baseline, and backward reads the
+    /// activations it keeps. An agent acts on the weights the update starts from, so
+    /// handing its passes over skips a second forward pass per step and changes no
+    /// bit of the result.
+    pub fn update_with_passes(
+        &mut self,
+        net: &mut MultiHeadNet,
+        episode: &[EpisodeStep],
+        passes: &[ForwardResult],
+    ) -> UpdateStats {
+        debug_assert_eq!(passes.len(), episode.len(), "one forward pass per step");
         if episode.is_empty() {
             return UpdateStats::default();
         }
@@ -126,15 +147,9 @@ impl PolicyGradientTrainer {
             acc = step.reward + self.config.gamma * acc;
             returns[i] = acc;
         }
-        // One forward pass per step: its value is the baseline, and backward reads the
-        // activations it keeps (the weights do not change before the Adam step).
-        let passes: Vec<_> = episode
-            .iter()
-            .map(|s| net.forward(&s.observation))
-            .collect();
         let mut advantages: Vec<f64> = returns
             .iter()
-            .zip(&passes)
+            .zip(passes)
             .map(|(g, f)| g - f.value)
             .collect();
         if self.config.normalize_advantages && advantages.len() > 1 {
@@ -154,7 +169,7 @@ impl PolicyGradientTrainer {
         let mut entropy_sum = 0.0;
         let mut entropy_count = 0usize;
         let mut value_loss_sum = 0.0;
-        for (i, (step, fwd)) in episode.iter().zip(&passes).enumerate() {
+        for (i, (step, fwd)) in episode.iter().zip(passes).enumerate() {
             let mut head_grads: Vec<Option<Vec<f64>>> = vec![None; net.num_heads()];
             for action in &step.actions {
                 let probs = masked_softmax(&fwd.head_logits[action.head], action.mask.as_deref());

@@ -11,13 +11,16 @@
 //! * a property: `update` and `forward_inference` agree to the bit with a naive
 //!   reference written here, which computes one output at a time (bias first, then the
 //!   inputs in index order), runs two forward passes per step (values, then gradients)
-//!   and applies Adam one parameter at a time.
+//!   and applies Adam one parameter at a time;
+//! * a property: `update_with_passes`, handed the passes an agent acted on, leaves
+//!   every parameter bit where `update` leaves it.
 //!
 //! The episodes cover one-choice masks, fully masked heads (uniform fallback), a head
 //! picked twice in one step, 1-step episodes, and both advantage settings.
 #![allow(clippy::needless_range_loop)]
 
 use linx_rl::policy::{masked_softmax, policy_loss_grad};
+use linx_rl::trainer::UpdateStats;
 use linx_rl::{
     ActionTaken, EpisodeStep, MultiHeadNet, NetworkConfig, PolicyGradientTrainer, TrainerConfig,
 };
@@ -501,6 +504,46 @@ proptest! {
                 prop_assert_eq!(bits(g), bits(r));
             }
             prop_assert_eq!(got.value.to_bits(), value.to_bits());
+        }
+    }
+}
+
+proptest! {
+    /// `update_with_passes` over the forward passes an agent acted on — taken under the
+    /// weights the update starts from — gives the parameters and statistics `update`
+    /// gives, bit for bit, on both shapes and both advantage settings.
+    #[test]
+    fn updating_from_the_acting_passes_matches_update(
+        seed in any::<u64>(),
+        normalize in any::<bool>(),
+        use_ragged in any::<bool>(),
+    ) {
+        let cfg = if use_ragged { ragged() } else { production() };
+        let mut net = MultiHeadNet::new(&cfg, seed);
+        let mut acting = net.clone();
+        let tc = TrainerConfig {
+            entropy_coef: 0.02,
+            normalize_advantages: normalize,
+            ..TrainerConfig::default()
+        };
+        let (mut trainer, mut acting_trainer) =
+            (PolicyGradientTrainer::new(tc), PolicyGradientTrainer::new(tc));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..3 {
+            let len = rng.gen_range(1..=6);
+            let ep = episode(&mut rng, &cfg, len);
+            let passes: Vec<_> = ep
+                .iter()
+                .map(|s| acting.forward_inference(&s.observation))
+                .collect();
+            let stats = trainer.update(&mut net, &ep);
+            let acted = acting_trainer.update_with_passes(&mut acting, &ep, &passes);
+            prop_assert_eq!(bits(&params(&mut net)), bits(&params(&mut acting)));
+            let summary = |s: UpdateStats| {
+                [s.episode_return, s.mean_entropy, s.value_loss].map(f64::to_bits)
+            };
+            prop_assert_eq!(summary(stats), summary(acted));
+            prop_assert_eq!(stats.steps, acted.steps);
         }
     }
 }
