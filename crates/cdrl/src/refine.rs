@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use linx_dataframe::filter::CompareOp;
 use linx_dataframe::groupby::AggFunc;
-use linx_dataframe::{DataFrame, Value};
+use linx_dataframe::{Column, DataFrame, StatsCache, Value};
 use linx_explore::{ExplorationReward, ExplorationTree, NodeId, QueryOp, SessionExecutor};
 use linx_ldx::VerifyEngine;
 
@@ -54,7 +54,7 @@ pub fn refine_session(
 
     // Candidate value pools.
     let filter_attrs = filter_attributes(&best);
-    let group_cols = groupable_columns(dataset);
+    let group_cols = groupable_columns(dataset, reward.stats_cache());
     let agg_choices = [
         AggFunc::Count,
         AggFunc::CountDistinct,
@@ -124,16 +124,17 @@ fn filter_attributes(tree: &ExplorationTree) -> Vec<String> {
     set.into_iter().collect()
 }
 
-/// Categorical columns suitable for grouping (2–15 distinct values).
-fn groupable_columns(df: &DataFrame) -> Vec<String> {
-    df.schema()
-        .fields()
-        .iter()
-        .filter(|f| {
-            let d = df.column(&f.name).map(|c| c.n_unique()).unwrap_or(0);
-            (2..=15).contains(&d)
+/// Categorical columns suitable for grouping (2–15 distinct values), counted by the
+/// root view's histograms in `stats`: the featurizer's summaries of the root view have
+/// built them already, so no refinement hashes a column again.
+fn groupable_columns(df: &DataFrame, stats: &StatsCache) -> Vec<String> {
+    df.columns()
+        .map(Column::name)
+        .filter(|name| {
+            let distinct = stats.histogram(df, name).map_or(0, |h| h.n_distinct());
+            (2..=15).contains(&distinct)
         })
-        .map(|f| f.name.clone())
+        .map(str::to_string)
         .collect()
 }
 
@@ -231,8 +232,31 @@ fn map_group_aggregations(tree: &ExplorationTree, agg: AggFunc, agg_attr: &str) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linx_dataframe::StatsCache;
+    use linx_data::{generate, DatasetKind, ScaleConfig};
     use linx_ldx::parse_ldx;
+
+    /// Reading the cached histograms' distinct counts chooses the columns that
+    /// counting each column's distinct values with `Column::n_unique` chooses.
+    #[test]
+    fn groupable_columns_match_the_distinct_value_counts() {
+        for kind in DatasetKind::ALL {
+            let df = generate(
+                kind,
+                ScaleConfig {
+                    rows: Some(2000),
+                    seed: 0x11ac,
+                },
+            );
+            let by_n_unique: Vec<String> = df
+                .columns()
+                .filter(|c| (2..=15).contains(&c.n_unique()))
+                .map(|c| c.name().to_string())
+                .collect();
+            assert!(!by_n_unique.is_empty(), "{kind}");
+            let stats = StatsCache::default();
+            assert_eq!(groupable_columns(&df, &stats), by_n_unique, "{kind}");
+        }
+    }
 
     /// Netflix-like table where India's `type` distribution diverges sharply from the
     /// rest — the planted anomaly the refinement should discover.
