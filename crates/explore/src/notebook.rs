@@ -145,14 +145,9 @@ fn caption_for(op: &QueryOp, view: Option<&DataFrame>, parent: Option<&DataFrame
         } => {
             let mut caption = format!("Break down {agg}({agg_attr}) by {g_attr}");
             if let Some(v) = view {
-                if v.num_rows() > 0 {
-                    if let Ok(hist) = v.histogram(g_attr) {
-                        let _ = hist; // group keys are unique in the aggregate view
-                    }
-                    // Mention the top group by aggregate value when it is numeric.
-                    if let Some(top) = top_group(v) {
-                        caption.push_str(&format!(" — led by {top}"));
-                    }
+                // Mention the top group by aggregate value when it is numeric.
+                if let Some(top) = top_group(v) {
+                    caption.push_str(&format!(" — led by {top}"));
                 }
             }
             caption
