@@ -332,21 +332,21 @@ impl Column {
         match &self.storage.data {
             ColumnData::I64(xs) => {
                 let mut seen: HashSet<i64> = HashSet::new();
-                self.for_each_non_null_storage(|si| {
+                self.for_each_non_null(|_, si| {
                     seen.insert(xs[si]);
                 });
                 seen.len()
             }
             ColumnData::F64(xs) => {
                 let mut seen: HashSet<u64> = HashSet::new();
-                self.for_each_non_null_storage(|si| {
+                self.for_each_non_null(|_, si| {
                     seen.insert(xs[si].to_bits());
                 });
                 seen.len()
             }
             ColumnData::Dict { codes, .. } => {
                 let mut seen: HashSet<u32> = HashSet::new();
-                self.for_each_non_null_storage(|si| {
+                self.for_each_non_null(|_, si| {
                     seen.insert(codes[si]);
                 });
                 seen.len()
@@ -410,12 +410,6 @@ impl Column {
             ColumnData::Mixed(vs) => vs[si].is_null(),
             _ => self.storage.nulls.as_ref().is_some_and(|m| m.is_null(si)),
         }
-    }
-
-    /// Run `f` over the storage index of every visible **non-null** row, in row order.
-    #[inline]
-    pub(crate) fn for_each_non_null_storage(&self, mut f: impl FnMut(usize)) {
-        self.for_each_non_null(|_, si| f(si));
     }
 
     /// Run `f(row, si)` over every visible **non-null** row of typed storage, in row
@@ -538,12 +532,12 @@ impl Column {
         match &self.storage.data {
             ColumnData::I64(xs) => {
                 let mut s = -0.0f64;
-                self.for_each_non_null_storage(|si| s += xs[si] as f64);
+                self.for_each_non_null(|_, si| s += xs[si] as f64);
                 s
             }
             ColumnData::F64(xs) => {
                 let mut s = -0.0f64;
-                self.for_each_non_null_storage(|si| s += xs[si]);
+                self.for_each_non_null(|_, si| s += xs[si]);
                 s
             }
             ColumnData::Dict { .. } => -0.0,
@@ -556,11 +550,11 @@ impl Column {
     pub fn mean(&self) -> Option<f64> {
         let (mut sum, mut count) = (0.0f64, 0usize);
         match &self.storage.data {
-            ColumnData::I64(xs) => self.for_each_non_null_storage(|si| {
+            ColumnData::I64(xs) => self.for_each_non_null(|_, si| {
                 sum += xs[si] as f64;
                 count += 1;
             }),
-            ColumnData::F64(xs) => self.for_each_non_null_storage(|si| {
+            ColumnData::F64(xs) => self.for_each_non_null(|_, si| {
                 sum += xs[si];
                 count += 1;
             }),
@@ -595,7 +589,7 @@ impl Column {
         match &self.storage.data {
             ColumnData::I64(xs) => {
                 let mut best: Option<i64> = None;
-                self.for_each_non_null_storage(|si| {
+                self.for_each_non_null(|_, si| {
                     let x = xs[si];
                     best = Some(match best {
                         None => x,
@@ -612,7 +606,7 @@ impl Column {
             }
             ColumnData::F64(xs) => {
                 let mut best: Option<f64> = None;
-                self.for_each_non_null_storage(|si| {
+                self.for_each_non_null(|_, si| {
                     let x = xs[si];
                     best = Some(match best {
                         None => x,
@@ -629,7 +623,7 @@ impl Column {
             }
             ColumnData::Dict { codes, dict } => {
                 let mut best: Option<&Arc<str>> = None;
-                self.for_each_non_null_storage(|si| {
+                self.for_each_non_null(|_, si| {
                     let s = &dict[codes[si] as usize];
                     best = Some(match best {
                         None => s,

@@ -308,11 +308,11 @@ impl DataFrame {
     /// Group on `g_attr` and aggregate `agg_attr` with `agg`, producing a two-column
     /// result `(g_attr, "<agg>(<agg_attr>)")` ordered by first occurrence of each group.
     ///
-    /// Typed storage runs in one pass: a group id per visible row, the aggregate folded
-    /// per group in row order, and both output columns built straight into typed
-    /// storage (see [`crate::groupby`]). The answer is the boxed reference's, bit for
-    /// bit: [`Groups::from_values`] over the visible cells, [`AggFunc::apply`] per
-    /// group, and [`Column::new`] for both columns.
+    /// One pass: a group id per visible row, the aggregate folded per group in row
+    /// order, and both output columns built straight into typed storage (see
+    /// [`crate::groupby`]). The answer is the boxed reference's, bit for bit:
+    /// [`Groups::from_values`] over the visible cells, [`AggFunc::apply`] per group,
+    /// and [`Column::new`] for both columns.
     pub fn group_by(&self, g_attr: &str, agg: AggFunc, agg_attr: &str) -> Result<DataFrame> {
         let key_col = self.column(g_attr)?;
         let val_col = self.column(agg_attr)?;

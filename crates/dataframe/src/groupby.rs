@@ -13,9 +13,8 @@
 //! 1. Every row gets a group id, in first-occurrence order, with nulls one group of
 //!    their own. Dictionary codes find their group in a flat table over the
 //!    dictionary, and so do integers whose visible values span a range at most about
-//!    twice the rows; other integers, floats (by bit pattern), the codes of a view far
-//!    smaller than its dictionary, and `Mixed` cells (by [`GroupKey`]) find theirs in a
-//!    map with a cheap deterministic hasher.
+//!    twice the rows; other integers, floats (by bit pattern) and `Mixed` cells (by
+//!    [`GroupKey`]) find theirs in a map with a cheap deterministic hasher.
 //! 2. The aggregate folds over the rows, in row order, into one accumulator per
 //!    group: each group adds its terms in ascending row order, from `-0.0`, exactly as
 //!    [`AggFunc::apply`] does. A distinct count visits the rows group by group and
@@ -304,13 +303,8 @@ impl RowGroups {
                 None => RowGroups::assign(col, hashed(|si| xs[si] as u64)),
             },
             ColumnData::F64(xs) => RowGroups::assign(col, hashed(|si| xs[si].to_bits())),
-            // A view far smaller than its dictionary hashes its codes instead of
-            // filling a table over every string.
-            ColumnData::Dict { codes, dict } if col.len().saturating_mul(8) >= dict.len() => {
+            ColumnData::Dict { codes, dict } => {
                 RowGroups::assign(col, flat(dict.len(), |si| codes[si] as usize))
-            }
-            ColumnData::Dict { codes, .. } => {
-                RowGroups::assign(col, hashed(|si| u64::from(codes[si])))
             }
             ColumnData::Mixed(vs) => {
                 let mut group_of: KeyMap<usize, GroupKey<'_>> = KeyMap::default();

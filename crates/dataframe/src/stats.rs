@@ -315,7 +315,7 @@ impl Histogram {
         let (mut ranks, mut counts) = (Vec::new(), Vec::new());
         if col.len().saturating_mul(8) < domain.values.len() {
             let mut seen = Vec::with_capacity(col.len());
-            col.for_each_non_null_storage(|si| seen.push(codes[si]));
+            col.for_each_non_null(|_, si| seen.push(codes[si]));
             seen.sort_unstable();
             for run in seen.chunk_by(|a, b| a == b) {
                 ranks.push(run[0]);
@@ -323,7 +323,7 @@ impl Histogram {
             }
         } else {
             let mut by_rank = vec![0u32; domain.values.len()];
-            col.for_each_non_null_storage(|si| by_rank[codes[si] as usize] += 1);
+            col.for_each_non_null(|_, si| by_rank[codes[si] as usize] += 1);
             for (rank, &c) in by_rank.iter().enumerate().filter(|&(_, &c)| c > 0) {
                 ranks.push(rank as u32);
                 counts.push(c as usize);

@@ -136,7 +136,7 @@ impl PolicyGradientTrainer {
         episode: &[EpisodeStep],
         passes: &[ForwardResult],
     ) -> UpdateStats {
-        debug_assert_eq!(passes.len(), episode.len(), "one forward pass per step");
+        assert_eq!(passes.len(), episode.len(), "one forward pass per step");
         if episode.is_empty() {
             return UpdateStats::default();
         }
