@@ -382,7 +382,7 @@ impl RowGroups {
             ),
             ColumnData::Dict { codes, dict } => {
                 // Every group holds its own string: they are the dictionary, in order.
-                let mut used = Vec::new();
+                let mut used = Vec::with_capacity(self.len());
                 let keys: Vec<Option<u32>> = keys
                     .map(|k| {
                         k.map(|si| {
@@ -556,16 +556,18 @@ fn typed_column<T: Copy + Default>(
     cells: impl ExactSizeIterator<Item = Option<T>>,
     wrap: impl FnOnce(Vec<T>) -> ColumnData,
 ) -> Column {
-    let mut nulls = NullMask::new_empty(cells.len());
-    let data = cells
-        .enumerate()
-        .map(|(i, cell)| {
-            cell.unwrap_or_else(|| {
-                nulls.set_null(i);
-                T::default()
-            })
-        })
-        .collect();
+    // Filled by `push`, not collected: collecting could reuse the cells' allocation,
+    // twice the size the column keeps for as long as it lives.
+    let (mut data, mut nulls) = (
+        Vec::with_capacity(cells.len()),
+        NullMask::new_empty(cells.len()),
+    );
+    for (i, cell) in cells.enumerate() {
+        data.push(cell.unwrap_or_else(|| {
+            nulls.set_null(i);
+            T::default()
+        }));
+    }
     Column::from_typed(name, wrap(data), nulls)
 }
 
