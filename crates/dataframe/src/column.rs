@@ -168,26 +168,20 @@ impl Column {
     }
 
     /// A contiguous column over newly built typed storage, stored exactly as
-    /// [`Column::new`] stores the same cells: `data` holds the `0` placeholder at the
-    /// rows `nulls` marks, the dtype follows the variant, and a column with no
-    /// non-null row is `Mixed` nulls with dtype `Str`.
+    /// [`Column::new`] stores the same cells: `data` holds a placeholder at the rows
+    /// `nulls` marks, storage is normalised by [`ColumnData::typed`], and the dtype
+    /// follows the variant it keeps.
     pub(crate) fn from_typed(name: &str, data: ColumnData, nulls: NullMask) -> Column {
-        debug_assert!(!matches!(data, ColumnData::Mixed(_)));
-        let rows = data.len();
-        let (dtype, data, nulls) = match data {
-            _ if nulls.null_count() == rows => (
-                DataType::Str,
-                ColumnData::Mixed(vec![Value::Null; rows]),
-                None,
-            ),
-            ColumnData::I64(_) => (DataType::Int, data, Some(nulls)),
-            ColumnData::F64(_) => (DataType::Float, data, Some(nulls)),
-            _ => (DataType::Str, data, Some(nulls)),
+        let (data, nulls) = ColumnData::typed(data, nulls);
+        let dtype = match data {
+            ColumnData::I64(_) => DataType::Int,
+            ColumnData::F64(_) => DataType::Float,
+            _ => DataType::Str,
         };
         Column {
             name: Arc::from(name),
             dtype,
-            storage: Arc::new(Storage::new(data, nulls.filter(|m| m.null_count() > 0))),
+            storage: Arc::new(Storage::new(data, nulls)),
             sel: None,
         }
     }

@@ -92,8 +92,8 @@ impl ColumnData {
     /// Compact a cell vector into typed storage plus a null mask.
     ///
     /// Chooses the unique typed variant that round-trips losslessly (see the module
-    /// docs); anything else — mixed types, booleans, all-null — stays [`ColumnData::Mixed`]
-    /// with the input vector unchanged.
+    /// docs), with no mask when no cell is null; anything else — mixed types, booleans,
+    /// all-null — stays [`ColumnData::Mixed`] with the same cells.
     pub fn compact(values: Vec<Value>) -> (ColumnData, Option<NullMask>) {
         Self::compact_with_dict_cap(values, DICT_MAX_ENTRIES)
     }
@@ -119,22 +119,16 @@ impl ColumnData {
             }
         }
         let non_null = values.len() - nulls;
-        if non_null == 0 {
-            // All-null (or empty) columns stay Mixed: there is no type to store.
-            return (ColumnData::Mixed(values), None);
-        }
-        let mask = |values: &[Value]| -> Option<NullMask> {
-            if nulls == 0 {
-                None
-            } else {
-                let mut m = NullMask::new_empty(values.len());
+        let mask = |values: &[Value]| -> NullMask {
+            let mut m = NullMask::new_empty(values.len());
+            if nulls > 0 {
                 for (i, v) in values.iter().enumerate() {
                     if v.is_null() {
                         m.set_null(i);
                     }
                 }
-                Some(m)
             }
+            m
         };
         if ints == non_null {
             let m = mask(&values);
@@ -145,7 +139,7 @@ impl ColumnData {
                     _ => 0, // null placeholder, never read
                 })
                 .collect();
-            return (ColumnData::I64(xs), m);
+            return ColumnData::typed(ColumnData::I64(xs), m);
         }
         if floats == non_null {
             let m = mask(&values);
@@ -156,7 +150,7 @@ impl ColumnData {
                     _ => 0.0, // null placeholder, never read
                 })
                 .collect();
-            return (ColumnData::F64(xs), m);
+            return ColumnData::typed(ColumnData::F64(xs), m);
         }
         if strs == non_null {
             // Dictionary-encode. Cells are interned, so the dictionary entries are
@@ -190,10 +184,23 @@ impl ColumnData {
             }
             if !overflow {
                 let m = mask(&values);
-                return (ColumnData::Dict { codes, dict }, m);
+                return ColumnData::typed(ColumnData::Dict { codes, dict }, m);
             }
         }
         (ColumnData::Mixed(values), None)
+    }
+
+    /// Typed storage `data` with `nulls` marking its null rows (which hold a
+    /// placeholder), stored as [`ColumnData::compact`] stores the same cells: a column
+    /// with no non-null row (an empty one too) is `Mixed` nulls, since there is no type
+    /// to store, and a mask that marks no row is dropped.
+    pub(crate) fn typed(data: ColumnData, nulls: NullMask) -> (ColumnData, Option<NullMask>) {
+        debug_assert!(!matches!(data, ColumnData::Mixed(_)));
+        match nulls.null_count() {
+            all if all == data.len() => (ColumnData::Mixed(vec![Value::Null; all]), None),
+            0 => (data, None),
+            _ => (data, Some(nulls)),
+        }
     }
 
     /// Reconstruct the boxed-cell vector (the inverse of [`ColumnData::compact`]).

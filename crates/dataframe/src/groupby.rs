@@ -12,8 +12,7 @@
 //!
 //! 1. Every row gets a group id, in first-occurrence order, with nulls one group of
 //!    their own. Dictionary codes find their group in a flat table over the
-//!    dictionary, and so do integers whose visible values span a range at most about
-//!    twice the rows; other integers, floats (by bit pattern) and `Mixed` cells (by
+//!    dictionary; integers, floats (by bit pattern) and `Mixed` cells (by
 //!    [`GroupKey`]) find theirs in a map with a cheap deterministic hasher.
 //! 2. The aggregate folds over the rows, in row order, into one accumulator per
 //!    group: each group adds its terms in ascending row order, from `-0.0`, exactly as
@@ -216,9 +215,10 @@ impl Groups {
 /// No group (or value) yet: a table slot not filled, or a null value.
 const UNSEEN: usize = usize::MAX;
 
-/// A deterministic hasher for group keys: each word (or byte) is folded in by a 64 ×
-/// 64 → 128-bit multiply whose halves are xored, which spreads every input bit over
-/// the bits a table indexes by (a float's low mantissa bits are often all zero).
+/// A deterministic hasher for group keys: each word (bytes eight at a time) is folded
+/// in by a 64 × 64 → 128-bit multiply whose halves are xored, which spreads every
+/// input bit over the bits a table indexes by (a float's low mantissa bits are often
+/// all zero).
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -228,7 +228,11 @@ impl Hasher for KeyHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
     }
 
     fn write_usize(&mut self, x: usize) {
@@ -264,22 +268,6 @@ fn hashed(key: impl Fn(usize) -> u64) -> impl FnMut(usize, usize) -> usize {
     move |si, next| *group_of.entry(key(si)).or_insert(next)
 }
 
-/// The least visible non-null value of integer `col` and the width of the range from
-/// it to the greatest, when that width is at most about twice the visible rows: then
-/// a flat table over the range costs less than a map.
-fn span(col: &Column, xs: &[i64]) -> Option<(i64, usize)> {
-    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-    col.for_each_non_null(|_, si| {
-        lo = lo.min(xs[si]);
-        hi = hi.max(xs[si]);
-    });
-    if lo > hi {
-        return Some((0, 0));
-    }
-    let width = i128::from(hi) - i128::from(lo) + 1;
-    (width <= 2 * col.len() as i128 + 64).then_some((lo, width as usize))
-}
-
 /// Each visible row's group (see the module docs): ids in first-occurrence order,
 /// nulls one group of their own.
 struct RowGroups {
@@ -291,17 +279,12 @@ struct RowGroups {
 
 impl RowGroups {
     /// The groups of `col`'s visible rows. Dictionary codes find their group in a flat
-    /// table, and so do integers over a narrow range (see [`span`]); other integers,
-    /// and floats by bit pattern, find theirs in a map, and `Mixed` cells by their
-    /// [`GroupKey`], nulls among them, as [`Groups::from_values`] groups them.
+    /// table; integers, and floats by bit pattern, find theirs in a map, and `Mixed`
+    /// cells by their [`GroupKey`], nulls among them, as [`Groups::from_values`]
+    /// groups them.
     fn of(col: &Column) -> RowGroups {
         match col.data() {
-            ColumnData::I64(xs) => match span(col, xs) {
-                Some((lo, width)) => {
-                    RowGroups::assign(col, flat(width, |si| xs[si].wrapping_sub(lo) as usize))
-                }
-                None => RowGroups::assign(col, hashed(|si| xs[si] as u64)),
-            },
+            ColumnData::I64(xs) => RowGroups::assign(col, hashed(|si| xs[si] as u64)),
             ColumnData::F64(xs) => RowGroups::assign(col, hashed(|si| xs[si].to_bits())),
             ColumnData::Dict { codes, dict } => {
                 RowGroups::assign(col, flat(dict.len(), |si| codes[si] as usize))
@@ -380,22 +363,11 @@ impl RowGroups {
                 keys.map(|k| k.map(|si| xs[si])),
                 ColumnData::F64,
             ),
-            ColumnData::Dict { codes, dict } => {
-                // Every group holds its own string: they are the dictionary, in order.
-                let mut used = Vec::with_capacity(self.len());
-                let keys: Vec<Option<u32>> = keys
-                    .map(|k| {
-                        k.map(|si| {
-                            used.push(Arc::clone(&dict[codes[si] as usize]));
-                            used.len() as u32 - 1
-                        })
-                    })
-                    .collect();
-                typed_column(col.name(), keys.into_iter(), |codes| ColumnData::Dict {
-                    codes,
-                    dict: used,
-                })
-            }
+            ColumnData::Dict { codes, dict } => dict_column(
+                col.name(),
+                keys.map(|k| k.map(|si| codes[si])).collect(),
+                dict,
+            ),
             ColumnData::Mixed(vs) => Column::new(
                 col.name(),
                 self.first.iter().map(|&si| vs[si].clone()).collect(),
@@ -573,17 +545,18 @@ fn typed_column<T: Copy + Default>(
 
 /// A dictionary column of `cells` — codes into `dict`, `None` for a null — encoded as
 /// [`Column::new`] encodes the same strings: a dictionary of the strings used, in
-/// first-occurrence order.
+/// first-occurrence order, recoded through a flat table over `dict`.
 fn dict_column(name: &str, cells: Vec<Option<u32>>, dict: &[Arc<str>]) -> Column {
-    let (mut recode, mut used): (KeyMap<u32>, _) = (KeyMap::default(), Vec::new());
+    let (mut recode, mut used) = (flat(dict.len(), |c| c), Vec::with_capacity(cells.len()));
     let cells: Vec<Option<u32>> = cells
         .into_iter()
         .map(|cell| {
             cell.map(|c| {
-                *recode.entry(u64::from(c)).or_insert_with(|| {
+                let code = recode(c as usize, used.len());
+                if code == used.len() {
                     used.push(Arc::clone(&dict[c as usize]));
-                    used.len() as u32 - 1
-                })
+                }
+                code as u32
             })
         })
         .collect();
@@ -591,6 +564,17 @@ fn dict_column(name: &str, cells: Vec<Option<u32>>, dict: &[Arc<str>]) -> Column
         codes,
         dict: used,
     })
+}
+
+/// The sizes of `col`'s groups, as [`Groups::sizes`] gives them, when `code(si)` below
+/// `width` identifies the key of typed storage row `si`: the group-id pass through a
+/// flat table over the codes.
+pub(crate) fn sizes_by_code(
+    col: &Column,
+    width: usize,
+    code: impl Fn(usize) -> usize,
+) -> Vec<usize> {
+    RowGroups::assign(col, flat(width, code)).sizes()
 }
 
 /// `g_attr`'s groups and `agg` of `val` over each, as the two columns of

@@ -343,25 +343,8 @@ impl Histogram {
     /// order, nulls one group of their own — counted over the codes `self` carries
     /// (`self` is the whole histogram of `col`'s storage).
     pub(crate) fn group_sizes(&self, col: &Column) -> Vec<usize> {
-        const UNSEEN: u32 = u32::MAX;
         let (domain, codes) = self.codes(col);
-        let mut group = vec![UNSEEN; domain.values.len()];
-        let mut null_group = UNSEEN;
-        let mut sizes: Vec<usize> = Vec::new();
-        for row in 0..col.len() {
-            let si = col.storage_index(row);
-            let slot = if col.is_null_storage(si) {
-                &mut null_group
-            } else {
-                &mut group[codes[si] as usize]
-            };
-            if *slot == UNSEEN {
-                *slot = sizes.len() as u32;
-                sizes.push(0);
-            }
-            sizes[*slot as usize] += 1;
-        }
-        sizes
+        crate::groupby::sizes_by_code(col, domain.values.len(), |si| codes[si] as usize)
     }
 
     /// Approximate resident bytes: the struct itself, each entry's key and count, and
