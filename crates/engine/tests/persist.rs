@@ -137,6 +137,27 @@ fn bit_flipped_entries_are_clean_misses_and_unlinked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Length and FNV-1a digest of `encode_result(&sample_result())`, one row per
+/// format version. A payload layout change bumps `FORMAT_VERSION` and adds its
+/// row here; changing the bytes under an existing version fails the test below.
+const GOLDEN_ENCODINGS: &[(u16, usize, u64)] = &[(1, 588, 0x15ef_41d9_e796_cf09)];
+
+#[test]
+fn encoded_bytes_are_pinned_per_format_version() {
+    let version = linx_engine::persist::FORMAT_VERSION;
+    let bytes = encode_result(&sample_result());
+    let mut h = Fnv1a::new();
+    h.write(&bytes);
+    let Some(&(_, len, digest)) = GOLDEN_ENCODINGS.iter().find(|(v, ..)| *v == version) else {
+        panic!("no golden encoding for format version {version}: record one");
+    };
+    assert_eq!(
+        (bytes.len(), h.finish()),
+        (len, digest),
+        "the encoding of format version {version} changed: bump FORMAT_VERSION"
+    );
+}
+
 #[test]
 fn wrong_version_entries_are_clean_misses_and_unlinked() {
     let dir = temp_dir("version");
