@@ -19,6 +19,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
@@ -27,9 +28,6 @@ use linx_dataframe::DataFrame;
 use linx_engine::faults::{self, arm_scoped, FaultKind, FaultPlan};
 use linx_engine::{DiskTier, ExploreResult, PersistConfig, BREAKER_OPEN};
 use linx_metrics::Clock;
-
-/// Breaker cooldown used for the recovery measurement.
-const COOLDOWN_MICROS: u64 = 5_000;
 
 /// The shared per-process state a request's resilience checks read.
 struct Resilience {
@@ -111,6 +109,24 @@ fn healthy_plan() -> FaultPlan {
     FaultPlan::new(42).with_rule("disk.unlink", FaultKind::Error, 0)
 }
 
+/// A tier holding entry `fp`, on `clock`.
+fn tier_with_entry(tag: &str, clock: Clock, fp: u64) -> (PathBuf, Arc<DiskTier>) {
+    let dir = temp_dir(tag);
+    let tier = DiskTier::open_with_clock(&PersistConfig::new(&dir), clock).unwrap();
+    tier.store_result(fp, &sample_result(fp));
+    (dir, tier)
+}
+
+/// Open the tier's breaker with a read-error storm of
+/// [`DiskTier::BREAKER_THRESHOLD`] consecutive failed reads of `fp`.
+fn trip(tier: &DiskTier, fp: u64) {
+    let _armed = arm_scoped(FaultPlan::new(7).always("disk.read", FaultKind::Error));
+    for _ in 0..DiskTier::BREAKER_THRESHOLD {
+        assert!(tier.load_result(fp).is_none(), "storm read fails");
+    }
+    assert_eq!(tier.stats().breaker_state, BREAKER_OPEN, "breaker tripped");
+}
+
 fn bench_chaos(c: &mut Criterion) {
     let df = dataset();
     let steps = chain();
@@ -134,19 +150,14 @@ fn bench_chaos(c: &mut Criterion) {
         });
     }
 
-    // Disk reads: healthy hit vs. fail-fast miss with the circuit open.
-    let dir = temp_dir("criterion");
-    let tier = DiskTier::open(&PersistConfig::new(&dir).with_breaker(1, 60_000_000)).unwrap();
-    tier.store_result(1, &sample_result(1));
+    // Disk reads: healthy hit vs. fail-fast miss with the circuit open. The
+    // tier's manual clock never advances, so the circuit stays open for the
+    // whole measurement.
+    let (dir, tier) = tier_with_entry("criterion", Clock::manual(0), 1);
     c.bench_function("disk_read_healthy_hit", |b| {
         b.iter(|| criterion::black_box(tier.load_result(1).is_some()))
     });
-    {
-        let _armed = arm_scoped(FaultPlan::new(7).always("disk.read", FaultKind::Error));
-        assert!(tier.load_result(1).is_none(), "storm read fails");
-    }
-    assert_eq!(tier.stats().breaker_state, BREAKER_OPEN, "breaker tripped");
-    // The cooldown is 60s: the circuit stays open for the whole measurement.
+    trip(&tier, 1);
     c.bench_function("disk_read_circuit_open", |b| {
         b.iter(|| criterion::black_box(tier.load_result(1).is_none()))
     });
@@ -158,13 +169,8 @@ criterion_group!(benches, bench_chaos);
 /// Trip the breaker, heal the disk, and measure microseconds from the trip to
 /// the first successful read (cooldown wait + half-open probe).
 fn measure_recovery_micros() -> f64 {
-    let dir = temp_dir("recovery");
-    let tier = DiskTier::open(&PersistConfig::new(&dir).with_breaker(1, COOLDOWN_MICROS)).unwrap();
-    tier.store_result(9, &sample_result(9));
-    {
-        let _armed = arm_scoped(FaultPlan::new(3).always("disk.read", FaultKind::Error));
-        assert!(tier.load_result(9).is_none(), "storm read fails and trips");
-    } // disk heals here, with the circuit open
+    let (dir, tier) = tier_with_entry("recovery", Clock::real(), 9);
+    trip(&tier, 9); // the disk heals here, with the circuit open
     let tripped = Instant::now();
     loop {
         if tier.load_result(9).is_some() {
@@ -199,22 +205,17 @@ fn write_baseline() -> std::io::Result<()> {
     let overhead_pct = (resilient_micros - bare_micros) / bare_micros.max(1e-9) * 100.0;
 
     // Fail-fast: median lookup latency with the circuit held open.
-    let dir = temp_dir("baseline");
-    let tier = DiskTier::open(&PersistConfig::new(&dir).with_breaker(1, 60_000_000)).unwrap();
-    tier.store_result(5, &sample_result(5));
+    let (dir, tier) = tier_with_entry("baseline", Clock::manual(0), 5);
     let healthy_read_micros = median_micros(200, || u64::from(tier.load_result(5).is_some()));
-    {
-        let _armed = arm_scoped(FaultPlan::new(7).always("disk.read", FaultKind::Error));
-        assert!(tier.load_result(5).is_none());
-    }
-    assert_eq!(tier.stats().breaker_state, BREAKER_OPEN);
+    trip(&tier, 5);
     let open_read_micros = median_micros(200, || u64::from(tier.load_result(5).is_none()));
     std::fs::remove_dir_all(&dir).ok();
 
     let recovery_micros = measure_recovery_micros();
 
     let json = format!(
-        "{{\n  \"bench\": \"chaos_recovery\",\n  \"tree_ops\": {TREE_OPS},\n  \"rows\": {ROWS},\n  \"bare_micros\": {bare_micros:.1},\n  \"resilient_micros\": {resilient_micros:.1},\n  \"overhead_pct\": {overhead_pct:.2},\n  \"target_overhead_pct\": 2.0,\n  \"healthy_read_micros\": {healthy_read_micros:.2},\n  \"circuit_open_read_micros\": {open_read_micros:.2},\n  \"breaker_cooldown_micros\": {COOLDOWN_MICROS},\n  \"recovery_micros\": {recovery_micros:.1}\n}}\n",
+        "{{\n  \"bench\": \"chaos_recovery\",\n  \"tree_ops\": {TREE_OPS},\n  \"rows\": {ROWS},\n  \"bare_micros\": {bare_micros:.1},\n  \"resilient_micros\": {resilient_micros:.1},\n  \"overhead_pct\": {overhead_pct:.2},\n  \"target_overhead_pct\": 2.0,\n  \"healthy_read_micros\": {healthy_read_micros:.2},\n  \"circuit_open_read_micros\": {open_read_micros:.2},\n  \"breaker_cooldown_micros\": {},\n  \"recovery_micros\": {recovery_micros:.1}\n}}\n",
+        DiskTier::BREAKER_COOLDOWN_MICROS,
     );
     let path = std::env::var("LINX_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json").to_string()

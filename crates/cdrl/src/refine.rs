@@ -84,7 +84,7 @@ pub fn refine_session(
 
         // 3. Shared aggregation function / aggregated attribute.
         for agg in agg_choices {
-            for agg_attr in numeric_or_first(dataset, &group_cols) {
+            for agg_attr in numeric_or_first(dataset) {
                 let candidate = map_group_aggregations(&best, agg, &agg_attr);
                 try_accept(candidate, engine, &score, &mut best, &mut best_score);
             }
@@ -140,7 +140,7 @@ fn groupable_columns(df: &DataFrame, stats: &StatsCache) -> Vec<String> {
 
 /// Candidate aggregated attributes: the numeric columns (for sum/avg/min/max), falling
 /// back to the first column so `count` always has a valid target.
-fn numeric_or_first(df: &DataFrame, _group_cols: &[String]) -> Vec<String> {
+fn numeric_or_first(df: &DataFrame) -> Vec<String> {
     let mut out: Vec<String> = df
         .schema()
         .fields()

@@ -1022,7 +1022,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, String> {
         ..ServeConfig::default()
     };
     if let Some(cap) = args.max_body_bytes {
-        config.limits.max_body_bytes = cap;
+        config.max_body_bytes = cap;
     }
     if let Some(cap) = args.max_connections {
         config.max_connections = cap;

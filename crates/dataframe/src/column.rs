@@ -147,11 +147,6 @@ impl Column {
         Self::from_parts(Arc::from(name.into()), dtype, values)
     }
 
-    /// Create a column with an explicit data type (no inference).
-    pub fn with_dtype(name: impl Into<String>, dtype: DataType, values: Vec<Value>) -> Self {
-        Self::from_parts(Arc::from(name.into()), dtype, values)
-    }
-
     /// Create a column that **skips** typed compaction and stores boxed cells exactly
     /// as the seed representation did. Exists so benchmarks and tests can compare the
     /// typed kernels against the `Value`-per-cell path; production code wants

@@ -24,8 +24,6 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::schema::DataType;
-
 /// Process-wide string intern pool backing [`Value::Str`].
 ///
 /// Sharded by a stable FNV-1a hash of the string so concurrent loaders rarely contend.
@@ -191,17 +189,6 @@ impl Value {
     /// Whether this value is null.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
-    }
-
-    /// The [`DataType`] of this value, or `None` for nulls.
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(DataType::Int),
-            Value::Float(_) => Some(DataType::Float),
-            Value::Str(_) => Some(DataType::Str),
-            Value::Bool(_) => Some(DataType::Bool),
-        }
     }
 
     /// Interpret the value as a float if it is numeric.

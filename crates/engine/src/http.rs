@@ -17,14 +17,21 @@
 //! number of bytes consumed, so pipelined requests left in the buffer are
 //! parsed on the next call without re-reading from the socket.
 //!
-//! ## Documented caps ([`ParseLimits`])
+//! ## Documented caps
 //!
-//! | limit                | default  | on breach |
-//! |----------------------|----------|-----------|
-//! | request line bytes   | 8 KiB    | 431       |
-//! | header section bytes | 32 KiB   | 431       |
-//! | header count         | 64       | 431       |
-//! | body bytes           | 1 MiB    | 400       |
+//! | limit                | cap                                  | on breach |
+//! |----------------------|--------------------------------------|-----------|
+//! | request line bytes   | 8 KiB ([`MAX_REQUEST_LINE_BYTES`])   | 431       |
+//! | header section bytes | 32 KiB ([`MAX_HEADER_BYTES`])        | 431       |
+//! | header count         | 64 ([`MAX_HEADERS`])                 | 431       |
+//! | body bytes           | 1 MiB by default ([`ServeConfig`])   | 400       |
+//!
+//! The caps exist so that a misbehaving client can never make the server
+//! buffer unbounded memory; after any breach the connection is closed. The
+//! body cap is the only one a deployment sets: [`parse_request`] takes it,
+//! from `ServeConfig::max_body_bytes` (`--max-body-bytes`).
+//!
+//! [`ServeConfig`]: crate::serve::ServeConfig
 //!
 //! `Transfer-Encoding` (including `chunked`) is **not** supported: bodies must
 //! be delimited by a single `Content-Length` no larger than the body cap. This
@@ -34,33 +41,12 @@
 
 use std::fmt;
 
-/// Byte- and count-caps enforced by [`parse_request`].
-///
-/// The caps exist so that a misbehaving client can never make the server
-/// buffer unbounded memory: breaching a head-side cap yields 431, breaching
-/// the body cap yields 400, and in both cases the connection is closed.
-#[derive(Clone, Copy, Debug)]
-pub struct ParseLimits {
-    /// Maximum bytes in the request line (`GET /path HTTP/1.1`).
-    pub max_line_bytes: usize,
-    /// Maximum bytes in the whole header section, terminator included.
-    pub max_header_bytes: usize,
-    /// Maximum number of header fields.
-    pub max_headers: usize,
-    /// Maximum bytes in the message body (`Content-Length` cap).
-    pub max_body_bytes: usize,
-}
-
-impl Default for ParseLimits {
-    fn default() -> Self {
-        ParseLimits {
-            max_line_bytes: 8 * 1024,
-            max_header_bytes: 32 * 1024,
-            max_headers: 64,
-            max_body_bytes: 1024 * 1024,
-        }
-    }
-}
+/// Maximum bytes in the request line (`GET /path HTTP/1.1`).
+pub const MAX_REQUEST_LINE_BYTES: usize = 8 * 1024;
+/// Maximum bytes in the whole header section, terminator included.
+pub const MAX_HEADER_BYTES: usize = 32 * 1024;
+/// Maximum number of header fields.
+pub const MAX_HEADERS: usize = 64;
 
 /// Why a buffer failed to parse as an HTTP/1.1 request.
 ///
@@ -72,7 +58,7 @@ pub enum HttpParseError {
     /// Syntactically invalid request (bad request line, bad header, bad or
     /// conflicting `Content-Length`, any `Transfer-Encoding`, oversized body).
     BadRequest(String),
-    /// Request line, header section, or header count over the configured cap.
+    /// Request line, header section, or header count over its cap.
     TooLarge(String),
 }
 
@@ -179,36 +165,37 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 ///   drop the first `consumed` bytes and may find a pipelined successor behind
 ///   them.
 /// * `Ok(None)` — the buffer holds a syntactically plausible prefix; read more.
-/// * `Err(e)` — the bytes can never become a valid request under `limits`;
-///   answer with [`HttpParseError::status`] and close the connection.
+/// * `Err(e)` — the bytes can never become a valid request with a body of at
+///   most `max_body_bytes`; answer with [`HttpParseError::status`] and close
+///   the connection.
 pub fn parse_request(
     buf: &[u8],
-    limits: &ParseLimits,
+    max_body_bytes: usize,
 ) -> Result<Option<(HttpRequest, usize)>, HttpParseError> {
     let head_end = match find_head_end(buf) {
         Some(i) => i,
         None => {
             // Not terminated yet: enforce caps against the partial prefix so a
             // client streaming an endless header section is cut off early.
-            if !buf.contains(&b'\n') && buf.len() > limits.max_line_bytes {
+            if !buf.contains(&b'\n') && buf.len() > MAX_REQUEST_LINE_BYTES {
                 return Err(HttpParseError::TooLarge(format!(
                     "request line exceeds {} byte cap",
-                    limits.max_line_bytes
+                    MAX_REQUEST_LINE_BYTES
                 )));
             }
-            if buf.len() > limits.max_header_bytes {
+            if buf.len() > MAX_HEADER_BYTES {
                 return Err(HttpParseError::TooLarge(format!(
                     "header section exceeds {} byte cap",
-                    limits.max_header_bytes
+                    MAX_HEADER_BYTES
                 )));
             }
             return Ok(None);
         }
     };
-    if head_end > limits.max_header_bytes {
+    if head_end > MAX_HEADER_BYTES {
         return Err(HttpParseError::TooLarge(format!(
             "header section exceeds {} byte cap",
-            limits.max_header_bytes
+            MAX_HEADER_BYTES
         )));
     }
 
@@ -229,16 +216,16 @@ pub fn parse_request(
         }
     }
     let request_line = lines[0];
-    if request_line.len() > limits.max_line_bytes {
+    if request_line.len() > MAX_REQUEST_LINE_BYTES {
         return Err(HttpParseError::TooLarge(format!(
             "request line exceeds {} byte cap",
-            limits.max_line_bytes
+            MAX_REQUEST_LINE_BYTES
         )));
     }
-    if lines.len() - 1 > limits.max_headers {
+    if lines.len() - 1 > MAX_HEADERS {
         return Err(HttpParseError::TooLarge(format!(
             "more than {} header fields",
-            limits.max_headers
+            MAX_HEADERS
         )));
     }
 
@@ -320,10 +307,10 @@ pub fn parse_request(
             body_len = parsed;
         }
     }
-    if body_len > limits.max_body_bytes as u64 {
+    if body_len > max_body_bytes as u64 {
         return Err(bad(format!(
             "body of {} bytes exceeds {} byte cap",
-            body_len, limits.max_body_bytes
+            body_len, max_body_bytes
         )));
     }
     let body_len = body_len as usize;
@@ -477,7 +464,7 @@ mod tests {
     use super::*;
 
     fn parse(bytes: &[u8]) -> Result<Option<(HttpRequest, usize)>, HttpParseError> {
-        parse_request(bytes, &ParseLimits::default())
+        parse_request(bytes, 1024 * 1024)
     }
 
     #[test]
@@ -535,35 +522,27 @@ mod tests {
 
     #[test]
     fn oversized_body_is_rejected_at_the_documented_cap() {
-        let limits = ParseLimits {
-            max_body_bytes: 8,
-            ..ParseLimits::default()
-        };
-        let err =
-            parse_request(b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\n", &limits).unwrap_err();
+        let err = parse_request(b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\n", 8).unwrap_err();
         assert_eq!(err.status(), 400);
         assert!(err.message().contains("8 byte cap"), "{}", err);
     }
 
     #[test]
     fn oversized_request_line_yields_431_even_before_termination() {
-        let limits = ParseLimits {
-            max_line_bytes: 32,
-            ..ParseLimits::default()
-        };
-        let long = vec![b'a'; 64];
-        let err = parse_request(&long, &limits).unwrap_err();
+        let long = vec![b'a'; MAX_REQUEST_LINE_BYTES + 1];
+        let err = parse(&long).unwrap_err();
         assert_eq!(err.status(), 431);
     }
 
     #[test]
     fn too_many_headers_yield_431() {
-        let limits = ParseLimits {
-            max_headers: 2,
-            ..ParseLimits::default()
-        };
-        let raw = b"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n";
-        assert_eq!(parse_request(raw, &limits).unwrap_err().status(), 431);
+        let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
+        for i in 0..MAX_HEADERS {
+            raw.extend_from_slice(format!("H{i}: {i}\r\n").as_bytes());
+        }
+        assert!(parse(&[&raw[..], b"\r\n"].concat()).unwrap().is_some());
+        raw.extend_from_slice(b"Extra: 1\r\n\r\n");
+        assert_eq!(parse(&raw).unwrap_err().status(), 431);
     }
 
     #[test]

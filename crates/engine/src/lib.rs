@@ -83,7 +83,7 @@ pub use cache::{CacheStats, ShardedLru};
 pub use engine::{Engine, JobHandle};
 pub use faults::{FaultKind, FaultPlan, ScopedPlan};
 pub use fingerprint::{request_fingerprint, Fingerprint};
-pub use http::{HttpParseError, HttpRequest, HttpResponse, ParseLimits};
+pub use http::{HttpParseError, HttpRequest, HttpResponse};
 pub use persist::{
     DiskTier, PersistConfig, ScrubReport, TierStats, TieredCache, BREAKER_CLOSED,
     BREAKER_HALF_OPEN, BREAKER_OPEN,

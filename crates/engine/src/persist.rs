@@ -23,8 +23,8 @@
 //! file name   res-<fp:016x>.lnx
 //!
 //! bytes 0..4  magic  b"LNXP"
-//! bytes 4..6  format version (u16; readers reject any version but their own)
-//! byte  6     payload kind   (1 result; 2–5 are retired, see below)
+//! bytes 4..6  format version (u16; readers serve only their own, see below)
+//! byte  6     payload kind   (1 result; 2–5 are reserved, see below)
 //! bytes 7..N  payload        (strings are u64-length-prefixed UTF-8, floats are
 //!                             IEEE-754 bit patterns, enums travel as their
 //!                             canonical tokens)
@@ -45,37 +45,41 @@
 //!
 //! # Startup scrub
 //!
-//! [`DiskTier::open`] walks the tier and structurally verifies every entry
-//! (magic, version, checksum, full payload decode). Files that fail are moved —
-//! never deleted — into a `quarantine/` subdirectory for forensics, and the
-//! byte/entry counters are rebuilt from the verified survivors, so a tier that
-//! was SIGKILLed mid-write comes back with exact accounting and zero corrupt
-//! entries addressable. The result is surfaced as a [`ScrubReport`] (and the
+//! [`DiskTier::open`] walks the tier and reads every entry under one rule:
+//!
+//! * **intact** means magic, length and checksum hold;
+//! * an intact entry of this build's [`FORMAT_VERSION`] and the result kind that
+//!   also decodes in full is **live**: it stays and is counted;
+//! * an intact entry of another format version or payload kind is **stale**, not
+//!   damage: it is deleted and counted in [`ScrubReport::retired`];
+//! * anything else, unreadable files included, is **damaged**: it is moved —
+//!   never deleted — into a `quarantine/` subdirectory for forensics.
+//!
+//! The byte/entry counters are rebuilt from the live entries, so a tier that was
+//! SIGKILLed mid-write comes back with exact accounting and zero corrupt entries
+//! addressable. The result is surfaced as a [`ScrubReport`] (and the
 //! `linx_scrub_*` metrics families). Quarantined files sit outside the eviction
 //! walk (it is not recursive) and are overwritten by name if the same entry is
 //! quarantined twice.
 //!
-//! Kinds 2–5 are retired: earlier builds persisted view statistics (histograms,
-//! groupings, group sizes, summaries) under them, in the same format version. An
-//! intact entry of a retired kind is not damage, just stale: the scrub deletes it,
-//! counts it in [`ScrubReport::retired`], and leaves it out of the quarantine and
-//! of the byte/entry counters. The tags stay reserved so no future kind reuses
-//! them.
+//! Kinds 2–5 stay reserved so no future kind reuses them: earlier builds
+//! persisted view statistics (histograms, groupings, group sizes, summaries)
+//! under them, and the scrub deletes such entries as stale.
 //!
 //! # Invalidation story
 //!
 //! There is none, by construction — and that is the point. Keys embed the dataset
 //! *content* fingerprint plus every result-shaping config knob, so changed data or
-//! config is a changed file name and stale entries are simply never addressed again
-//! (the size cap eventually reclaims them). The remaining failure modes all degrade
-//! to a clean miss:
+//! config is a changed file name and the old entries are simply never addressed
+//! again (the size cap eventually reclaims them). The remaining failure modes all
+//! degrade to a clean miss:
 //!
 //! * **corruption** (truncation, bit flips, zero-length files) — the checksum or a
 //!   bounds check fails; at open the scrub quarantines the file, at runtime the
 //!   entry decodes as a miss and the file is deleted;
 //! * **format evolution** — [`FORMAT_VERSION`] is bumped whenever the payload
-//!   layout changes; old files fail the version check, decode as misses, and are
-//!   deleted rather than misread;
+//!   layout changes; old files are stale, never misread: the scrub deletes them
+//!   at open, and at runtime one decodes as a miss and is deleted;
 //! * **foreign files** in the cache directory — only `*.lnx` files are counted or
 //!   evicted, and anything failing the magic check is treated like corruption.
 //!
@@ -105,7 +109,7 @@ use crate::telemetry::TierLatency;
 const MAGIC: [u8; 4] = *b"LNXP";
 
 /// The on-disk format version. Bump on any payload layout change; readers treat
-/// every other version as a miss (and delete the file), never as data.
+/// every other version as stale (a miss, and the file deleted), never as data.
 pub const FORMAT_VERSION: u16 = 1;
 
 /// File extension of persisted entries; only such files are counted and evicted.
@@ -115,16 +119,9 @@ const ENTRY_EXT: &str = "lnx";
 /// entries into. Invisible to the (non-recursive) eviction walk.
 const QUARANTINE_DIR: &str = "quarantine";
 
-/// Payload kind tag (byte 6 of the frame) of an [`ExploreResult`].
+/// Payload kind tag (byte 6 of the frame) of an [`ExploreResult`]. Kinds 2–5 are
+/// reserved: earlier builds persisted view statistics under them.
 const KIND_RESULT: u8 = 1;
-
-/// Retired kind tags: view statistics that earlier builds persisted. Reserved, so
-/// no future kind reuses them; the scrub deletes such entries as stale.
-const KIND_HIST: u8 = 2;
-const KIND_GROUPS: u8 = 3;
-const KIND_SIZES: u8 = 4;
-const KIND_SUMMARY: u8 = 5;
-const RETIRED_KINDS: [u8; 4] = [KIND_HIST, KIND_GROUPS, KIND_SIZES, KIND_SUMMARY];
 
 /// Why a persisted entry failed to decode. Carried for diagnostics; every variant
 /// is handled identically (treat as miss, delete the file).
@@ -289,8 +286,9 @@ fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verify magic, version, and checksum; return the payload kind and bytes.
-fn unframe(bytes: &[u8]) -> Result<(u8, &[u8]), CodecError> {
+/// Verify magic, length and checksum; return the format version, payload kind
+/// and payload bytes.
+fn unframe(bytes: &[u8]) -> Result<(u16, u8, &[u8]), CodecError> {
     if bytes.len() < 15 {
         return err("file shorter than header + checksum");
     }
@@ -298,15 +296,11 @@ fn unframe(bytes: &[u8]) -> Result<(u8, &[u8]), CodecError> {
     if body[0..4] != MAGIC {
         return err("bad magic");
     }
-    let version = u16::from_le_bytes([body[4], body[5]]);
-    if version != FORMAT_VERSION {
-        return err("unsupported format version");
-    }
     let sum = u64::from_le_bytes(sum_bytes.try_into().expect("8-byte slice"));
     if checksum(body) != sum {
         return err("checksum mismatch");
     }
-    Ok((body[6], &body[7..]))
+    Ok((u16::from_le_bytes([body[4], body[5]]), body[6], &body[7..]))
 }
 
 // --- persisted types --------------------------------------------------------------
@@ -384,13 +378,34 @@ pub fn encode_result(result: &ExploreResult) -> Vec<u8> {
     frame(KIND_RESULT, &p)
 }
 
-/// Decode an [`ExploreResult`] entry; any framing, bounds, token, or checksum
-/// violation is an error (callers treat it as a miss).
-pub fn decode_result(bytes: &[u8]) -> Result<ExploreResult, CodecError> {
-    let (kind, payload) = unframe(bytes)?;
-    if kind != KIND_RESULT {
-        return err("payload kind is not a result");
+/// One entry's bytes, read under the rule of the module docs ("Startup scrub").
+enum Entry {
+    /// A result of this build's format, decoded in full.
+    Live(ExploreResult),
+    /// Intact, but of a format version or payload kind this build does not serve.
+    Stale,
+}
+
+/// Read one entry: checksummed once, then decoded in full if this build serves
+/// it. An error means damage: framing, bounds or token violations.
+fn read_entry(bytes: &[u8]) -> Result<Entry, CodecError> {
+    let (version, kind, payload) = unframe(bytes)?;
+    if version != FORMAT_VERSION || kind != KIND_RESULT {
+        return Ok(Entry::Stale);
     }
+    decode_payload(payload).map(Entry::Live)
+}
+
+/// Decode an [`ExploreResult`] entry; a stale entry or any framing, bounds,
+/// token, or checksum violation is an error (callers treat it as a miss).
+pub fn decode_result(bytes: &[u8]) -> Result<ExploreResult, CodecError> {
+    match read_entry(bytes)? {
+        Entry::Live(result) => Ok(result),
+        Entry::Stale => err("another format version or payload kind"),
+    }
+}
+
+fn decode_payload(payload: &[u8]) -> Result<ExploreResult, CodecError> {
     let mut r = Reader::new(payload);
     let ldx_canonical = r.take_str()?;
     let title = r.take_str()?;
@@ -436,89 +451,32 @@ pub struct PersistConfig {
     /// across routers with different shard counts: keys are content fingerprints.
     pub dir: PathBuf,
     /// Total size cap in bytes; exceeding it evicts least-recently-used entries by
-    /// file mtime.
+    /// file mtime. The tier floors it at 4 KiB, about one entry's worth.
     pub max_bytes: u64,
-    /// Circuit-breaker trip threshold: this many *consecutive* read/write
-    /// failures open the breaker (reads and writes then short-circuit to clean
-    /// misses until the cooldown elapses). `0` disables the breaker.
-    pub breaker_threshold: u32,
-    /// How long an open breaker short-circuits before admitting a half-open
-    /// probe, in clock microseconds.
-    pub breaker_cooldown_micros: u64,
-    /// Extra store attempts after a failed first write (transient-failure
-    /// retry). `0` disables write retries.
-    pub write_retries: u32,
-    /// Base backoff before the first retry, in clock microseconds; doubles per
-    /// subsequent retry. Sleeps go through [`Clock::sleep_micros`], so manual
-    /// clocks make the schedule deterministic and instant.
-    pub retry_backoff_micros: u64,
     /// Durable writes: `fsync` the temp file before rename and sync the
     /// directory (best-effort) after it, so a renamed entry survives a power
     /// cut. Off by default — the atomic rename alone already guarantees
     /// *consistency* (no torn entry is ever addressable after the scrub), and
     /// the fsyncs cost latency on the store path.
     pub durable: bool,
-    /// Minimum age, in seconds, before an orphaned `.tmp-*` file (a crashed
-    /// writer's leftovers) is reclaimed at open. `0` reclaims every temp file
-    /// immediately — only safe when no other process shares the directory.
-    pub orphan_sweep_secs: u64,
 }
 
 impl PersistConfig {
     /// Default size cap: 256 MiB.
     pub const DEFAULT_MAX_BYTES: u64 = 256 * 1024 * 1024;
 
-    /// Default breaker trip threshold: 4 consecutive failures.
-    pub const DEFAULT_BREAKER_THRESHOLD: u32 = 4;
-
-    /// Default breaker cooldown: 250 ms.
-    pub const DEFAULT_BREAKER_COOLDOWN_MICROS: u64 = 250_000;
-
-    /// Default write retries: 2 extra attempts.
-    pub const DEFAULT_WRITE_RETRIES: u32 = 2;
-
-    /// Default retry backoff: 500 µs, doubling.
-    pub const DEFAULT_RETRY_BACKOFF_MICROS: u64 = 500;
-
-    /// Default orphan-temp-file sweep window: one minute. A live writer holds a
-    /// temp file only for the instants between write and rename; anything older
-    /// belongs to a process that died mid-store.
-    pub const DEFAULT_ORPHAN_SWEEP_SECS: u64 = 60;
-
-    /// A config for `dir` with the default size cap, breaker, and retry policy.
+    /// A config for `dir` with the default size cap and non-durable writes.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistConfig {
             dir: dir.into(),
             max_bytes: Self::DEFAULT_MAX_BYTES,
-            breaker_threshold: Self::DEFAULT_BREAKER_THRESHOLD,
-            breaker_cooldown_micros: Self::DEFAULT_BREAKER_COOLDOWN_MICROS,
-            write_retries: Self::DEFAULT_WRITE_RETRIES,
-            retry_backoff_micros: Self::DEFAULT_RETRY_BACKOFF_MICROS,
             durable: false,
-            orphan_sweep_secs: Self::DEFAULT_ORPHAN_SWEEP_SECS,
         }
     }
 
-    /// Set the size cap in bytes (clamped to at least one entry's worth, 4 KiB).
+    /// Set the size cap in bytes.
     pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
-        self.max_bytes = max_bytes.max(4 * 1024);
-        self
-    }
-
-    /// Set the circuit-breaker policy: trip after `threshold` consecutive
-    /// failures (0 disables), short-circuit for `cooldown_micros` before the
-    /// half-open probe.
-    pub fn with_breaker(mut self, threshold: u32, cooldown_micros: u64) -> Self {
-        self.breaker_threshold = threshold;
-        self.breaker_cooldown_micros = cooldown_micros;
-        self
-    }
-
-    /// Set the write-retry policy: `retries` extra attempts (0 disables) with
-    /// `backoff_micros` base backoff, doubling per attempt.
-    pub fn with_write_retries(mut self, retries: u32, backoff_micros: u64) -> Self {
-        self.write_retries = retries;
-        self.retry_backoff_micros = backoff_micros;
+        self.max_bytes = max_bytes;
         self
     }
 
@@ -526,13 +484,6 @@ impl PersistConfig {
     /// directory sync after it.
     pub fn with_durable(mut self, durable: bool) -> Self {
         self.durable = durable;
-        self
-    }
-
-    /// Set the orphan-temp-file sweep window in seconds (`0` reclaims every
-    /// temp file at open).
-    pub fn with_orphan_sweep_secs(mut self, secs: u64) -> Self {
-        self.orphan_sweep_secs = secs;
         self
     }
 }
@@ -547,16 +498,17 @@ pub const BREAKER_HALF_OPEN: u8 = 2;
 
 /// A consecutive-failure circuit breaker guarding the disk tier.
 ///
-/// State machine: `Closed` →(threshold consecutive failures)→ `Open`
-/// →(cooldown elapses; first caller becomes the probe)→ `HalfOpen`
-/// →(probe succeeds)→ `Closed`, or →(probe fails)→ `Open` again (re-stamping
-/// the cooldown and counting another trip). While `Open` or `HalfOpen`, every
-/// non-probe operation short-circuits: loads report clean misses and stores are
-/// dropped — the tier is a cache, so memory-only operation stays correct.
-#[derive(Debug)]
+/// State machine: `Closed` →([`DiskTier::BREAKER_THRESHOLD`] consecutive
+/// failures)→ `Open` →([`DiskTier::BREAKER_COOLDOWN_MICROS`] elapse; first
+/// caller becomes the probe)→ `HalfOpen` →(probe succeeds)→ `Closed`, or
+/// →(probe fails)→ `Open` again (re-stamping the cooldown and counting another
+/// trip). While `Open` or `HalfOpen`, every non-probe operation short-circuits:
+/// loads report clean misses and stores are dropped — the tier is a cache, so
+/// memory-only operation stays correct.
+///
+/// The all-zero default is `Closed` with no failures and no trips.
+#[derive(Debug, Default)]
 struct Breaker {
-    threshold: u32,
-    cooldown_micros: u64,
     state: AtomicU8,
     consecutive: AtomicU32,
     opened_at_micros: AtomicU64,
@@ -564,17 +516,6 @@ struct Breaker {
 }
 
 impl Breaker {
-    fn new(threshold: u32, cooldown_micros: u64) -> Self {
-        Breaker {
-            threshold,
-            cooldown_micros,
-            state: AtomicU8::new(BREAKER_CLOSED),
-            consecutive: AtomicU32::new(0),
-            opened_at_micros: AtomicU64::new(0),
-            trips: AtomicU64::new(0),
-        }
-    }
-
     fn state(&self) -> u8 {
         self.state.load(Ordering::Acquire)
     }
@@ -590,7 +531,7 @@ impl Breaker {
         match self.state.load(Ordering::Acquire) {
             BREAKER_OPEN => {
                 let opened = self.opened_at_micros.load(Ordering::Relaxed);
-                now_micros.saturating_sub(opened) >= self.cooldown_micros
+                now_micros.saturating_sub(opened) >= DiskTier::BREAKER_COOLDOWN_MICROS
                     && self
                         .state
                         .compare_exchange(
@@ -619,14 +560,11 @@ impl Breaker {
     }
 
     fn record_failure(&self, now_micros: u64) {
-        if self.threshold == 0 {
-            return; // breaker disabled
-        }
         let consecutive = self.consecutive.fetch_add(1, Ordering::Relaxed) + 1;
         let state = self.state.load(Ordering::Acquire);
         let should_trip = match state {
             BREAKER_HALF_OPEN => true, // the probe failed: reopen
-            BREAKER_CLOSED => consecutive >= self.threshold,
+            BREAKER_CLOSED => consecutive >= DiskTier::BREAKER_THRESHOLD,
             _ => false,
         };
         if should_trip
@@ -690,8 +628,8 @@ pub struct ScrubReport {
     pub bytes: u64,
     /// Orphaned temp files reclaimed.
     pub orphans_reclaimed: u64,
-    /// Intact entries of a retired payload kind (statistics persisted by earlier
-    /// builds), deleted as stale; see the module docs.
+    /// Intact entries of another format version or payload kind, deleted as
+    /// stale; see the module docs.
     pub retired: u64,
 }
 
@@ -721,8 +659,6 @@ pub struct DiskTier {
     unlink_errors: AtomicU64,
     retries: AtomicU64,
     breaker: Breaker,
-    write_retries: u32,
-    retry_backoff_micros: u64,
     durable: bool,
     /// What the startup scrub found; immutable after open.
     scrub: ScrubReport,
@@ -740,39 +676,41 @@ pub struct DiskTier {
     sync_micros: LatencyHistogram,
 }
 
-/// What the startup scrub makes of one entry file.
-enum Verdict {
-    /// A result that decodes in full: kept.
-    Live,
-    /// An intact entry of a retired kind: deleted as stale.
-    Retired,
-    /// Anything else, unreadable files included: quarantined.
-    Damaged,
-}
-
-/// Structurally verify one entry's bytes: framing (magic, version, checksum)
-/// *and* a full payload decode, so a checksum collision over a malformed payload
-/// still cannot survive the scrub.
-fn verify_entry(bytes: &[u8]) -> Verdict {
-    match unframe(bytes) {
-        Ok((kind, _)) if RETIRED_KINDS.contains(&kind) => Verdict::Retired,
-        Ok(_) if decode_result(bytes).is_ok() => Verdict::Live,
-        _ => Verdict::Damaged,
-    }
-}
-
 impl DiskTier {
+    /// Consecutive read/write failures that open the circuit breaker.
+    pub const BREAKER_THRESHOLD: u32 = 4;
+
+    /// How long an open breaker short-circuits before it admits a half-open
+    /// probe, in clock microseconds: 250 ms.
+    pub const BREAKER_COOLDOWN_MICROS: u64 = 250_000;
+
+    /// Extra store attempts after a failed write.
+    pub const WRITE_RETRIES: u32 = 2;
+
+    /// Backoff before the first write retry, in clock microseconds; it doubles
+    /// per retry. Sleeps go through [`Clock::sleep_micros`], so a manual clock
+    /// makes the schedule deterministic and instant.
+    pub const RETRY_BACKOFF_MICROS: u64 = 500;
+
+    /// Minimum age, in seconds, of an orphaned `.tmp-*` file (a crashed
+    /// writer's leftovers) before open reclaims it. A live writer holds a temp
+    /// file only for the instants between write and rename, and another
+    /// process may share the directory, so only older files are reclaimed.
+    pub const ORPHAN_SWEEP_SECS: u64 = 60;
+
     /// Open (creating if needed) a cache directory with the given size cap,
     /// scrubbing it first: every entry is verified, corrupt files are moved into
-    /// `quarantine/`, counters are rebuilt exactly, and stale temp files left by
-    /// crashed writers are reclaimed (they are invisible to eviction, so nothing
-    /// else would ever do it). See [`DiskTier::scrub_report`].
+    /// `quarantine/`, stale ones are deleted, counters are rebuilt exactly, and
+    /// orphaned temp files left by crashed writers are reclaimed (they are
+    /// invisible to eviction, so nothing else would ever do it). See
+    /// [`DiskTier::scrub_report`].
     pub fn open(config: &PersistConfig) -> io::Result<Arc<DiskTier>> {
         DiskTier::open_with_clock(config, Clock::real())
     }
 
-    /// [`DiskTier::open`] with an explicit clock for the read/write/evict latency
-    /// histograms. Tests pass a manual clock; `open` uses the real one.
+    /// [`DiskTier::open`] with an explicit clock for the latency histograms, the
+    /// breaker cooldown and the retry backoff. Tests pass a manual clock; `open`
+    /// uses the real one.
     pub fn open_with_clock(config: &PersistConfig, clock: Clock) -> io::Result<Arc<DiskTier>> {
         std::fs::create_dir_all(&config.dir)?;
         let mut scrub = ScrubReport::default();
@@ -786,18 +724,18 @@ impl DiskTier {
             }
             if path.extension().and_then(|e| e.to_str()) == Some(ENTRY_EXT) {
                 scrub.scanned += 1;
-                let (verdict, len) = match std::fs::read(&path) {
-                    Ok(bytes) => (verify_entry(&bytes), bytes.len() as u64),
+                let (read, len) = match std::fs::read(&path) {
+                    Ok(bytes) => (read_entry(&bytes), bytes.len() as u64),
                     // Unreadable counts as corrupt: the file exists but cannot
                     // serve a hit, so it goes to quarantine with the rest.
-                    Err(_) => (Verdict::Damaged, 0),
+                    Err(_) => (err("unreadable file"), 0),
                 };
-                match verdict {
-                    Verdict::Live => {
+                match read {
+                    Ok(Entry::Live(_)) => {
                         scrub.bytes += len;
                         scrub.entries += 1;
                     }
-                    Verdict::Retired => {
+                    Ok(Entry::Stale) => {
                         // Nothing reads these any more, and they hold no
                         // evidence of damage: delete, don't quarantine.
                         if std::fs::remove_file(&path).is_ok() {
@@ -806,7 +744,7 @@ impl DiskTier {
                             unlink_errors += 1;
                         }
                     }
-                    Verdict::Damaged => {
+                    Err(_) => {
                         // Never unlink — keep the bytes for forensics. A failed
                         // quarantine leaves the file in place; the load path
                         // will still reject (and then delete) it at runtime.
@@ -824,16 +762,14 @@ impl DiskTier {
                 .to_str()
                 .is_some_and(|n| n.starts_with(".tmp-"))
             {
-                // A live writer holds a temp file only for the instants between
-                // write and rename; one older than the sweep window belongs to a
-                // process that died mid-store and will never be renamed.
-                let stale = config.orphan_sweep_secs == 0
-                    || entry
-                        .metadata()
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|mtime| std::time::SystemTime::now().duration_since(mtime).ok())
-                        .is_some_and(|age| age.as_secs() >= config.orphan_sweep_secs);
+                // A temp file older than the sweep window belongs to a process
+                // that died mid-store and will never be renamed.
+                let stale = entry
+                    .metadata()
+                    .and_then(|m| m.modified())
+                    .ok()
+                    .and_then(|mtime| std::time::SystemTime::now().duration_since(mtime).ok())
+                    .is_some_and(|age| age.as_secs() >= Self::ORPHAN_SWEEP_SECS);
                 if stale && std::fs::remove_file(&path).is_ok() {
                     scrub.orphans_reclaimed += 1;
                 }
@@ -851,9 +787,7 @@ impl DiskTier {
             evictions: AtomicU64::new(0),
             unlink_errors: AtomicU64::new(unlink_errors),
             retries: AtomicU64::new(0),
-            breaker: Breaker::new(config.breaker_threshold, config.breaker_cooldown_micros),
-            write_retries: config.write_retries,
-            retry_backoff_micros: config.retry_backoff_micros.max(1),
+            breaker: Breaker::default(),
             durable: config.durable,
             scrub,
             futile_evict_at: AtomicU64::new(u64::MAX),
@@ -981,8 +915,8 @@ impl DiskTier {
 
     /// Persist one exploration result under its request fingerprint, atomically
     /// (temp file + rename), then enforce the size cap. A transiently failing
-    /// write is retried with exponential backoff
-    /// ([`PersistConfig::with_write_retries`]); a write that keeps failing — or
+    /// write is retried with exponential backoff ([`DiskTier::WRITE_RETRIES`],
+    /// [`DiskTier::RETRY_BACKOFF_MICROS`]); a write that keeps failing — or
     /// arrives while the breaker is open — is dropped: the tier is a cache, so a
     /// dropped write degrades to a later recompute.
     pub fn store_result(&self, fp: u64, result: &ExploreResult) {
@@ -1015,15 +949,13 @@ impl DiskTier {
                     self.breaker.record_failure(self.clock.now_micros());
                     // Stop when retries are exhausted or the breaker tripped
                     // mid-loop (retrying into an open breaker is just load).
-                    if attempt >= self.write_retries || self.breaker.state() != BREAKER_CLOSED {
+                    if attempt >= Self::WRITE_RETRIES || self.breaker.state() != BREAKER_CLOSED {
                         return false;
                     }
-                    attempt += 1;
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    let backoff = self
-                        .retry_backoff_micros
-                        .saturating_mul(1u64 << (attempt - 1).min(16));
-                    self.clock.sleep_micros(backoff);
+                    self.clock
+                        .sleep_micros(Self::RETRY_BACKOFF_MICROS << attempt);
+                    attempt += 1;
                 }
             }
         }
@@ -1351,8 +1283,8 @@ mod tests {
     #[test]
     fn retired_stat_entries_are_removed_as_stale() {
         // A directory warmed by a build that still persisted statistics: one
-        // result beside intact entries of every retired kind, in the same format
-        // version (the histogram one laid out as those builds wrote it).
+        // result beside intact entries of every reserved kind (2–5), in the same
+        // format version (the histogram one laid out as those builds wrote it).
         let dir = temp_dir("retired");
         DiskTier::open(&PersistConfig::new(&dir))
             .unwrap()
@@ -1365,11 +1297,8 @@ mod tests {
             .iter()
             .map(|k| dir.join(format!("st{k}-00000000000000aa-00000000000000bb.lnx")))
             .collect();
-        std::fs::write(&stale[0], frame(KIND_HIST, &hist)).unwrap();
-        for (path, kind) in stale[1..]
-            .iter()
-            .zip([KIND_GROUPS, KIND_SIZES, KIND_SUMMARY])
-        {
+        std::fs::write(&stale[0], frame(2, &hist)).unwrap();
+        for (path, kind) in stale[1..].iter().zip(3..=5) {
             std::fs::write(path, frame(kind, &[0; 8])).unwrap();
         }
 

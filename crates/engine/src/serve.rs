@@ -81,9 +81,7 @@ use linx_metrics::{Counter, Gauge, LatencyHistogram};
 use crate::api::{Budget, ExploreRequest, ExploreResponse, JobError, Priority};
 use crate::engine::JobHandle;
 use crate::faults::{self, FaultKind};
-use crate::http::{
-    json_escape, parse_request, HttpParseError, HttpRequest, HttpResponse, ParseLimits,
-};
+use crate::http::{json_escape, parse_request, HttpParseError, HttpRequest, HttpResponse};
 use crate::router::{DrainReport, RoutedContext, Router, RouterConfig, RouterStats};
 use crate::telemetry::{render_text, Family};
 
@@ -112,8 +110,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// The router under the HTTP front-end.
     pub router: RouterConfig,
-    /// Parser caps; breaches answer 400/431 (see [`ParseLimits`]).
-    pub limits: ParseLimits,
+    /// Body cap in bytes: a request declaring a larger `Content-Length` is
+    /// answered 400 and closed. The head's caps are fixed; see [`crate::http`].
+    pub max_body_bytes: usize,
     /// Open-connection cap; a connection accepted over the cap is answered
     /// 503 + `Retry-After` and closed immediately. `0` disables the cap.
     pub max_connections: usize,
@@ -129,7 +128,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             router: RouterConfig::fast(),
-            limits: ParseLimits::default(),
+            max_body_bytes: 1024 * 1024,
             max_connections: 1024,
             request_read_timeout_millis: 10_000,
         }
@@ -247,7 +246,7 @@ struct Inner {
     next_job: AtomicU64,
     draining: AtomicBool,
     stopping: AtomicBool,
-    limits: ParseLimits,
+    max_body_bytes: usize,
     max_connections: usize,
     request_read_timeout_millis: u64,
     http: HttpMetrics,
@@ -299,7 +298,7 @@ impl Server {
             next_job: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
-            limits: config.limits,
+            max_body_bytes: config.max_body_bytes,
             max_connections: config.max_connections,
             request_read_timeout_millis: config.request_read_timeout_millis,
             http: HttpMetrics::new(),
@@ -488,7 +487,7 @@ fn handle_connection(inner: Arc<Inner>, mut stream: TcpStream) {
     loop {
         // Serve every complete (possibly pipelined) request already buffered.
         loop {
-            match parse_request(&buf, &inner.limits) {
+            match parse_request(&buf, inner.max_body_bytes) {
                 Ok(Some((request, consumed))) => {
                     buf.drain(..consumed);
                     idle_ticks = 0;

@@ -12,7 +12,7 @@
 //! * every shed / expired / broken-circuit request gets a *typed* error
 //!   (`Overloaded`, `DeadlineExceeded`, or a miss), not a panic or a stall.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -106,34 +106,48 @@ fn wait_with_watchdog(
 // Circuit breaker
 // ---------------------------------------------------------------------------
 
+/// A tier over `dir` on a manual clock, so a test steps through the breaker
+/// cooldown and the retry backoff without sleeping.
+fn tier_on_manual_clock(dir: &Path) -> (Arc<DiskTier>, Clock) {
+    let clock = Clock::manual(1_000);
+    let _calm = calm();
+    let tier = DiskTier::open_with_clock(&PersistConfig::new(dir), clock.clone()).unwrap();
+    (tier, clock)
+}
+
 #[test]
 fn breaker_trips_on_read_error_storm_and_recovers_after_cooldown() {
     let dir = temp_dir("breaker");
-    let config = PersistConfig::new(&dir).with_breaker(2, 10_000); // 10 ms cooldown
-    let tier = {
+    let (tier, clock) = tier_on_manual_clock(&dir);
+    {
         let _calm = calm();
-        let tier = DiskTier::open(&config).unwrap();
         tier.store_result(1, &marked_result(1));
         assert!(tier.load_result(1).is_some(), "healthy tier serves");
-        tier
-    };
+    }
     assert_eq!(tier.stats().breaker_state, BREAKER_CLOSED);
 
     {
         let scoped = arm_scoped(FaultPlan::new(11).always("disk.read", FaultKind::Error));
-        // Two consecutive failures reach the threshold and open the circuit.
-        assert!(tier.load_result(1).is_none());
+        // One failure short of the threshold keeps the circuit closed; the
+        // next consecutive failure opens it.
+        for _ in 1..DiskTier::BREAKER_THRESHOLD {
+            assert!(tier.load_result(1).is_none());
+        }
+        assert_eq!(tier.stats().breaker_state, BREAKER_CLOSED);
         assert!(tier.load_result(1).is_none());
         let stats = tier.stats();
         assert_eq!(stats.breaker_state, BREAKER_OPEN, "storm must trip");
         assert_eq!(stats.breaker_trips, 1);
 
         // While open, reads short-circuit to clean misses *before* touching the
-        // failpoint — the fired counter stays put.
+        // failpoint — the fired counter stays put, up to the last microsecond
+        // of the cooldown.
         let fired_before = scoped.plan().fired("disk.read");
         for _ in 0..8 {
             assert!(tier.load_result(1).is_none(), "open circuit is a miss");
         }
+        clock.advance(DiskTier::BREAKER_COOLDOWN_MICROS - 1);
+        assert!(tier.load_result(1).is_none(), "still cooling down");
         assert_eq!(
             scoped.plan().fired("disk.read"),
             fired_before,
@@ -141,10 +155,10 @@ fn breaker_trips_on_read_error_storm_and_recovers_after_cooldown() {
         );
     } // storm ends (disk healed)
 
-    // After the cooldown, one half-open probe succeeds and closes the circuit;
-    // the stored entry is intact — the breaker never corrupted anything.
-    std::thread::sleep(Duration::from_millis(20));
+    // Once the cooldown has elapsed, one half-open probe succeeds and closes the
+    // circuit; the stored entry is intact — the breaker never corrupted anything.
     let _calm = calm();
+    clock.advance(1);
     let recovered = tier
         .load_result(1)
         .expect("half-open probe against a healed disk must hit");
@@ -158,18 +172,18 @@ fn breaker_trips_on_read_error_storm_and_recovers_after_cooldown() {
 #[test]
 fn failed_probe_reopens_the_breaker_and_counts_a_trip() {
     let dir = temp_dir("probe");
-    let config = PersistConfig::new(&dir).with_breaker(1, 5_000);
-    let tier = {
+    let (tier, clock) = tier_on_manual_clock(&dir);
+    {
         let _calm = calm();
-        let tier = DiskTier::open(&config).unwrap();
         tier.store_result(2, &marked_result(2));
-        tier
-    };
+    }
 
     let _scoped = arm_scoped(FaultPlan::new(3).always("disk.read", FaultKind::Error));
-    assert!(tier.load_result(2).is_none()); // trips (threshold 1)
+    for _ in 0..DiskTier::BREAKER_THRESHOLD {
+        assert!(tier.load_result(2).is_none());
+    }
     assert_eq!(tier.stats().breaker_trips, 1);
-    std::thread::sleep(Duration::from_millis(10));
+    clock.advance(DiskTier::BREAKER_COOLDOWN_MICROS);
     // Cooldown elapsed, but the disk is still sick: the probe fails and reopens.
     assert!(tier.load_result(2).is_none());
     let stats = tier.stats();
@@ -181,33 +195,32 @@ fn failed_probe_reopens_the_breaker_and_counts_a_trip() {
 #[test]
 fn write_retries_ride_out_transient_failures_with_deterministic_backoff() {
     let dir = temp_dir("retry");
-    let clock = Clock::manual(1_000);
-    // Breaker disabled (threshold 0) so every store exercises the retry loop.
-    let config = PersistConfig::new(&dir)
-        .with_breaker(0, 0)
-        .with_write_retries(4, 250);
-    let tier = {
-        let _calm = calm();
-        DiskTier::open_with_clock(&config, clock.clone()).unwrap()
-    };
-
-    let before = clock.now_micros();
+    let (tier, clock) = tier_on_manual_clock(&dir);
     {
         let _scoped = arm_scoped(FaultPlan::new(5).with_rule("disk.write", FaultKind::Error, 50));
         for fp in 10..26 {
+            // Past any cooldown, so an open breaker admits this store as its probe.
+            clock.advance(DiskTier::BREAKER_COOLDOWN_MICROS);
+            let (retries, before) = (tier.stats().retries, clock.now_micros());
             tier.store_result(fp, &marked_result(fp));
+            let retried = tier.stats().retries - retries;
+            assert!(retried <= u64::from(DiskTier::WRITE_RETRIES));
+            // Backoff slept on the *manual* clock — deterministic, and provably
+            // taken: the base wait, doubling per retry.
+            assert_eq!(
+                clock.now_micros() - before,
+                DiskTier::RETRY_BACKOFF_MICROS * ((1 << retried) - 1),
+                "store {fp} after {retried} retries"
+            );
         }
     }
     let stats = tier.stats();
     assert!(stats.retries > 0, "a 50% write storm must retry: {stats:?}");
     assert!(stats.stores > 0, "retries must rescue some stores");
-    // Backoff slept on the *manual* clock — deterministic, and provably taken.
-    assert!(
-        clock.now_micros() > before,
-        "retry backoff must advance the injected clock"
-    );
-    // Everything the tier claims to have stored reads back intact.
+    // Everything the tier claims to have stored reads back intact, once the
+    // first read has probed a breaker the storm may have left open.
     let _calm = calm();
+    clock.advance(DiskTier::BREAKER_COOLDOWN_MICROS);
     let mut verified = 0;
     for fp in 10..26 {
         if let Some(result) = tier.load_result(fp) {
@@ -224,9 +237,7 @@ fn failing_unlinks_are_counted_and_do_not_loop_the_evictor() {
     let dir = temp_dir("unlink");
     // The cap floors at 4 KiB, so store entries fat enough to blow past it and
     // force eviction scans.
-    let config = PersistConfig::new(&dir)
-        .with_max_bytes(1)
-        .with_breaker(0, 0);
+    let config = PersistConfig::new(&dir).with_max_bytes(1);
     let bulky = |fp: u64| {
         let mut result = marked_result(fp);
         result.narrative.headline = "x".repeat(2048);
@@ -300,18 +311,22 @@ fn torn_writes_are_published_then_quarantined_at_the_next_open() {
 #[test]
 fn failed_renames_drop_the_store_and_leave_no_temp_files() {
     let dir = temp_dir("rename");
-    let config = PersistConfig::new(&dir)
-        .with_breaker(0, 0)
-        .with_write_retries(0, 0);
-    let tier = {
-        let _calm = calm();
-        DiskTier::open(&config).unwrap()
-    };
+    let (tier, clock) = tier_on_manual_clock(&dir);
+    let before = clock.now_micros();
     {
         let _scoped = arm_scoped(FaultPlan::new(2).always("disk.rename", FaultKind::Error));
         tier.store_result(80, &marked_result(80));
     }
     let _calm = calm();
+    // Every attempt failed, each retry after its backoff, and fewer failures
+    // than the breaker's threshold left it closed.
+    let stats = tier.stats();
+    assert_eq!(stats.retries, u64::from(DiskTier::WRITE_RETRIES));
+    assert_eq!(
+        clock.now_micros() - before,
+        DiskTier::RETRY_BACKOFF_MICROS * ((1 << DiskTier::WRITE_RETRIES) - 1)
+    );
+    assert_eq!(stats.breaker_state, BREAKER_CLOSED);
     assert!(tier.load_result(80).is_none(), "dropped store is a miss");
     assert_eq!(tier.stats().stores, 0);
     // The failed store cleaned up after itself: nothing for the orphan sweep.
@@ -666,13 +681,17 @@ proptest! {
         prop_assume!(DISK_OK.load(Ordering::Relaxed));
         let dir = temp_dir(&format!("prop-{seed}-{read_pct}-{write_pct}-{unlink_pct}"));
         // Tiny caps on both tiers so stores, evictions, and unlinks all run
-        // under fire; breaker disabled so every operation reaches its seam.
+        // under fire. Each operation first steps the manual clock past the
+        // breaker's cooldown, so an open breaker admits it as its probe and
+        // every operation reaches its seam.
+        let clock = Clock::manual(1_000);
         let tier = {
             let _calm = calm();
-            DiskTier::open(&PersistConfig::new(&dir).with_max_bytes(512).with_breaker(0, 0))
+            DiskTier::open_with_clock(&PersistConfig::new(&dir).with_max_bytes(512), clock.clone())
                 .unwrap()
         };
         let cache = TieredCache::with_disk(4096, 2, tier);
+        let past_cooldown = || clock.advance(DiskTier::BREAKER_COOLDOWN_MICROS);
 
         let fps: Vec<u64> = (100..108).collect();
         {
@@ -683,11 +702,13 @@ proptest! {
                     .with_rule("disk.unlink", FaultKind::Error, unlink_pct),
             );
             for &fp in &fps {
+                past_cooldown();
                 cache.insert(fp, marked_result(fp));
             }
             // Under the storm: every lookup is the correct value or a clean
             // miss — never data stored under a different key, never a panic.
             for &fp in &fps {
+                past_cooldown();
                 if let Some(result) = cache.get(&fp) {
                     prop_assert_eq!(result.ldx_canonical, format!("fp={}", fp));
                 }
@@ -697,6 +718,7 @@ proptest! {
         // disk tier kept decodes to exactly what was stored.
         let _calm = calm();
         for &fp in &fps {
+            past_cooldown();
             if let Some(result) = cache.get(&fp) {
                 prop_assert_eq!(result.ldx_canonical, format!("fp={}", fp));
             }

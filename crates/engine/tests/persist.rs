@@ -177,6 +177,33 @@ fn wrong_version_entries_are_clean_misses_and_unlinked() {
     );
     std::fs::write(result_path(&tier, 4), &future).unwrap();
     assert_clean_miss(&tier, 4, "wrong version");
+
+    // At open, the same intact entry is stale rather than damage: the scrub
+    // deletes it and counts it as retired, quarantines nothing, and leaves it
+    // out of the resident counters.
+    std::fs::write(result_path(&tier, 4), &future).unwrap();
+    tier.store_result(5, &sample_result());
+    let reopened = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
+    let scrub = reopened.scrub_report();
+    assert_eq!(
+        (
+            scrub.scanned,
+            scrub.retired,
+            scrub.quarantined,
+            scrub.entries
+        ),
+        (2, 1, 0, 1)
+    );
+    assert_eq!(
+        scrub.bytes,
+        std::fs::metadata(result_path(&reopened, 5)).unwrap().len()
+    );
+    assert!(!result_path(&reopened, 4).exists(), "stale entry deleted");
+    assert!(
+        !reopened.quarantine_dir().exists(),
+        "a stale entry is not damage"
+    );
+    assert!(reopened.load_result(5).is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -340,20 +367,30 @@ fn durable_mode_fsyncs_every_store_and_records_sync_latency() {
 }
 
 #[test]
-fn orphan_sweep_window_is_configurable_and_counts_reclaimed_temps() {
-    let dir = temp_dir("orphan-knob");
+fn orphan_sweep_keeps_fresh_temps_and_counts_reclaimed_ones() {
+    let dir = temp_dir("orphan-sweep");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join(".tmp-1-0"), b"fresh in-flight").unwrap();
     std::fs::write(dir.join(".tmp-1-1"), b"also fresh").unwrap();
 
-    // The default 60 s window keeps fresh temps — they may be a live writer's...
+    // Temps younger than the sweep window are kept — they may be a live writer's...
     let tier = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
     assert_eq!(tier.scrub_report().orphans_reclaimed, 0);
     drop(tier);
     assert!(dir.join(".tmp-1-0").exists());
 
-    // ...while a zero window treats every temp as orphaned and counts the reclaim.
-    let tier = DiskTier::open(&PersistConfig::new(&dir).with_orphan_sweep_secs(0)).unwrap();
+    // ...while temps older than the window are orphans, reclaimed and counted.
+    let old = std::time::SystemTime::now()
+        - std::time::Duration::from_secs(DiskTier::ORPHAN_SWEEP_SECS + 1);
+    for name in [".tmp-1-0", ".tmp-1-1"] {
+        let f = std::fs::File::options()
+            .append(true)
+            .open(dir.join(name))
+            .unwrap();
+        f.set_times(std::fs::FileTimes::new().set_modified(old))
+            .unwrap();
+    }
+    let tier = DiskTier::open(&PersistConfig::new(&dir)).unwrap();
     assert_eq!(tier.scrub_report().orphans_reclaimed, 2);
     assert_eq!(tier.stats().orphans_reclaimed, 2);
     assert!(!dir.join(".tmp-1-0").exists());

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use linx_data::{generate, DatasetKind, ScaleConfig};
 use linx_dataframe::DataFrame;
 use linx_engine::faults::{self, arm_scoped, FaultKind, FaultPlan};
-use linx_engine::http::{parse_request, ParseLimits};
+use linx_engine::http::{parse_request, MAX_REQUEST_LINE_BYTES};
 use linx_engine::serve::{ServeConfig, Server};
 use linx_engine::{EngineConfig, RouterConfig, TenantQuota};
 use proptest::prelude::*;
@@ -440,7 +440,7 @@ proptest! {
             let idx = pos % bytes.len();
             bytes[idx] = byte;
         }
-        match parse_request(&bytes, &ParseLimits::default()) {
+        match parse_request(&bytes, ServeConfig::default().max_body_bytes) {
             Ok(_) => {}
             Err(e) => prop_assert!(e.status() == 400 || e.status() == 431, "status {}", e.status()),
         }
@@ -450,7 +450,7 @@ proptest! {
     /// harmless.
     #[test]
     fn parser_is_total_on_arbitrary_bytes(bytes in proptest::collection::vec(0u8..=255, 0..320)) {
-        match parse_request(&bytes, &ParseLimits::default()) {
+        match parse_request(&bytes, ServeConfig::default().max_body_bytes) {
             Ok(_) => {}
             Err(e) => prop_assert!(e.status() == 400 || e.status() == 431, "status {}", e.status()),
         }
@@ -464,19 +464,19 @@ proptest! {
         cut in 0usize..64,
     ) {
         let cut = cut % (base.len() + 1);
-        let result = parse_request(&base[..cut], &ParseLimits::default());
+        let result = parse_request(&base[..cut], ServeConfig::default().max_body_bytes);
         prop_assert!(result.is_ok(), "prefix of len {cut} errored: {result:?}");
     }
 }
 
 #[test]
 fn chunked_and_oversized_bodies_are_rejected_at_documented_caps() {
-    let limits = ParseLimits::default();
+    let max_body_bytes = ServeConfig::default().max_body_bytes;
     // Any Transfer-Encoding (chunked included) is a 400 — bodies must use
     // Content-Length under the cap.
     let err = parse_request(
         b"POST /v1/explore HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-        &limits,
+        max_body_bytes,
     )
     .unwrap_err();
     assert_eq!(err.status(), 400);
@@ -486,17 +486,17 @@ fn chunked_and_oversized_bodies_are_rejected_at_documented_caps() {
     // before any body bytes are buffered.
     let head = format!(
         "POST /v1/explore HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-        limits.max_body_bytes + 1
+        max_body_bytes + 1
     );
-    let err = parse_request(head.as_bytes(), &limits).unwrap_err();
+    let err = parse_request(head.as_bytes(), max_body_bytes).unwrap_err();
     assert_eq!(err.status(), 400);
     assert!(
-        err.message().contains(&limits.max_body_bytes.to_string()),
+        err.message().contains(&max_body_bytes.to_string()),
         "cap must be named: {err}"
     );
 
-    // An unterminated request line over `max_line_bytes` is a 431.
-    let err = parse_request(&vec![b'a'; limits.max_line_bytes + 1], &limits).unwrap_err();
+    // An unterminated request line over `MAX_REQUEST_LINE_BYTES` is a 431.
+    let err = parse_request(&vec![b'a'; MAX_REQUEST_LINE_BYTES + 1], max_body_bytes).unwrap_err();
     assert_eq!(err.status(), 431);
 }
 

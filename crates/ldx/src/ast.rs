@@ -212,19 +212,6 @@ impl NodeSpec {
             .map(|p| p.continuity_vars())
             .unwrap_or_default()
     }
-
-    /// Whether this spec carries structural constraints (tree-shape primitives).
-    pub fn has_structural(&self) -> bool {
-        self.children.is_some() || !self.descendants.is_empty()
-    }
-
-    /// Whether this spec carries operational constraints (constraining parameters).
-    pub fn has_operational(&self) -> bool {
-        self.like
-            .as_ref()
-            .map(|p| p.num_constraining_params() > 0)
-            .unwrap_or(false)
-    }
 }
 
 impl fmt::Display for NodeSpec {
